@@ -40,9 +40,9 @@ def main(argv=None):
         status = "ok" if res.ok else "FAILED"
         print(f"{mode:12s} rows={len(res.rows):5d} skipped={res.skipped:4d} "
               f"failures={len(res.failures):3d} {elapsed:6.2f}s {status}")
-        for row in res.failures:
-            print(f"  FAIL q={row.q} H={row.H} V={row.V} a={row.a} "
-                  f"b={row.b}: {row.message}", file=sys.stderr)
+        for (q, H, V, a, b), message in res.failures:
+            print(f"  FAIL q={q} H={H} V={V} a={a} b={b}: {message}",
+                  file=sys.stderr)
         failed += len(res.failures)
     return 4 if failed else 0
 

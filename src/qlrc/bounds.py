@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    NegativeBinomialArgs,
     NonPositiveK,
     ParamRangeViolated,
     WeightTooSmall,
@@ -143,11 +142,15 @@ def q_singleton_pure(inp: BoundInput) -> BoundReport:
 def _griesmer_objective(inp: BoundInput, ell: int) -> int:
     limit = inp.n + inp.k - 2 * inp.r * ell - 2
     total = (inp.r + 1) * ell
-    t = 0
-    while t <= limit:
-        qt = inp.q ** t
+    q2 = inp.q * inp.q
+    t, qt = 0, 1
+    while t <= limit and qt < inp.d:
         total += (inp.d + qt - 1) // qt
         t += 2
+        qt *= q2
+    # every remaining term has q^t >= d >= 1, so it is exactly 1
+    if t <= limit:
+        total += (limit - t) // 2 + 1
     return total
 
 
@@ -169,43 +172,103 @@ def _plotkin_value(inp: BoundInput, ell: int) -> Fraction:
     return num / (inp.q**e - 1)
 
 
-def plotkin_profile(inp: BoundInput) -> list[tuple[int, Fraction]]:
+def _plotkin_ell_max(inp: BoundInput) -> int:
     # each shortening step must leave a positive length and positive q-power
-    ell_max = min(math.ceil(Fraction(inp.n + inp.k, 2 * inp.r)) - 1,
-                  (inp.n - 1) // (inp.r + 1))
-    return [(ell, _plotkin_value(inp, ell)) for ell in range(0, ell_max + 1)]
+    return min(math.ceil(Fraction(inp.n + inp.k, 2 * inp.r)) - 1,
+               (inp.n - 1) // (inp.r + 1))
+
+
+def plotkin_profile(inp: BoundInput) -> list[tuple[int, Fraction]]:
+    return [(ell, _plotkin_value(inp, ell))
+            for ell in range(0, _plotkin_ell_max(inp) + 1)]
 
 
 def plotkin_like(inp: BoundInput) -> BoundReport:
-    """d <= min over ell of the Plotkin-type rational objective."""
-    profile = plotkin_profile(inp)
-    best_ell, best_val = min(profile, key=lambda t: (t[1], t[0]))
-    return _report("plotkin", inp.d, best_val, "le",
-                   {"ell": best_ell, "ell_max": profile[-1][0]})
+    """d <= min over ell of the Plotkin-type rational objective.
+
+    Write v(ell) = (1 - q^-2) * m / (1 - q^-e) with m = n - (r+1)*ell and
+    e = n + k - 2r*ell.  For ell1 < ell2, m1 >= m2 + (r+1), and
+    v(ell1) - v(ell2) has the sign of (m1 - m2) - m1*q^-e2 + m2*q^-e1.
+    Once q^e2 > n >= m1 this exceeds (r+1) - 1 > 0, so no ell before
+    the last one with q^e(ell) > n can be the minimum, and the scan starts
+    there without changing the (value, ell) tie-break.  Candidates are
+    compared by integer cross-multiplication; only the winner becomes a
+    Fraction.
+    """
+    n, k, q, r = inp.n, inp.k, inp.q, inp.r
+    ell_max = _plotkin_ell_max(inp)
+    e_star = 0  # least e with q^e > n; e(0) = n + k >= e_star since q^n > n
+    while q**e_star <= n:
+        e_star += 1
+    start = min((n + k - e_star) // (2 * r), ell_max)
+    unit = q * q - 1
+    best = None
+    for ell in range(start, ell_max + 1):
+        e = n + k - 2 * r * ell
+        num = unit * (n - (r + 1) * ell)
+        den = q**e - 1
+        if e >= 2:
+            num *= q ** (e - 2)
+        else:  # e == 1: q^(e-2) = 1/q
+            den *= q
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den, ell)
+    num, den, best_ell = best
+    return _report("plotkin", inp.d, Fraction(num, den), "le",
+                   {"ell": best_ell, "ell_max": ell_max})
 
 
-def _sphere_count(inp: BoundInput, ell: int) -> int:
-    m = inp.n - ell * (inp.r + 1)
-    if m < 0:
-        raise NegativeBinomialArgs(f"ball length {m} is negative at ell={ell}")
-    radius = (inp.d - 1) // 2
-    unit = inp.q**2 - 1
-    return sum(math.comb(m, i) * unit**i for i in range(radius + 1))
+def _sphere_count(m: int, radius: int, unit: int) -> int:
+    """sum over i <= radius of C(m, i) * unit^i."""
+    if radius >= m:
+        return (unit + 1) ** m  # the binomial theorem
+    total = term = 1
+    for i in range(radius):
+        # C(m,i+1) u^(i+1) = C(m,i) u^i (m-i) u / (i+1), an exact division
+        term = term * (m - i) * unit // (i + 1)
+        total += term
+    return total
 
 
 def sphere_packing_like(inp: BoundInput) -> BoundReport:
     """k <= n - 2*max over ell of (ell + log_{q^2} S(ell)), decided log-free.
 
     The binding ell maximizes q^(2*ell) * S(ell); the verdict compares
-    S(ell)^2 against q^(2(n - k - 2*ell)) with exact integers.
+    S(ell)^2 against q^(2(n - k - 2*ell)) with exact integers.  Ties keep
+    the smallest ell.
+
+    The scan runs down from the largest ell, where the maximum usually
+    sits and the balls are small.  With m = n - (r+1)*ell, R the radius and
+    a = (m - R + 1)(q^2 - 1) > R, the ball's terms C(m,i) u^i rise by a
+    factor of at least a/R up to i = R, so the key is at most
+    top * a / (a - R) with top = q^(2*ell) * C(m,R) u^R.  A ball whose
+    bound loses to the best key so far is not summed.  Going down one ell
+    multiplies top by prod_{t=1..r+1} (m+t)/(m+t-R) / q^2, which falls as m
+    grows, and a / (a - R) falls too; so once top stops rising the bound
+    never rises again, and the first losing ell after that ends the scan.
     """
     ell_top = (inp.n - 1) // (inp.r + 1)
+    radius = (inp.d - 1) // 2
+    q2 = inp.q * inp.q
+    unit = q2 - 1
+    scale = q2**ell_top  # q^(2*ell)
     best_key, best_ell, best_s = None, None, None
-    for ell in range(0, ell_top + 1):
-        s = _sphere_count(inp, ell)
-        key = inp.q ** (2 * ell) * s
-        if best_key is None or key > best_key:
-            best_key, best_ell, best_s = key, ell, s
+    last_top = None
+    for ell in range(ell_top, -1, -1):
+        m = inp.n - ell * (inp.r + 1)
+        a = (m - radius + 1) * unit
+        top = None
+        if radius < m and radius < a:
+            top = scale * math.comb(m, radius) * unit**radius
+        if best_key is not None and top is not None and top * a < best_key * (a - radius):
+            if last_top is not None and top <= last_top:
+                break
+        else:
+            s = _sphere_count(m, radius, unit)
+            if best_key is None or scale * s >= best_key:
+                best_key, best_ell, best_s = scale * s, ell, s
+        last_top = top
+        scale //= q2
     exp = 2 * (inp.n - inp.k - 2 * best_ell)
     rhs = inp.q**exp if exp >= 0 else Fraction(1, inp.q**(-exp))
     return _report("sphere_packing", best_s**2, rhs, "le",

@@ -338,6 +338,9 @@ def _cmd_lemma(args) -> int:
 
 
 def main(argv=None) -> int:
+    # exact bounds at q >= 41 print integers past the default 4300-digit limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -78,10 +78,6 @@ class WeightTooSmall(InvalidParameter):
     pass
 
 
-class NegativeBinomialArgs(InvalidParameter):
-    pass
-
-
 class NotLocallyRecoverable(InvalidParameter):
     """Exhaustive search proved no valid repair set exists."""
 

@@ -61,16 +61,6 @@ class LocalityCertificate:
         return [e.to_json() for e in self.entries]
 
 
-def _punctured_distance(code: LinearCode, cols, budget: int | None) -> int | None:
-    """Exact min distance of the projection onto cols; None if it is zero."""
-    sub = code.generator[:, list(cols)]
-    if not sub.any():
-        return None
-    R, piv = _rref(code.field, sub)
-    restricted = LinearCode(code.field, len(cols), R, piv)
-    return min_distance_bruteforce(restricted, budget)
-
-
 def _passes(code: LinearCode, cols, delta: int, budget) -> tuple[bool, int | None]:
     sub = code.generator[:, list(cols)]
     if not sub.any():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qlrc import cli
+from qlrc import BoundInput, cli, sphere_packing_like
 from qlrc.gf import field_from_json
 from qlrc.linear_codes import code_from_json, code_to_json
 
@@ -215,3 +215,21 @@ def test_code_json_roundtrip():
     grid = make_grid_params(5, 3, make_field(5))
     code = build_code(grid, make_delta_params(grid, 0, 0)).code
     assert code_from_json(code_to_json(code)) == code
+
+
+_BIG_BALL = ("bounds", "--n", "1281", "--k", "1", "--d", "341", "--q", "61",
+             "--r", "31", "--bound", "sphere_packing")
+
+
+def test_bounds_prints_integers_past_the_digit_limit(capsys):
+    # rhs runs past Python's default int-to-str limit of 4300 digits
+    expected = sphere_packing_like(BoundInput(n=1281, k=1, d=341, q=61, r=31))
+    assert expected.rhs > 10**4300
+    rc, out, err = run_cli(capsys, *_BIG_BALL, "--format", "json")
+    assert rc == 0, err
+    (rep,) = json.loads(out)
+    assert rep["rhs"] == expected.rhs
+    assert rep["lhs"] == expected.lhs
+    rc, out, err = run_cli(capsys, *_BIG_BALL, "--format", "table")
+    assert rc == 0, err
+    assert str(expected.rhs) in out

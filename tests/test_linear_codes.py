@@ -206,3 +206,10 @@ def test_bruteforce_matches_naive_oracle(q, data):
 
 def test_weight_helper(gf5):
     assert weight(np.array([0, 1, 0, 4], dtype=np.int64)) == 2
+
+
+def test_default_budget_is_2_to_the_24(monkeypatch):
+    monkeypatch.delenv("QLRC_BUDGET", raising=False)
+    assert default_budget() == 1 << 24
+    monkeypatch.setenv("QLRC_BUDGET", "1000")
+    assert default_budget() == 1000

@@ -1,6 +1,9 @@
 """Theorem checks and parameter sweeps."""
 
+import dataclasses
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +190,40 @@ def test_all_mode_runs_matching_layers():
     modes = {(r.H, r.V, r.b) for r in res.rows}
     assert (5, 3, 0) in modes
     assert (3, 5, 0) in modes
+
+
+def test_thm4_layer_rejects_distance_above_q_squared():
+    import qlrc.verifier as verifier
+
+    row = check_thm4(3, 0)
+    verifier._assert_thm4(row)
+    # d = q + 1 - 2a = 10 > q^2 = 9 makes ceil(d/q^2) = 2
+    bad = dataclasses.replace(row, a=-3, d=10)
+    with pytest.raises(AssertionFailed, match=r"ceil\(d/q\^2\) != 1"):
+        verifier._assert_thm4(bad)
+
+
+def _load_theorem_sweeps():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_theorem_sweeps.py"
+    spec = importlib.util.spec_from_file_location("run_theorem_sweeps", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_theorem_sweep_script_reports_failures(monkeypatch, capsys):
+    import qlrc.verifier as verifier
+
+    script = _load_theorem_sweeps()
+    monkeypatch.setattr(script, "SWEEPS", [("thm4", dict(q_values=(3, 5)))])
+    assert script.main([]) == 0
+
+    def boom(row):
+        raise AssertionFailed("forced failure")
+
+    monkeypatch.setattr(verifier, "_assert_thm4", boom)
+    capsys.readouterr()
+    assert script.main([]) == 4
+    out = capsys.readouterr()
+    assert "failures=  3" in out.out and "FAILED" in out.out
+    assert "  FAIL q=3 H=3 V=3 a=0 b=0: forced failure" in out.err.splitlines()
