@@ -2,9 +2,9 @@
 
 Elements are encoded as integers in [0, p^m): the base-p digits of the
 encoding are the coefficients of the polynomial-basis representation,
-lowest degree first.  Fields with at most 2**16 elements get exp/log
-tables and O(1) multiplication; larger fields fall back to polynomial
-arithmetic.
+lowest degree first.  Every field gets exp/log tables of length q, so
+multiplication, inversion and powers are O(1) lookups (prime fields
+multiply directly mod p) and memory grows linearly with q.
 """
 
 from __future__ import annotations
@@ -22,41 +22,35 @@ from .errors import (
     ReducibleModulus,
 )
 
-_LOG_TABLE_LIMIT = 1 << 16
+
+def _smallest_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division up to sqrt(n)."""
+    if n % 2 == 0:
+        return 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 2
+    return n
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and _smallest_factor(p) == p
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m, or raise InvalidParameter."""
     if q < 2:
         raise InvalidParameter(f"field order must be at least 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not _is_prime(p):
-                break
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                break
-            return p, m
-    raise InvalidParameter(f"{q} is not a prime power")
+    p = _smallest_factor(q)
+    m, t = 0, q
+    while t % p == 0:
+        t //= p
+        m += 1
+    if t != 1:
+        raise InvalidParameter(f"{q} is not a prime power")
+    return p, m
 
 
 # -- polynomial helpers over GF(p); coefficient tuples, lowest degree first --
@@ -82,17 +76,6 @@ def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return c[:i]
-
-
-def _poly_mul(a, b, p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_trim(tuple(out))
 
 
 def _poly_mod(a, mod, p: int) -> tuple[int, ...]:
@@ -152,26 +135,20 @@ class FieldSpec:
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], primitive: int,
-                 powers: list[int]):
+                 powers):
+        """powers: the encodings of primitive^0, ..., primitive^(q-2)."""
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "q", p**m)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "primitive", primitive)
-        if self.q <= _LOG_TABLE_LIMIT:
-            exp = list(powers)
-            log = [0] * self.q
-            for i, v in enumerate(exp):
-                log[v] = i
-            object.__setattr__(self, "_exp", exp)
-            object.__setattr__(self, "_log", log)
-            object.__setattr__(self, "_exp_np", np.array(exp, dtype=np.int64))
-            object.__setattr__(self, "_log_np", np.array(log, dtype=np.int64))
-        else:
-            object.__setattr__(self, "_exp", None)
-            object.__setattr__(self, "_log", None)
-            object.__setattr__(self, "_exp_np", None)
-            object.__setattr__(self, "_log_np", None)
+        exp_np = np.asarray(powers, dtype=np.int64)
+        log_np = np.zeros(self.q, dtype=np.int64)
+        log_np[exp_np] = np.arange(self.q - 1, dtype=np.int64)
+        object.__setattr__(self, "_exp", exp_np.tolist())
+        object.__setattr__(self, "_log", log_np.tolist())
+        object.__setattr__(self, "_exp_np", exp_np)
+        object.__setattr__(self, "_log_np", log_np)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
@@ -230,20 +207,12 @@ class FieldSpec:
             return (x * y) % self.p
         if x == 0 or y == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
-        prod = _poly_mul(_digits(x, self.p, self.m), _digits(y, self.p, self.m), self.p)
-        red = _poly_mod(prod, self.modulus, self.p)
-        return _encode(red + (0,) * (self.m - len(red)), self.p)
+        return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise DivisionByZero("inverse of zero")
-        if self.m == 1:
-            return pow(x, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(-self._log[x]) % (self.q - 1)]
-        return self.pow(x, self.q - 2)
+        return self._exp[(-self._log[x]) % (self.q - 1)]
 
     def pow(self, x: int, e: int) -> int:
         if x == 0:
@@ -252,16 +221,7 @@ class FieldSpec:
             if e < 0:
                 raise DivisionByZero("negative power of zero")
             return 0
-        if self._log is not None:
-            return self._exp[(self._log[x] * e) % (self.q - 1)]
-        e %= self.q - 1
-        acc, base = 1, x
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return self._exp[(self._log[x] * e) % (self.q - 1)]
 
     # -- vector arithmetic on int64 numpy arrays of encodings --
 
@@ -297,9 +257,6 @@ class FieldSpec:
     def vmul(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if self.m == 1:
             return (xs * ys) % self.p
-        if self._exp_np is None:
-            mulv = np.frompyfunc(self.mul, 2, 1)
-            return mulv(xs, ys).astype(np.int64)
         mask = (xs != 0) & (ys != 0)
         idx = (self._log_np[xs] + self._log_np[ys]) % (self.q - 1)
         out = self._exp_np[idx]
@@ -312,9 +269,6 @@ class FieldSpec:
             return xs.astype(np.int64, copy=True)
         if self.m == 1:
             return (c * xs) % self.p
-        if self._exp_np is None:
-            mulv = np.frompyfunc(lambda v: self.mul(c, v), 1, 1)
-            return mulv(xs).astype(np.int64)
         idx = (self._log_np[xs] + self._log[c]) % (self.q - 1)
         return np.where(xs != 0, self._exp_np[idx], 0)
 
@@ -384,25 +338,47 @@ class FieldElement:
         return f"GF{self.field.q}({self.value})"
 
 
-def _order_and_powers(p: int, m: int, modulus: tuple[int, ...], g: int,
-                      limit: int) -> tuple[int, list[int]]:
-    """Multiplicative order of g and the power list [g^0, ..., g^(order-1)]."""
-    if g == 0:
-        return 0, []
+def _mul_matrix(c: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
+    """The m x m matrix over GF(p) of x -> c*x on base-p digit rows.
 
-    def mul(x, y):
-        prod = _poly_mul(_digits(x, p, m), _digits(y, p, m), p)
-        red = _poly_mod(prod, modulus, p)
-        return _encode(red + (0,) * (m - len(red)), p)
+    Row i holds the digits of c*X^i.  It is row i-1 shifted up one degree,
+    with the overflow coefficient times X^m = -tail folded back in.
+    """
+    m = len(c)
+    mat = np.empty((m, m), dtype=np.int64)
+    mat[0] = c
+    for i in range(1, m):
+        shifted = np.concatenate(([0], mat[i - 1, :-1]))
+        mat[i] = (shifted - mat[i - 1, -1] * tail) % p
+    return mat
 
-    powers = [1]
-    cur = g
-    while cur != 1:
-        powers.append(cur)
-        cur = mul(cur, g)
-        if len(powers) > limit:  # pragma: no cover
-            raise RuntimeError("order loop overran the group size")
-    return len(powers), powers
+
+def _cyclic_powers(p: int, m: int, modulus: tuple[int, ...],
+                   g: int) -> tuple[int, np.ndarray | None]:
+    """The order of g and, if g is primitive, the encodings of g^0 .. g^(q-2).
+
+    Doubling: the digit rows of g^0 .. g^(k-1), times the matrix of
+    c = g^k, give g^k .. g^(2k-1); then c is squared by the same matrix.
+    The order is the first positive exponent whose power is 1, so the walk
+    stops in the block where it appears.
+    """
+    n = p**m - 1
+    tail = np.array(modulus[:m], dtype=np.int64)
+    place = p ** np.arange(m, dtype=np.int64)
+    powers = np.ones(n, dtype=np.int64)  # powers[0] = g^0; the rest is overwritten
+    c = np.array(_digits(g, p, m), dtype=np.int64)
+    done = 1
+    while done < n:
+        take = min(done, n - done)
+        mat = _mul_matrix(c, tail, p)
+        block = (powers[:take, None] // place % p) @ mat % p @ place
+        ones = np.flatnonzero(block == 1)
+        if ones.size:
+            return done + int(ones[0]), None
+        powers[done:done + take] = block
+        c = c @ mat % p
+        done += take
+    return n, powers
 
 
 def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
@@ -436,13 +412,13 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
         g = int(primitive)
         if not (0 < g < q):
             raise NotPrimitive(f"{g} is not a nonzero element of GF({q})")
-        order, powers = _order_and_powers(p, m, modulus, g, q)
+        order, powers = _cyclic_powers(p, m, modulus, g)
         if order != q - 1:
             raise NotPrimitive(f"element {g} has order {order}, need {q - 1}")
         return FieldSpec(p, m, modulus, g, powers)
 
     for g in range(1, q):
-        order, powers = _order_and_powers(p, m, modulus, g, q)
+        order, powers = _cyclic_powers(p, m, modulus, g)
         if order == q - 1:
             return FieldSpec(p, m, modulus, g, powers)
     raise NotPrimitive(f"no primitive element found in GF({q})")  # pragma: no cover
@@ -450,14 +426,7 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
 
 def element_powers(field: FieldSpec) -> list[FieldElement]:
     """[alpha^0, alpha^1, ..., alpha^(q-2)]."""
-    if field._exp is not None:
-        return [FieldElement(field, v) for v in field._exp]
-    out = []
-    cur = 1
-    for _ in range(field.q - 1):
-        out.append(FieldElement(field, cur))
-        cur = field.mul(cur, field.primitive)
-    return out
+    return [FieldElement(field, v) for v in field._exp]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,105 @@
+"""Field construction against the definition-level orbit walk.
+
+The oracle multiplies in polynomial arithmetic, one power at a time, the
+way `make_field` once searched for a primitive element.  The doubling walk
+in `qlrc.gf` must choose the same primitive, build the same power table
+and report the same order for every element that is not primitive.
+"""
+
+import pytest
+
+from qlrc import make_field, split_prime_power
+from qlrc.errors import NotPrimitive
+from qlrc.gf import _default_modulus, _digits, _encode, _poly_mod, _poly_trim
+from qlrc.verifier import prime_powers
+
+
+def _poly_mul(a, b, p: int) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return _poly_trim(tuple(out))
+
+
+def _order_and_powers(p: int, m: int, modulus: tuple[int, ...], g: int,
+                      limit: int) -> tuple[int, list[int]]:
+    """Multiplicative order of g and the power list [g^0, ..., g^(order-1)]."""
+    if g == 0:
+        return 0, []
+
+    def mul(x, y):
+        prod = _poly_mul(_digits(x, p, m), _digits(y, p, m), p)
+        red = _poly_mod(prod, modulus, p)
+        return _encode(red + (0,) * (m - len(red)), p)
+
+    powers = [1]
+    cur = g
+    while cur != 1:
+        powers.append(cur)
+        cur = mul(cur, g)
+        if len(powers) > limit:  # pragma: no cover
+            raise RuntimeError("order loop overran the group size")
+    return len(powers), powers
+
+
+def _oracle_field(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The smallest primitive encoding and its power list."""
+    q = p**m
+    for g in range(1, q):
+        order, powers = _order_and_powers(p, m, modulus, g, q)
+        if order == q - 1:
+            return g, powers
+    raise AssertionError(f"no primitive element in GF({q})")  # pragma: no cover
+
+
+# every prime power q <= 2^10 (GF(625) and GF(343) among them), then larger
+_CASES = ([split_prime_power(q) for q in prime_powers(2**10, start=2)]
+          + [(2, 12), (3, 8)])
+
+
+@pytest.mark.parametrize("p,m", _CASES, ids=[f"{p}^{m}" for p, m in _CASES])
+def test_default_field_matches_orbit_walk(p, m):
+    f = make_field(p, m)
+    assert f.modulus == _default_modulus(p, m)
+    g, powers = _oracle_field(p, m, f.modulus)
+    assert f.primitive == g
+    assert f._exp == powers
+
+
+def test_explicit_field_matches_orbit_walk():
+    # the ex1e field: GF(8) modulo x^3 + x + 1 with alpha = x
+    f = make_field(2, 3, modulus=(1, 1, 0, 1), primitive=2)
+    order, powers = _order_and_powers(2, 3, (1, 1, 0, 1), 2, 8)
+    assert order == 7
+    assert f.modulus == (1, 1, 0, 1)
+    assert f.primitive == 2
+    assert f._exp == powers == [1, 2, 4, 3, 6, 7, 5]
+
+
+@pytest.mark.parametrize("p,m", [(65537, 1), (2, 17)])
+def test_large_field_tables_match_polynomial_products(p, m):
+    f = make_field(p, m)
+    n = f.q - 1
+    for i in range(0, n, n // 97):
+        for j in range(3, n, n // 13):
+            x, y = f._exp[i], f._exp[j]
+            prod = _poly_mod(_poly_mul(_digits(x, p, m), _digits(y, p, m), p), f.modulus, p)
+            assert f.mul(x, y) == _encode(prod, p) == f._exp[(i + j) % n]
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (2, 4), (5, 2), (3, 3)])
+def test_every_explicit_primitive_matches_orbit_walk(p, m):
+    modulus = _default_modulus(p, m)
+    q = p**m
+    for g in range(1, q):
+        order, powers = _order_and_powers(p, m, modulus, g, q)
+        if order == q - 1:
+            assert make_field(p, m, primitive=g)._exp == powers
+        else:
+            with pytest.raises(NotPrimitive) as err:
+                make_field(p, m, primitive=g)
+            assert str(err.value) == f"element {g} has order {order}, need {q - 1}"

@@ -1,5 +1,7 @@
 """Field construction, arithmetic axioms, and serialization."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,15 +27,26 @@ from qlrc.errors import (
 )
 
 _QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+_LARGE = [(65537, 1), (2, 17)]  # more than 2^16 elements
+
+
+@cache
+def _large_field(p, m):
+    return make_field(p, m)
 
 
 def test_split_prime_power():
     assert split_prime_power(8) == (2, 3)
     assert split_prime_power(9) == (3, 2)
     assert split_prime_power(13) == (13, 1)
-    with pytest.raises(InvalidParameter):
+    assert split_prime_power(2) == (2, 1)
+    assert split_prime_power(100000007) == (100000007, 1)
+    assert split_prime_power(3**19) == (3, 19)
+    with pytest.raises(InvalidParameter, match=r"^12 is not a prime power$"):
         split_prime_power(12)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match=r"^200000014 is not a prime power$"):
+        split_prime_power(2 * 100000007)
+    with pytest.raises(InvalidParameter, match=r"^field order must be at least 2, got 1$"):
         split_prime_power(1)
 
 
@@ -116,10 +129,10 @@ def test_construction_errors():
         make_field(6)
     with pytest.raises(ReducibleModulus):
         make_field(2, 3, modulus=(1, 0, 0, 1))  # X^3 + 1 factors
-    with pytest.raises(NotPrimitive):
-        make_field(5, primitive=4)  # order 2
-    with pytest.raises(NotPrimitive):
-        make_field(7, primitive=2)  # order 3
+    with pytest.raises(NotPrimitive, match=r"^element 4 has order 2, need 4$"):
+        make_field(5, primitive=4)
+    with pytest.raises(NotPrimitive, match=r"^element 2 has order 3, need 6$"):
+        make_field(7, primitive=2)
     with pytest.raises(InvalidParameter):
         make_field(3, 2, modulus=(1, 1))  # wrong degree
 
@@ -165,6 +178,30 @@ def test_vector_ops_match_scalars(p, m):
     vs = f.vscale(c, xs)
     for i in range(40):
         assert vs[i] == f.mul(c, int(xs[i]))
+
+
+@pytest.mark.parametrize("p,m", _LARGE)
+def test_large_field_primitive_has_full_order(p, m):
+    f = _large_field(p, m)
+    assert f.q == p**m > 2**16
+    assert f.pow(f.primitive, f.q - 1) == 1
+    assert len(set(f._exp)) == f.q - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_LARGE), st.data())
+def test_large_field_arithmetic_hypothesis(pm, data):
+    f = _large_field(*pm)
+    x = data.draw(st.integers(1, f.q - 1))
+    y, z = data.draw(st.lists(st.integers(0, f.q - 1), min_size=2, max_size=2))
+    assert f.mul(x, f.inv(x)) == 1
+    assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
+    sample = data.draw(st.lists(st.integers(0, f.q - 1), min_size=1, max_size=20))
+    xs = np.array(sample, dtype=np.int64)
+    ys = xs[::-1].copy()
+    assert f.vmul(xs, ys).tolist() == [f.mul(a, b) for a, b in zip(sample, sample[::-1])]
+    c = data.draw(st.integers(0, f.q - 1))
+    assert f.vscale(c, xs).tolist() == [f.mul(c, a) for a in sample]
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (5, 1), (3, 2)])
