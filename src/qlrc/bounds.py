@@ -82,8 +82,8 @@ class BoundReport:
     def slack(self):
         """Positive exactly when the bound is violated."""
         if self.direction == "le":
-            return _exact(Fraction(self.lhs) - Fraction(self.rhs))
-        return _exact(Fraction(self.rhs) - Fraction(self.lhs))
+            return _exact(self.lhs - self.rhs)
+        return _exact(self.rhs - self.lhs)
 
     def to_json(self) -> dict:
         return {

@@ -82,16 +82,9 @@ def css_from_grid(rec: GridCodeRecord, distance_mode: str = "formula",
 
 
 def css_from_code(code: LinearCode, distance_mode: str = "bruteforce",
-                  grid_record: GridCodeRecord | None = None,
                   budget: int | None = None) -> CssRecord:
-    """CSS record from a classical code.
-
-    With a grid record the mirror subcode plays the dual's role and the
-    closed forms are available; a bare code must contain its Euclidean
-    dual and is measured by brute force.
-    """
-    if grid_record is not None:
-        return css_from_grid(grid_record, distance_mode, budget)
+    """CSS record from a classical code that contains its Euclidean dual,
+    measured by brute force; grid codes go through css_from_grid."""
     if distance_mode != "bruteforce":
         raise InvalidParameter("formula mode needs grid parameters")
     dual = euclidean_dual(code)

@@ -28,14 +28,7 @@ from .errors import (
     WitnessFailed,
 )
 from .gf import FieldSpec, field_to_json
-from .linear_codes import (
-    CodeVector,
-    LinearCode,
-    contains,
-    euclidean_dual,
-    from_spanning_set,
-    in_row_space,
-)
+from .linear_codes import LinearCode, from_spanning_set, in_row_space, inner_products
 
 
 class Monomial(NamedTuple):
@@ -181,84 +174,54 @@ def quantum_dimension_formula(H: int, V: int, a: int, b: int) -> int:
     return (2 * a + H % 2) * (2 * b + V % 2)
 
 
-def _axis_points(field: FieldSpec, count: int) -> list[int]:
+def _axis_points(field: FieldSpec, count: int) -> np.ndarray:
+    """0 and the (count-1)-th roots of unity alpha^(i*step), in that order."""
     step = (field.q - 1) // (count - 1)
     pts = [0]
     for i in range(1, count):
         pts.append(field.pow(field.primitive, i * step))
-    return pts
+    return np.array(pts, dtype=np.int64)
 
 
-def build_grid(grid: GridParams) -> list[tuple[int, int]]:
-    """Grid points as (x, y) encodings, position (i, j) -> i*V + j."""
-    xs = _axis_points(grid.field, grid.H)
-    ys = _axis_points(grid.field, grid.V)
-    return [(x, y) for x in xs for y in ys]
+def _power_table(field: FieldSpec, pts: np.ndarray) -> np.ndarray:
+    """T[s, e] = pts[s]^e for 0 <= e < len(pts)."""
+    table = np.ones((len(pts), len(pts)), dtype=np.int64)
+    for e in range(1, len(pts)):
+        table[:, e] = field.vmul(table[:, e - 1], pts)
+    return table
 
 
-def evaluate(field: FieldSpec, poly, points, H: int, V: int) -> CodeVector:
-    """Evaluate a polynomial (mapping monomial -> coefficient encoding)."""
-    items = []
-    for mono, coeff in poly.items():
-        mono = Monomial(*mono)
-        if not (0 <= mono.i <= H - 1 and 0 <= mono.j <= V - 1):
-            raise ExponentOutOfRange(
-                f"monomial {mono} outside the {H}x{V} exponent box")
-        items.append((mono.i, mono.j, int(coeff)))
-    values = np.zeros(len(points), dtype=np.int64)
-    for t, (x, y) in enumerate(points):
-        acc = 0
-        for i, j, c in items:
-            term = field.mul(c, field.mul(field.pow(x, i), field.pow(y, j)))
-            acc = field.add(acc, term)
-        values[t] = acc
-    return CodeVector(field, values)
+def _outer(field: FieldSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The grid vector with entry xs[i] * ys[j] at position i*V + j."""
+    return field.vmul(xs[:, None], ys[None, :]).ravel()
+
+
+def _evaluation_rows(field: FieldSpec, X: np.ndarray, Y: np.ndarray,
+                     monos) -> np.ndarray:
+    """Row for X^i Y^j: the outer product of the power columns X[:, i], Y[:, j]."""
+    xi = X.T[[m.i for m in monos]]
+    yj = Y.T[[m.j for m in monos]]
+    return field.vmul(xi[:, :, None], yj[:, None, :]).reshape(len(monos), -1)
+
+
+def _vanishing_values(field: FieldSpec, pts: np.ndarray, count: int) -> np.ndarray:
+    """prod_{i < count} (z - pts[i]) at every axis point z."""
+    out = np.ones(len(pts), dtype=np.int64)
+    for i in range(count):
+        out = field.vmul(out, field.vsub(pts, pts[i:i + 1]))
+    return out
 
 
 def twist_vector(grid: GridParams) -> np.ndarray:
     """w_t = 1 / (g_H'(x_t) * g_V'(y_t)) for g_N(Z) = Z^N - Z."""
     field = grid.field
 
-    def deriv(N: int, z: int) -> int:
-        lead = field.mul(N % field.p, field.pow(z, N - 1))
-        return field.sub(lead, 1)
+    def inv_deriv(N: int) -> np.ndarray:
+        return np.array([
+            field.inv(field.sub(field.mul(N % field.p, field.pow(int(z), N - 1)), 1))
+            for z in _axis_points(field, N)], dtype=np.int64)
 
-    out = np.zeros(grid.n, dtype=np.int64)
-    for t, (x, y) in enumerate(build_grid(grid)):
-        out[t] = field.inv(field.mul(deriv(grid.H, x), deriv(grid.V, y)))
-    return out
-
-
-def _expand_root_product(field: FieldSpec, roots) -> list[int]:
-    """Coefficients (low to high) of prod (Z - r) over the given roots."""
-    coeffs = [1]
-    for r in roots:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = field.add(nxt[i + 1], c)
-            nxt[i] = field.sub(nxt[i], field.mul(r, c))
-        coeffs = nxt
-    return coeffs
-
-
-def witness_polynomial(grid: GridParams, dp: DeltaParams) -> dict[Monomial, int]:
-    """F(X, Y) = prod_{i < floor(h+a)} (X - x_i) * prod_{j < floor(v+b)} (Y - y_j)."""
-    field = grid.field
-    fa = math.floor(grid.h + dp.a)
-    fb = math.floor(grid.v + dp.b)
-    xs = _axis_points(field, grid.H)[:fa]
-    ys = _axis_points(field, grid.V)[:fb]
-    cx = _expand_root_product(field, xs)
-    cy = _expand_root_product(field, ys)
-    poly = {}
-    for i, ci in enumerate(cx):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(cy):
-            if cj == 0:
-                continue
-            poly[Monomial(i, j)] = field.mul(ci, cj)
-    return poly
+    return _outer(field, inv_deriv(grid.H), inv_deriv(grid.V))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,42 +255,51 @@ def _sorted_monomials(monos) -> tuple[Monomial, ...]:
 def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     H, V, field = grid.H, grid.V, grid.field
     a, b = dp.a, dp.b
+    where = f"(q={grid.q},H={H},V={V},a={a},b={b})"
     delta = _sorted_monomials(delta_set(H, V, a, b))
     perp = _sorted_monomials(delta_perp_set(H, V, a, b))
-    points = build_grid(grid)
+    xs = _axis_points(field, H)
+    ys = _axis_points(field, V)
+    X = _power_table(field, xs)
+    Y = _power_table(field, ys)
 
-    def ev_rows(monos):
-        return [evaluate(field, {m: 1}, points, H, V).values for m in monos]
-
-    code = from_spanning_set(field, ev_rows(delta))
+    code = from_spanning_set(field, _evaluation_rows(field, X, Y, delta))
     if code.k != len(delta):
         raise InjectivityViolated(
-            f"evaluation map dropped rank: dim {code.k} != |Delta| {len(delta)}")
-    mirror = from_spanning_set(field, ev_rows(perp))
+            f"{where} evaluation map dropped rank: dim {code.k} != |Delta| {len(delta)}")
+    mirror = from_spanning_set(field, _evaluation_rows(field, X, Y, perp))
     if mirror.k != len(perp):
         raise InjectivityViolated(
-            f"evaluation map dropped rank on the mirror set: {mirror.k} != {len(perp)}")
-    if not contains(code, mirror):
-        raise DualityViolated("mirror code is not contained in the code")
+            f"{where} evaluation map dropped rank on the mirror set: "
+            f"{mirror.k} != {len(perp)}")
 
-    w = twist_vector(grid)
-    twisted = from_spanning_set(
-        field, [field.vmul(w, mirror.generator[i]) for i in range(mirror.k)])
-    if euclidean_dual(code) != twisted:
+    # C(Delta)^perp = w o C(Delta*): Delta* inside Delta puts the mirror
+    # code inside the code; G diag(w) G*^T = 0 with w nowhere zero puts
+    # w o C(Delta*) inside the dual, and |Delta| + |Delta*| = n makes the
+    # two dimensions equal.
+    if not set(perp) <= set(delta):
+        raise DualityViolated(f"{where} Delta* is not contained in Delta")
+    if len(delta) + len(perp) != grid.n:
         raise DualityViolated(
-            "Euclidean dual does not match the rescaled mirror code")
+            f"{where} |Delta| + |Delta*| = {len(delta) + len(perp)} != n = {grid.n}")
+    w = twist_vector(grid)
+    twisted = field.vmul(w[None, :], mirror.generator)
+    if not w.all() or inner_products(field, code.generator, twisted).any():
+        raise DualityViolated(
+            f"{where} the code is not orthogonal to the rescaled mirror code")
     plain_dual = (H % field.p == 0) and (V % field.p == 0)
 
     d_formula = min_distance_formula(H, V, a, b)
     coset_d = coset_distance_formula(H, V, a, b)
-    wit = evaluate(field, witness_polynomial(grid, dp), points, H, V).values
+    wit = _outer(field, _vanishing_values(field, xs, math.floor(grid.h + a)),
+                 _vanishing_values(field, ys, math.floor(grid.v + b)))
     if int(np.count_nonzero(wit)) != coset_d:
         raise WitnessFailed(
-            f"witness weight {int(np.count_nonzero(wit))} != formula {coset_d}")
+            f"{where} witness weight {int(np.count_nonzero(wit))} != formula {coset_d}")
     if not in_row_space(code, wit):
-        raise WitnessFailed("witness vector is not a codeword")
+        raise WitnessFailed(f"{where} witness vector is not a codeword")
     if in_row_space(mirror, wit):
-        raise WitnessFailed("witness vector fell inside the mirror code")
+        raise WitnessFailed(f"{where} witness vector fell inside the mirror code")
 
     return GridCodeRecord(
         grid=grid,

@@ -9,7 +9,6 @@ equal entry for entry.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,58 +41,38 @@ def default_budget(fallback: int = _DEFAULT_BUDGET) -> int:
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class CodeVector:
-    field: FieldSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=np.int64))
-
-    def weight(self) -> int:
-        return int(np.count_nonzero(self.values))
-
-    def __len__(self):
-        return int(self.values.shape[0])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CodeVector)
-            and self.field == other.field
-            and np.array_equal(self.values, other.values)
-        )
-
-
 def weight(v) -> int:
-    if isinstance(v, CodeVector):
-        return v.weight()
     return int(np.count_nonzero(np.asarray(v)))
 
 
 def _rref(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns.
+
+    Each pivot eliminates every other row that is nonzero in its column in
+    one array operation, over columns c: onward; rows r and below are zero
+    left of column c, so nothing to the left changes.
+    """
     M = np.array(mat, dtype=np.int64, copy=True)
     rows, n = M.shape
     pivots = []
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, rows):
-            if M[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = field.vscale(field.inv(int(M[r, c])), M[r])
-        for i in range(rows):
-            if i != r and M[i, c] != 0:
-                M[i] = field.vsub(M[i], field.vscale(int(M[i, c]), M[r]))
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
+        below = np.flatnonzero(M[r:, c])
+        if below.size == 0:
+            continue
+        piv = r + int(below[0])
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]]
+        M[r, c:] = field.vscale(field.inv(int(M[r, c])), M[r, c:])
+        others = np.flatnonzero(M[:, c])
+        others = others[others != r]
+        if others.size:
+            M[others, c:] = field.vsub(
+                M[others, c:], field.vmul(M[others, c:c + 1], M[r:r + 1, c:]))
+        pivots.append(c)
+        r += 1
     return M[:r], tuple(pivots)
 
 
@@ -137,12 +116,7 @@ def _coerce_rows(field: FieldSpec, vectors) -> np.ndarray:
     rows = []
     length = None
     for v in vectors:
-        if isinstance(v, CodeVector):
-            if v.field != field:
-                raise FieldMismatch("vector field differs from the target field")
-            arr = v.values
-        else:
-            arr = np.asarray(v, dtype=np.int64)
+        arr = np.asarray(v, dtype=np.int64)
         if arr.ndim != 1:
             raise InvalidParameter("spanning vectors must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() >= field.q):
@@ -256,6 +230,21 @@ def _field_row_sums(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def inner_products(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T over the field: entry (i, j) is the dot product of a[i] and b[j].
+
+    Entries must be encodings in [0, q).  A prime field takes one int64
+    product, exact while n * (p - 1)^2 < 2^63; an extension field takes
+    one vector product per row of b.
+    """
+    if field.m == 1:
+        return (a @ b.T) % field.p
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    for j in range(b.shape[0]):
+        out[:, j] = _field_row_sums(field, field.vmul(a, b[j:j + 1, :]))
+    return out
+
+
 def _check_budget(code: LinearCode, budget) -> tuple[int, int]:
     if budget is None:
         budget = default_budget()
@@ -299,14 +288,7 @@ def coset_min_weight_bruteforce(code: LinearCode, sub: LinearCode,
         stop = min(start + _BLOCK, total)
         msgs = _message_block(field.q, code.k, start, stop)
         words = _encode_block(code, msgs)
-        if field.m == 1:
-            synd = (words @ parity.T) % field.p
-            outside = synd.any(axis=1)
-        else:
-            outside = np.zeros(words.shape[0], dtype=bool)
-            for r in range(parity.shape[0]):
-                prods = field.vmul(words, parity[r:r + 1, :])
-                outside |= _field_row_sums(field, prods) != 0
+        outside = inner_products(field, words, parity).any(axis=1)
         if outside.any():
             w = np.count_nonzero(words[outside], axis=1)
             best = min(best, int(w.min()))

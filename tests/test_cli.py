@@ -1,6 +1,8 @@
 """Command line interface, exercised through cli.main."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +235,19 @@ def test_bounds_prints_integers_past_the_digit_limit(capsys):
     rc, out, err = run_cli(capsys, *_BIG_BALL, "--format", "table")
     assert rc == 0, err
     assert str(expected.rhs) in out
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_reproduce_examples_script(capsys, fmt):
+    script = _load_script("reproduce_examples")
+    assert script.main(["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert out.count("== ") == len(script.SECTIONS)

@@ -84,11 +84,6 @@ def test_pure_iff_not_impure(ex1_record, rem3_record, ex1e_record):
         assert css.pure == (not rec.impure)
 
 
-def test_css_from_code_grid_delegation(rem3_record):
-    rec = css_from_code(rem3_record.code, "formula", grid_record=rem3_record)
-    assert (rec.n, rec.k, rec.d) == (9, 1, 4)
-
-
 def test_css_from_code_raw_path(rem3_record):
     rec = css_from_code(rem3_record.code)
     assert (rec.n, rec.k, rec.d) == (9, 1, 4)

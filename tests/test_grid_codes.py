@@ -1,6 +1,5 @@
 """Grid geometry, the staircase monomial set, and code construction."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +7,12 @@ from hypothesis import strategies as st
 from qlrc import (
     Monomial,
     build_code,
-    build_grid,
+    build_grid_record,
+    cli,
     coset_distance_formula,
     delta_perp_set,
     delta_set,
     delta_size_formula,
-    evaluate,
     impurity_predicate,
     locality_formula,
     make_delta_params,
@@ -27,13 +26,15 @@ from qlrc import (
     twist_vector,
     valid_a_values,
     valid_b_values,
-    weight,
-    witness_polynomial,
 )
+from qlrc import grid_codes
 from qlrc.errors import (
     DivisibilityViolated,
+    DualityViolated,
     ExponentOutOfRange,
+    InjectivityViolated,
     ParamRangeViolated,
+    WitnessFailed,
 )
 
 _SHAPES = [(H, V, a, b)
@@ -41,20 +42,6 @@ _SHAPES = [(H, V, a, b)
            for V in range(3, 14)
            for a in valid_a_values(H)
            for b in valid_b_values(V)]
-
-
-def test_build_grid_points(gf5, gf3, gf8):
-    g = make_grid_params(5, 3, gf5)
-    pts = build_grid(g)
-    assert [p[0] for p in pts[::3]] == [0, 2, 4, 3, 1]
-    assert [p[1] for p in pts[:3]] == [0, 4, 1]
-    assert pts[1 * 3 + 2] == (2, 1)  # index i*V + j
-
-    g3 = make_grid_params(3, 3, gf3)
-    assert [p[0] for p in build_grid(g3)[::3]] == [0, 2, 1]
-
-    g8 = make_grid_params(8, 8, gf8)
-    assert [p[0] for p in build_grid(g8)[::8]] == [0, 2, 4, 3, 6, 7, 5, 1]
 
 
 def test_grid_param_errors(gf5, gf2):
@@ -157,17 +144,6 @@ def test_monomial_distance_bounds():
         monomial_distance(Monomial(0, -1), 5, 3)
 
 
-def test_evaluate_known_polynomials(gf5):
-    g = make_grid_params(5, 3, gf5)
-    pts = build_grid(g)
-    # X^4 - 1 vanishes off the x = 0 line
-    vec = evaluate(gf5, {Monomial(4, 0): 1, Monomial(0, 0): 4}, pts, 5, 3)
-    assert weight(vec.values) == 3
-    assert list(np.nonzero(vec.values)[0]) == [0, 1, 2]
-    vec_x = evaluate(gf5, {Monomial(1, 0): 1}, pts, 5, 3)
-    assert weight(vec_x.values) == 12
-
-
 def test_twist_vector_ex1(gf5):
     g = make_grid_params(5, 3, gf5)
     assert list(twist_vector(g)) == [1, 2, 2] * 5
@@ -210,13 +186,6 @@ def test_gf4_instance_is_pure(gf4):
     assert min_distance_bruteforce(rec.code) == 4
 
 
-def test_witness_polynomial_ex1(gf5, ex1_record):
-    g = make_grid_params(5, 3, gf5)
-    poly = witness_polynomial(g, make_delta_params(g, 0, 0))
-    assert poly == {Monomial(1, 1): 3, Monomial(2, 1): 1}
-    assert weight(ex1_record.witness) == ex1_record.coset_d_formula
-
-
 def test_impurity_predicate_examples():
     assert impurity_predicate(5, 3, 0, 0)
     assert impurity_predicate(3, 3, 0, 0)
@@ -252,3 +221,65 @@ def test_build_code_respects_field_choice():
     rec = build_code(g, make_delta_params(g, 0, 0))
     assert rec.grid.q == 9
     assert (rec.n, rec.k) == (9, 5)
+
+
+# -- the construction's self-checks fire on corrupted inputs ------------------
+# Each corruption runs ex1 = (q=5,H=5,V=3,a=0,b=0) through build_code and
+# through the construct command, which must exit 4 and name the instance.
+
+_EX1 = "(q=5,H=5,V=3,a=0,b=0)"
+
+
+def _corrupt(monkeypatch, name, change):
+    """Replace grid_codes.<name> by a copy whose result `change` edits."""
+    original = getattr(grid_codes, name)
+
+    def corrupted(*args):
+        out = original(*args).copy()
+        change(args, out)
+        return out
+
+    monkeypatch.setattr(grid_codes, name, corrupted)
+
+
+def _assert_construct_fails(capsys, error, match):
+    with pytest.raises(error, match=match) as info:
+        build_grid_record(make_field(5), 5, 3, 0, 0)
+    assert str(info.value).startswith(_EX1)
+    capsys.readouterr()
+    assert cli.main(["construct", "--preset", "ex1"]) == 4
+    assert f"error: {_EX1}" in capsys.readouterr().err
+
+
+def test_corrupted_twist_vector_fails_duality(monkeypatch, capsys):
+    def change(args, w):
+        field = args[0].field
+        w[0] = field.mul(int(w[0]), field.primitive)
+
+    _corrupt(monkeypatch, "twist_vector", change)
+    _assert_construct_fails(capsys, DualityViolated, "not orthogonal")
+
+
+def _first_entry_one(args, values):
+    values[0] = 1
+
+
+def _last_entry_doubled(args, values):
+    values[-1] = args[0].mul(int(values[-1]), 2)
+
+
+@pytest.mark.parametrize("change, match", [
+    (_first_entry_one, "witness weight 12 != formula 6"),
+    (_last_entry_doubled, "not a codeword"),
+], ids=["weight", "membership"])
+def test_corrupted_witness_fails(monkeypatch, capsys, change, match):
+    _corrupt(monkeypatch, "_vanishing_values", change)
+    _assert_construct_fails(capsys, WitnessFailed, match)
+
+
+def test_repeated_axis_point_fails_injectivity(monkeypatch, capsys):
+    def change(args, pts):
+        pts[-1] = pts[-2]
+
+    _corrupt(monkeypatch, "_axis_points", change)
+    _assert_construct_fails(capsys, InjectivityViolated, "dropped rank")

@@ -31,6 +31,7 @@ from qlrc.errors import (
     LengthMismatch,
     NotSubcode,
 )
+from qlrc.linear_codes import inner_products
 
 
 def _rows(*rows):
@@ -213,3 +214,30 @@ def test_default_budget_is_2_to_the_24(monkeypatch):
     assert default_budget() == 1 << 24
     monkeypatch.setenv("QLRC_BUDGET", "1000")
     assert default_budget() == 1000
+
+
+_PRODUCT_FIELDS = (make_field(7), make_field(2, 4), make_field(3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inner_products_match_scalar_sums(data):
+    field = data.draw(st.sampled_from(_PRODUCT_FIELDS))
+    n = data.draw(st.integers(1, 6))
+    entry = st.integers(0, field.q - 1)
+
+    def matrix():
+        rows = data.draw(st.integers(1, 4))
+        return np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                           min_size=rows, max_size=rows)),
+                        dtype=np.int64)
+
+    a, b = matrix(), matrix()
+    out = inner_products(field, a, b)
+    assert out.shape == (a.shape[0], b.shape[0])
+    for i in range(a.shape[0]):
+        for j in range(b.shape[0]):
+            acc = 0
+            for t in range(n):
+                acc = field.add(acc, field.mul(int(a[i, t]), int(b[j, t])))
+            assert out[i, j] == acc
