@@ -11,13 +11,15 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .bounds import BoundInput, evaluate_all
 from .css import css_from_grid, css_record_to_json
 from .errors import BudgetError, InternalCheckError, InvalidParameter
 from .gf import make_field, split_prime_power
-from .grid_codes import build_code, make_delta_params, make_grid_params, record_to_json
+from .grid_codes import (build_code, instance_label, make_delta_params,
+                         make_grid_params, record_to_json)
 from .linear_codes import contains
 from .lrc import certify_locality, heavy_row_check, lemma_family
 from .verifier import SweepSpec, prime_powers, render_rows_table, run_sweep
@@ -197,11 +199,21 @@ def _build_record(args):
     return build_code(grid, dp)
 
 
+@contextmanager
+def _naming_budget_errors(rec):
+    """Budget errors start with the instance, as construction errors do."""
+    try:
+        yield
+    except BudgetError as exc:
+        raise type(exc)(f"{instance_label(rec.grid, rec.dp)} {exc}") from exc
+
+
 def _cmd_construct(args) -> int:
     if args.mode == "formula" and args.budget is not None:
         raise InvalidParameter("--budget only applies to --mode bruteforce")
     rec = _build_record(args)
-    css = css_from_grid(rec, distance_mode=args.mode, budget=args.budget)
+    with _naming_budget_errors(rec):
+        css = css_from_grid(rec, distance_mode=args.mode, budget=args.budget)
     if args.format == "json":
         _print_json({"grid": record_to_json(rec), "css": css_record_to_json(css)})
         return 0
@@ -280,8 +292,9 @@ def _cmd_verify_locality(args) -> int:
     rec = _build_record(args)
     r = args.loc_r if args.loc_r is not None else rec.locality[0]
     delta = args.loc_delta if args.loc_delta is not None else rec.locality[1]
-    cert = certify_locality(rec.code, r, delta, strategy=args.strategy,
-                            grid_record=rec, budget=args.budget)
+    with _naming_budget_errors(rec):
+        cert = certify_locality(rec.code, r, delta, strategy=args.strategy,
+                                grid_record=rec, budget=args.budget)
     if args.format == "json":
         _print_json(cert.to_json())
         return 0

@@ -252,6 +252,10 @@ class FieldSpec:
         return out
 
     def vsub(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        if self.m == 1:
+            return (xs - ys) % self.p
+        if self.p == 2:
+            return xs ^ ys
         return self.vadd(xs, self.vneg(ys))
 
     def vmul(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

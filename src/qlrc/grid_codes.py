@@ -252,10 +252,15 @@ def _sorted_monomials(monos) -> tuple[Monomial, ...]:
     return tuple(sorted(monos, key=lambda m: (m.j, m.i)))
 
 
+def instance_label(grid: GridParams, dp: DeltaParams) -> str:
+    """The (q=..,H=..,V=..,a=..,b=..) prefix that names an instance in errors."""
+    return f"(q={grid.q},H={grid.H},V={grid.V},a={dp.a},b={dp.b})"
+
+
 def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     H, V, field = grid.H, grid.V, grid.field
     a, b = dp.a, dp.b
-    where = f"(q={grid.q},H={H},V={V},a={a},b={b})"
+    where = instance_label(grid, dp)
     delta = _sorted_monomials(delta_set(H, V, a, b))
     perp = _sorted_monomials(delta_perp_set(H, V, a, b))
     xs = _axis_points(field, H)

@@ -4,6 +4,11 @@ brute-force oracles for minimum distance and coset minimum weight.
 Generator matrices are kept in reduced row echelon form with leftmost
 pivots, so two codes are equal exactly when their generator matrices are
 equal entry for entry.
+
+The oracles enumerate every codeword as a pair u + v, u from the first
+rows of the generator and v from the rest.  The words -v are tabulated
+once; then wt(u + v) = #{i : u_i != -v_i}, so each pair costs one
+comparison per coordinate and no field arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
 )
 from .gf import FieldSpec, field_from_json, field_to_json
 
-_BLOCK = 1 << 16
+_CELLS = 1 << 20  # cap on table cells and on coordinate comparisons per outer block
 _DEFAULT_BUDGET = 1 << 24
 
 
@@ -205,14 +210,12 @@ def _message_block(q: int, k: int, start: int, stop: int) -> np.ndarray:
     return (idx[:, None] // pws[None, :]) % q
 
 
-def _encode_block(code: LinearCode, msgs: np.ndarray) -> np.ndarray:
-    field = code.field
+def _encode_block(field: FieldSpec, gen: np.ndarray, msgs: np.ndarray) -> np.ndarray:
     if field.m == 1:
-        return (msgs @ code.generator) % field.p
-    out = np.zeros((msgs.shape[0], code.n), dtype=np.int64)
-    for j in range(code.k):
-        term = field.vmul(msgs[:, j:j + 1], code.generator[j:j + 1, :])
-        out = field.vadd(out, term)
+        return (msgs @ gen) % field.p
+    out = np.zeros((msgs.shape[0], gen.shape[1]), dtype=np.int64)
+    for j in range(gen.shape[0]):
+        out = field.vadd(out, field.vmul(msgs[:, j:j + 1], gen[j:j + 1, :]))
     return out
 
 
@@ -245,7 +248,7 @@ def inner_products(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return out
 
 
-def _check_budget(code: LinearCode, budget) -> tuple[int, int]:
+def _check_budget(code: LinearCode, budget) -> None:
     if budget is None:
         budget = default_budget()
     total = code.field.q ** code.k
@@ -253,47 +256,75 @@ def _check_budget(code: LinearCode, budget) -> tuple[int, int]:
         raise BudgetExceeded(
             f"enumeration of {code.field.q}^{code.k} = {total} codewords "
             f"exceeds budget {budget}")
-    return total, budget
 
 
-def min_distance_bruteforce(code: LinearCode, budget: int | None = None) -> int:
-    """Exact d_H by enumerating every nonzero codeword."""
-    if code.k == 0:
-        raise InvalidParameter("the zero code has no minimum distance")
-    total, _ = _check_budget(code, budget)
-    best = code.n + 1
-    for start in range(1, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        msgs = _message_block(code.field.q, code.k, start, stop)
-        words = _encode_block(code, msgs)
-        w = np.count_nonzero(words, axis=1)
+def _split_min_weight(field: FieldSpec, gen: np.ndarray, n: int) -> int:
+    """Min weight of the first n coordinates of m @ gen over messages m != 0.
+
+    Columns of gen past n hold a syndrome; when there are any, only words
+    with a nonzero syndrome count.  Each word is a pair u + v, u from the
+    outer rows gen[:k_out] and v from the inner rows gen[k_out:]; the
+    table holds every -v, and u + v is zero in a column exactly when u
+    equals the table entry there.
+    """
+    q, k, width = field.q, gen.shape[0], gen.shape[1]
+    k_in = k // 2
+    while k_in and q ** k_in * width > _CELLS:
+        k_in -= 1
+    k_out = k - k_in
+    entry = np.min_scalar_type(q - 1)
+    table = field.vneg(_encode_block(
+        field, gen[k_out:], _message_block(q, k_in, 0, q ** k_in)))
+    table = np.ascontiguousarray(table.T, dtype=entry)  # one row per coordinate
+    block = max(1, _CELLS // (table.shape[1] * width))
+    total = q ** k_out
+    best = n + 1
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        outer = _encode_block(field, gen[:k_out], _message_block(q, k_out, start, stop))
+        outer = np.ascontiguousarray(outer.T, dtype=entry)
+        w = np.zeros((stop - start, table.shape[1]), dtype=np.min_scalar_type(n + 1))
+        for i in range(n):
+            w += outer[i][:, None] != table[i][None, :]
+        if width > n:
+            inside = np.ones(w.shape, dtype=bool)
+            for i in range(n, width):
+                inside &= outer[i][:, None] == table[i][None, :]
+            w[inside] = n + 1
+        elif start == 0:
+            w[0, 0] = n + 1  # the zero word
         best = min(best, int(w.min()))
         if best == 1:
             break
     return best
 
 
+def min_distance_bruteforce(code: LinearCode, budget: int | None = None) -> int:
+    """Exact d_H by enumerating every nonzero codeword."""
+    if code.k == 0:
+        raise InvalidParameter("the zero code has no minimum distance")
+    _check_budget(code, budget)
+    return _split_min_weight(code.field, code.generator, code.n)
+
+
 def coset_min_weight_bruteforce(code: LinearCode, sub: LinearCode,
                                 budget: int | None = None) -> int:
-    """Exact min Hamming weight over codewords of `code` outside `sub`."""
+    """Exact min Hamming weight over codewords of `code` outside `sub`.
+
+    A codeword m @ G lies in `sub` exactly when its syndrome against the
+    parity rows of `sub` vanishes.  Syndromes are linear, m @ G @ P^T =
+    m @ S, and S has rank dim(code) - dim(sub); the oracle appends a column
+    basis of S to G and enumerates syndrome and word together.
+    """
     if not contains(code, sub):
         raise NotSubcode("second argument is not a subcode of the first")
     if sub.k == code.k:
         raise InvalidParameter("subcode equals the code; the coset is empty")
-    total, _ = _check_budget(code, budget)
+    _check_budget(code, budget)
     field = code.field
-    parity = euclidean_dual(sub).generator
-    best = code.n + 1
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        msgs = _message_block(field.q, code.k, start, stop)
-        words = _encode_block(code, msgs)
-        outside = inner_products(field, words, parity).any(axis=1)
-        if outside.any():
-            w = np.count_nonzero(words[outside], axis=1)
-            best = min(best, int(w.min()))
-            if best == 1:
-                break
+    syndromes = inner_products(field, code.generator, euclidean_dual(sub).generator)
+    basis, _ = _rref(field, syndromes.T)
+    best = _split_min_weight(field, np.hstack([code.generator, basis.T]), code.n)
     if best > code.n:
         raise InvalidParameter("no codeword outside the subcode was found")
     return best

@@ -114,10 +114,10 @@ def test_criterion_4_rem3_bruteforce():
     print("ACCEPTANCE 4: PASS")
 
 
-def test_criterion_5_oracle_formula_equivalence():
-    start = time.monotonic()
+def _grid_instances(qmax, max_words):
+    """Every grid instance with q <= qmax and q^|Delta| <= max_words."""
     instances = []
-    for q in prime_powers(9):
+    for q in prime_powers(qmax):
         for H in range(3, q + 1):
             if (q - 1) % (H - 1):
                 continue
@@ -126,23 +126,49 @@ def test_criterion_5_oracle_formula_equivalence():
                     continue
                 for a in valid_a_values(H):
                     for b in valid_b_values(V):
-                        if q ** delta_size_formula(H, V, a, b) <= 2 ** 22:
+                        if q ** delta_size_formula(H, V, a, b) <= max_words:
                             instances.append((q, H, V, a, b))
-    assert sorted(instances) == [
+    return sorted(instances)
+
+
+def _assert_oracles_match_formulas(instances, budget):
+    for q, H, V, a, b in instances:
+        rec = build_grid_record(make_field(*_split(q)), H, V, a, b)
+        d = min_distance_bruteforce(rec.code, budget=budget)
+        assert d == rec.d_formula, (q, H, V, a, b, d, rec.d_formula)
+        coset = coset_min_weight_bruteforce(rec.code, rec.mirror_code,
+                                            budget=budget)
+        assert coset == rec.coset_d_formula, (q, H, V, a, b, coset)
+
+
+def test_criterion_5_oracle_formula_equivalence():
+    start = time.monotonic()
+    instances = _grid_instances(9, 2 ** 22)
+    assert instances == [
         (3, 3, 3, 0, 0), (4, 4, 4, 1, 1), (5, 3, 3, 0, 0), (5, 3, 5, 0, 0),
         (5, 3, 5, 0, 1), (5, 5, 3, 0, 0), (5, 5, 3, 1, 0), (7, 3, 3, 0, 0),
         (7, 3, 4, 0, 1), (7, 4, 3, 1, 0), (9, 3, 3, 0, 0),
     ]
-    for q, H, V, a, b in sorted(instances):
-        rec = build_grid_record(make_field(*_split(q)), H, V, a, b)
-        d = min_distance_bruteforce(rec.code, budget=2 ** 22)
-        assert d == rec.d_formula, (q, H, V, a, b, d, rec.d_formula)
-        coset = coset_min_weight_bruteforce(rec.code, rec.mirror_code,
-                                            budget=2 ** 22)
-        assert coset == rec.coset_d_formula, (q, H, V, a, b, coset)
+    _assert_oracles_match_formulas(instances, 2 ** 22)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"criterion 5 took {elapsed:.1f}s"
     print("ACCEPTANCE 5: PASS")
+
+
+def test_oracle_reach_q16():
+    """Oracle-formula agreement on every instance with q <= 16 that fits
+    2^24 enumerated words."""
+    start = time.monotonic()
+    instances = _grid_instances(16, 2 ** 24)
+    assert instances == [
+        (3, 3, 3, 0, 0), (4, 4, 4, 1, 1), (5, 3, 3, 0, 0), (5, 3, 5, 0, 0),
+        (5, 3, 5, 0, 1), (5, 5, 3, 0, 0), (5, 5, 3, 1, 0), (7, 3, 3, 0, 0),
+        (7, 3, 4, 0, 1), (7, 4, 3, 1, 0), (9, 3, 3, 0, 0), (11, 3, 3, 0, 0),
+        (13, 3, 3, 0, 0),
+    ]
+    _assert_oracles_match_formulas(instances, 2 ** 24)
+    elapsed = time.monotonic() - start
+    assert elapsed < 60.0, f"oracle reach took {elapsed:.1f}s"
 
 
 def _split(q):

@@ -89,7 +89,17 @@ def test_construct_budget_exceeded(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "construct", "--preset", "rem3",
                          "--mode", "bruteforce")
     assert rc == 3
-    assert "exceeds budget" in err
+    assert err == ("error: (q=3,H=3,V=3,a=0,b=0) enumeration of 3^5 = 243 "
+                   "codewords exceeds budget 10\n")
+
+
+@pytest.mark.parametrize("strategy", ["grid_lines", "exhaustive"])
+def test_verify_locality_budget_error_names_the_instance(capsys, strategy):
+    rc, _, err = run_cli(capsys, "verify-locality", "--preset", "ex1",
+                         "--strategy", strategy, "--budget", "10")
+    assert rc == 3
+    assert err.startswith("error: (q=5,H=5,V=3,a=0,b=0) enumeration of 5^")
+    assert "exceeds budget 10" in err
 
 
 def test_argparse_error_is_exit_2(capsys):

@@ -180,6 +180,22 @@ def test_vector_ops_match_scalars(p, m):
         assert vs[i] == f.mul(c, int(xs[i]))
 
 
+_VSUB_FIELDS = tuple(make_field(p, m) for p, m in ((2, 1), (7, 1), (3, 2), (2, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_VSUB_FIELDS), st.data())
+def test_vsub_is_add_of_negation(f, data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, f.q - 1), min_size=cols, max_size=cols)
+    matrix = st.lists(row, min_size=rows, max_size=rows)
+    xs = np.array(data.draw(matrix), dtype=np.int64)
+    ys = np.array(data.draw(matrix), dtype=np.int64)
+    assert np.array_equal(f.vsub(xs, ys), f.vadd(xs, f.vneg(ys)))
+    # a column against a row broadcasts, as in the RREF elimination step
+    assert np.array_equal(f.vsub(xs[:, :1], ys[:1]), f.vadd(xs[:, :1], f.vneg(ys[:1])))
+
+
 @pytest.mark.parametrize("p,m", _LARGE)
 def test_large_field_primitive_has_full_order(p, m):
     f = _large_field(p, m)
