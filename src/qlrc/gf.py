@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     DivisionByZero,
-    FieldMismatch,
     InvalidParameter,
     NonPrimeCharacteristic,
     NotPrimitive,
@@ -170,10 +169,6 @@ class FieldSpec:
 
     # -- scalar arithmetic on integer encodings --
 
-    def _check(self, x: int) -> None:
-        if not (0 <= x < self.q):
-            raise InvalidParameter(f"encoding {x} outside [0, {self.q})")
-
     def add(self, x: int, y: int) -> int:
         if self.m == 1:
             return (x + y) % self.p
@@ -276,20 +271,6 @@ class FieldSpec:
         idx = (self._log_np[xs] + self._log[c]) % (self.q - 1)
         return np.where(xs != 0, self._exp_np[idx], 0)
 
-    # -- element helpers --
-
-    def element(self, value: int) -> "FieldElement":
-        self._check(value)
-        return FieldElement(self, value)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def coeffs(self, value: int) -> tuple[int, ...]:
         return _digits(value, self.p, self.m)
 
@@ -298,48 +279,6 @@ class FieldSpec:
         if len(cs) > self.m or any(not (0 <= c < self.p) for c in cs):
             raise InvalidParameter(f"bad coefficient vector {coeffs} for GF({self.q})")
         return _encode(cs + (0,) * (self.m - len(cs)), self.p)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    field: FieldSpec
-    value: int
-
-    def _same(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise FieldMismatch("operands belong to different fields")
-
-    def __add__(self, other):
-        self._same(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._same(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        self._same(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        self._same(other)
-        return FieldElement(self.field, self.field.mul(self.value, self.field.inv(other.value)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inv(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.value)
-
-    def __repr__(self):
-        return f"GF{self.field.q}({self.value})"
 
 
 def _mul_matrix(c: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
@@ -426,11 +365,6 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
         if order == q - 1:
             return FieldSpec(p, m, modulus, g, powers)
     raise NotPrimitive(f"no primitive element found in GF({q})")  # pragma: no cover
-
-
-def element_powers(field: FieldSpec) -> list[FieldElement]:
-    """[alpha^0, alpha^1, ..., alpha^(q-2)]."""
-    return [FieldElement(field, v) for v in field._exp]
 
 
 @dataclass(frozen=True)

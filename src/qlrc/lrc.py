@@ -1,39 +1,53 @@
-"""Definition-level (r, delta)-locality certification, plus the binary
-[4m, 3m-1] family whose dual is spanned by block indicators and one
-straddling row.
+"""(r, delta)-locality certification, plus the binary [4m, 3m-1] family
+whose dual is spanned by block indicators and one straddling row.
 
-A coordinate is certified by a repair set: an index set of size at most
-r + delta - 1 containing it whose punctured (projected) code has minimum
-distance at least delta.  The punctured distance is always verified by
-exhausting the restricted code, so certificates are proofs, not claims.
+A coordinate is certified by a repair set: an index set S of size at most
+r + delta - 1 containing it whose punctured (projected) code C|_S has
+minimum distance at least delta.  Every distance in a certificate is
+proved, not claimed:
+
+* exhaustive: the column blocks G[:, S] of many candidate sets are
+  row-reduced together.  Rank 0 makes C|_S the zero code, which repairs
+  trivially; rank |S| makes it the whole space, of distance 1; any other
+  set has the q^rank words of its reduced rows enumerated, and its
+  distance is their least positive weight.
+* grid_lines: on a fixed-x column of the grid, C(Delta) evaluates the
+  polynomials in y of degree at most J = max{j : x^i y^j in Delta} at V
+  distinct points, a Reed-Solomon code.  Once the column has rank J + 1,
+  its distance is V - J because the code is MDS, and nothing is
+  enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    InjectivityViolated,
     InvalidParameter,
     NotLocallyRecoverable,
     ParamRangeViolated,
     SearchBudgetExceeded,
     ZeroLocality,
 )
-from .gf import make_field
-from .grid_codes import GridCodeRecord
+from .gf import FieldSpec, make_field
+from .grid_codes import GridCodeRecord, instance_label
 from .linear_codes import (
     LinearCode,
-    _rref,
+    _encode_block,
+    _message_block,
+    default_budget,
     euclidean_dual,
     from_spanning_set,
-    min_distance_bruteforce,
 )
 
 _SEARCH_BUDGET = 10**6
+_BATCH_CELLS = 1 << 14  # cells in one stack of column blocks or words; sets peak memory
 
 
 @dataclass(frozen=True)
@@ -61,54 +75,84 @@ class LocalityCertificate:
         return [e.to_json() for e in self.entries]
 
 
-def _passes(code: LinearCode, cols, delta: int, budget) -> tuple[bool, int | None]:
-    sub = code.generator[:, list(cols)]
-    if not sub.any():
-        return True, None
-    if len(cols) < delta:
-        # a nonzero projection has a word of weight <= |cols| < delta
-        return False, None
-    R, piv = _rref(code.field, sub)
-    if R.shape[0] == len(cols):
-        return (delta <= 1), 1  # full space has distance 1
-    restricted = LinearCode(code.field, len(cols), R, piv)
-    d = min_distance_bruteforce(restricted, budget)
-    return d >= delta, d
+def _reduce(field: FieldSpec, stack: np.ndarray) -> np.ndarray:
+    """Row-reduce, in place, every k x s matrix of an (N, k, s) stack.
+
+    Returns each matrix's rank; its independent rows end up first and the
+    rest zero.  Step c pivots every matrix with a nonzero entry in column c
+    at or past its rank, and each row under the pivot becomes
+    pivot * row - row[c] * pivot_row, which keeps the row space and needs
+    no inverse.  Rows past the rank are zero left of column c, so a step
+    touches only columns c onward.
+    """
+    k, s = stack.shape[1:]
+    rows = np.arange(k)
+    rank = np.zeros(stack.shape[0], dtype=np.int64)
+    for c in range(s):
+        live = (stack[:, :, c] != 0) & (rows >= rank[:, None])
+        sets = np.flatnonzero(live.any(axis=1))
+        if not sets.size:
+            continue
+        top, piv = rank[sets], live[sets].argmax(axis=1)
+        stack[sets, top, c:], stack[sets, piv, c:] = stack[sets, piv, c:], stack[sets, top, c:]
+        sub = stack[sets, :, c:]
+        pivot_row = sub[np.arange(sets.size), top][:, None, :]
+        elim = field.vsub(field.vmul(pivot_row[:, :, :1], sub),
+                          field.vmul(sub[:, :, :1], pivot_row))
+        stack[sets, :, c:] = np.where((rows > top[:, None])[:, :, None], elim, sub)
+        rank[sets] += 1
+    return rank
 
 
-def _passes_gf2(row_bits: list[int], cols: tuple[int, ...], delta: int) -> tuple[bool, int | None]:
-    """GF(2) fast path on bit-packed generator rows."""
-    s = len(cols)
-    packed = []
-    any_nonzero = False
-    for bits in row_bits:
-        v = 0
-        for pos, c in enumerate(cols):
-            v |= ((bits >> c) & 1) << pos
-        if v:
-            any_nonzero = True
-        packed.append(v)
-    if not any_nonzero:
-        return True, None
-    if s < delta:
-        return False, None
-    basis: list[int] = []
-    for v in packed:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    if len(basis) == s:
-        return (delta <= 1), 1
-    words = [0]
-    for b in basis:
-        words += [w ^ b for w in words]
-    best = None
-    for w in words[1:]:
-        wt = w.bit_count()
-        best = wt if best is None else min(best, wt)
-    return (best is not None and best >= delta), best
+def _min_weights(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Least positive weight in the row space of each K x s matrix of an
+    (M, K, s) stack, enumerating all q^K messages for every matrix at
+    once; rows past a matrix's rank are zero and only repeat its words."""
+    M, K, s = rows.shape
+    gen = rows.transpose(1, 0, 2).reshape(K, M * s)
+    total = field.q ** K
+    block = max(1, _BATCH_CELLS // (M * s))
+    best = np.full(M, s + 1)
+    for start in range(0, total, block):
+        msgs = _message_block(field.q, K, start, min(start + block, total))
+        w = np.count_nonzero(_encode_block(field, gen, msgs).reshape(-1, M, s), axis=2)
+        w[w == 0] = s + 1  # the zero word
+        best = np.minimum(best, w.min(axis=0))
+    return best
+
+
+def _first_repair_set(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
+                      delta: int, budget):
+    """(repair set, distance) for the first row of `sets` that repairs, or
+    None.  `sets` holds column sets of one size in scan order; the result,
+    and a BudgetExceeded at the first over-budget set before it, are what a
+    scan of one set at a time would give."""
+    s = sets.shape[1]
+    stack = gen[:, sets].transpose(1, 0, 2)
+    rank = _reduce(field, stack)
+    ok = rank == 0
+    dist = np.zeros(len(sets), dtype=np.int64)
+    stop = len(sets)
+    # |S| < delta and rank |S| (distance 1) fail without enumeration
+    need = np.flatnonzero((rank > 0) & (rank < s) & (s >= delta))
+    if need.size:
+        limit = default_budget() if budget is None else budget
+        over = need[np.array([field.q ** k > limit for k in range(s + 1)])[rank[need]]]
+        stop = over[0] if over.size else stop
+        need = need[need < stop]
+    if need.size:
+        dist[need] = _min_weights(field, stack[need, :rank[need].max()])
+        ok[need] = dist[need] >= delta
+    hits = np.flatnonzero(ok[:stop])
+    if hits.size:
+        i = hits[0]
+        return tuple(sets[i].tolist()), (int(dist[i]) if rank[i] else None)
+    if stop < len(sets):
+        k = int(rank[stop])
+        raise BudgetExceeded(
+            f"enumeration of {field.q}^{k} = {field.q ** k} codewords "
+            f"exceeds budget {limit}")
+    return None
 
 
 def _validate_rd(r: int, delta: int) -> None:
@@ -125,71 +169,77 @@ def certify_locality(code: LinearCode, r: int, delta: int,
                      search_budget: int = _SEARCH_BUDGET) -> LocalityCertificate:
     """Certify (r, delta)-locality coordinate by coordinate.
 
-    grid_lines uses the fixed-x columns of the grid as repair sets;
-    exhaustive scans candidate sets smallest-size-first, lexicographic
-    within a size, and proves NotLocallyRecoverable when the scan finds
-    nothing.
+    grid_lines uses the fixed-x columns of the grid as repair sets and
+    certifies only grid_record.code: each column must have rank J + 1
+    (InjectivityViolated otherwise), and then has distance V - J by the
+    Reed-Solomon argument of the module docstring.  exhaustive scans
+    candidate sets smallest-size-first, lexicographic within a size, takes
+    the first whose punctured distance is at least delta, and proves
+    NotLocallyRecoverable when the scan finds nothing.  A set's distance
+    comes from its rank alone when the rank is 0 or |S|, and otherwise from
+    enumerating its q^rank words; `budget` caps that enumeration, so it
+    applies to exhaustive only, and `search_budget` caps the candidates per
+    coordinate.
     """
     _validate_rd(r, delta)
     size_cap = r + delta - 1
+    field, gen = code.field, code.generator
     if strategy == "grid_lines":
-        if grid_record is None:
+        rec = grid_record
+        if rec is None:
             raise InvalidParameter("grid_lines strategy needs a grid record")
-        V = grid_record.grid.V
+        if code != rec.code:
+            raise InvalidParameter("grid_lines certifies only the grid record's own code")
+        H, V = rec.grid.H, rec.grid.V
         if V > size_cap:
             raise NotLocallyRecoverable(
                 f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
-        entries = []
-        for col in range(grid_record.grid.H):
-            cols = tuple(col * V + j for j in range(V))
-            ok, dist = _passes(code, cols, delta, budget)
-            if not ok:
-                raise NotLocallyRecoverable(
-                    f"column through coordinate {cols[0]} has punctured "
-                    f"distance {dist} < {delta}")
-            entries.extend(
-                LocalityEntry(t, cols, dist) for t in cols)
-        entries.sort(key=lambda e: e.coordinate)
+        J = max(mono.j for mono in rec.delta)
+        columns = np.arange(H * V).reshape(H, V)
+        per = max(1, _BATCH_CELLS // max(1, code.k * V))
+        rank = np.concatenate([_reduce(field, gen[:, columns[i:i + per]].transpose(1, 0, 2))
+                               for i in range(0, H, per)])
+        bad = np.flatnonzero(rank != J + 1)
+        if bad.size:
+            raise InjectivityViolated(
+                f"{instance_label(rec.grid, rec.dp)} grid column {bad[0]} has rank "
+                f"{rank[bad[0]]}, not J+1 = {J + 1}")
+        if V - J < delta:
+            raise NotLocallyRecoverable(
+                f"column through coordinate 0 has punctured distance {V - J} < {delta}")
+        entries = [LocalityEntry(t, tuple(columns[t // V].tolist()), V - J)
+                   for t in range(H * V)]
         return LocalityCertificate(r, delta, strategy, tuple(entries))
 
     if strategy != "exhaustive":
         raise InvalidParameter(f"unknown strategy {strategy!r}")
 
     n = code.n
-    use_gf2 = code.field.p == 2 and code.field.m == 1
-    row_bits = None
-    if use_gf2:
-        row_bits = [
-            int(sum(int(v) << c for c, v in enumerate(code.generator[i])))
-            for i in range(code.k)
-        ]
     entries = []
     for t in range(n):
-        others = [c for c in range(n) if c != t]
-        tried = 0
-        found = None
+        tried, found = 0, None
         for size in range(1, size_cap + 1):
-            for rest in combinations(others, size - 1):
-                tried += 1
-                if tried > search_budget:
-                    raise SearchBudgetExceeded(
-                        f"coordinate {t}: more than {search_budget} candidate "
-                        f"repair sets")
-                cols = tuple(sorted((t,) + rest))
-                if use_gf2:
-                    ok, dist = _passes_gf2(row_bits, cols, delta)
-                else:
-                    ok, dist = _passes(code, cols, delta, budget)
-                if ok:
-                    found = LocalityEntry(t, cols, dist)
+            total = comb(n - 1, size - 1)
+            allowed = max(0, min(total, search_budget - tried))
+            rests = combinations([c for c in range(n) if c != t], size - 1)
+            per = max(1, _BATCH_CELLS // max(1, code.k * size))
+            for start in range(0, allowed, per):
+                batch = [(t, *rest) for rest in islice(rests, min(per, allowed - start))]
+                found = _first_repair_set(field, gen, np.sort(batch, axis=1), delta, budget)
+                if found is not None:
                     break
             if found is not None:
                 break
+            if allowed < total:
+                raise SearchBudgetExceeded(
+                    f"coordinate {t}: more than {search_budget} candidate "
+                    f"repair sets")
+            tried += total
         if found is None:
             raise NotLocallyRecoverable(
                 f"coordinate {t} admits no repair set of size <= {size_cap} "
                 f"with punctured distance >= {delta}")
-        entries.append(found)
+        entries.append(LocalityEntry(t, *found))
     return LocalityCertificate(r, delta, strategy, tuple(entries))
 
 

@@ -147,29 +147,32 @@ def _valid_instance(q: int, H: int, V: int) -> bool:
             and (q - 1) % (H - 1) == 0 and (q - 1) % (V - 1) == 0)
 
 
+def _closed_forms(H: int, V: int, a: int, b: int) -> dict:
+    """The VerdictRow fields that the closed forms give."""
+    r, delta = locality_formula(H, V, a, b)
+    return {"n": H * V, "k": quantum_dimension_formula(H, V, a, b),
+            "k_classical": delta_size_formula(H, V, a, b),
+            "d": coset_distance_formula(H, V, a, b),
+            "d_classical": min_distance_formula(H, V, a, b),
+            "r": r, "delta": delta, "impure": impurity_predicate(H, V, a, b)}
+
+
 def _generic_row(mode: str, q: int, H: int, V: int, a: int, b: int) -> VerdictRow:
-    n = H * V
-    k = quantum_dimension_formula(H, V, a, b)
-    k_classical = delta_size_formula(H, V, a, b)
-    d = coset_distance_formula(H, V, a, b)
-    d_classical = min_distance_formula(H, V, a, b)
-    r, delta_loc = locality_formula(H, V, a, b)
-    impure = impurity_predicate(H, V, a, b)
+    row = VerdictRow(mode=mode, q=q, H=H, V=V, a=a, b=b, **_closed_forms(H, V, a, b))
+    n, k, k_classical, r = row.n, row.k, row.k_classical, row.r
     if 2 * k_classical - n != k:
         raise AssertionFailed(
             f"dimension identity broke at (q={q},H={H},V={V},a={a},b={b}): "
             f"2*{k_classical} - {n} != {k}")
-    reports = dict(evaluate_all(BoundInput(n=n, k=k, d=d, q=q, r=r, delta=2),
-                                only=("gg", "luo", "griesmer", "plotkin",
-                                      "sphere_packing")))
-    reports["qsingleton"] = q_singleton_pure(
-        BoundInput(n=n, k=k, d=d, q=q, r=r, delta=delta_loc))
-    reports["singleton"] = evaluate_all(
-        BoundInput(n=n, k=k_classical, d=d_classical, q=q, r=r, delta=delta_loc),
+    row.reports = dict(evaluate_all(BoundInput(n=n, k=k, d=row.d, q=q, r=r, delta=2),
+                                    only=("gg", "luo", "griesmer", "plotkin",
+                                          "sphere_packing")))
+    row.reports["qsingleton"] = q_singleton_pure(
+        BoundInput(n=n, k=k, d=row.d, q=q, r=r, delta=row.delta))
+    row.reports["singleton"] = evaluate_all(
+        BoundInput(n=n, k=k_classical, d=row.d_classical, q=q, r=r, delta=row.delta),
         only=("singleton",))["singleton"]
-    return VerdictRow(mode=mode, q=q, H=H, V=V, a=a, b=b, n=n, k=k,
-                      k_classical=k_classical, d=d, d_classical=d_classical,
-                      r=r, delta=delta_loc, impure=impure, reports=reports)
+    return row
 
 
 def _assert_thm3(row: VerdictRow) -> None:
@@ -342,16 +345,8 @@ def _run_one(task) -> VerdictRow:
     except InternalCheckError as exc:
         if not collect:
             raise
-        row = VerdictRow(mode=mode, q=q, H=H, V=V, a=a, b=b,
-                         n=H * V, k=quantum_dimension_formula(H, V, a, b),
-                         k_classical=delta_size_formula(H, V, a, b),
-                         d=coset_distance_formula(H, V, a, b),
-                         d_classical=min_distance_formula(H, V, a, b),
-                         r=locality_formula(H, V, a, b)[0],
-                         delta=locality_formula(H, V, a, b)[1],
-                         impure=impurity_predicate(H, V, a, b),
-                         ok=False, message=str(exc))
-        return row
+        return VerdictRow(mode=mode, q=q, H=H, V=V, a=a, b=b,
+                          **_closed_forms(H, V, a, b), ok=False, message=str(exc))
 
 
 def _instances(spec: SweepSpec) -> tuple[list, int]:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from qlrc import build_code, make_delta_params, make_field, make_grid_params
+from qlrc import build_code, from_spanning_set, make_delta_params, make_field, make_grid_params
+from qlrc.grid_codes import _axis_points, _evaluation_rows, _power_table
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +64,17 @@ def ex1e_record(gf8):
 @pytest.fixture(scope="session")
 def grid55_record(gf5):
     return _record(gf5, 5, 5, 0, 0)
+
+
+@pytest.fixture(scope="session")
+def without_top_band():
+    """A record's copy whose C(Delta) lost the monomials of its top y-degree J."""
+    def drop(rec):
+        field = rec.grid.field
+        X = _power_table(field, _axis_points(field, rec.grid.H))
+        Y = _power_table(field, _axis_points(field, rec.grid.V))
+        J = max(mono.j for mono in rec.delta)
+        rows = _evaluation_rows(field, X, Y, [mono for mono in rec.delta if mono.j < J])
+        return dataclasses.replace(rec, code=from_spanning_set(field, list(rows)))
+
+    return drop

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -93,13 +94,38 @@ def test_construct_budget_exceeded(capsys, monkeypatch):
                    "codewords exceeds budget 10\n")
 
 
-@pytest.mark.parametrize("strategy", ["grid_lines", "exhaustive"])
+@pytest.mark.parametrize("strategy", ["exhaustive"])
 def test_verify_locality_budget_error_names_the_instance(capsys, strategy):
     rc, _, err = run_cli(capsys, "verify-locality", "--preset", "ex1",
                          "--strategy", strategy, "--budget", "10")
     assert rc == 3
     assert err.startswith("error: (q=5,H=5,V=3,a=0,b=0) enumeration of 5^")
     assert "exceeds budget 10" in err
+
+
+@pytest.mark.parametrize("inst", [(5, 5, 3, 0, 0), (9, 9, 9, 3, 3), (16, 16, 16, 7, 7)],
+                         ids=lambda inst: ",".join(map(str, inst)))
+def test_verify_locality_grid_lines_enumerates_nothing(capsys, inst):
+    # column distances come from the Reed-Solomon argument, so no budget
+    # applies; (9,9,9,3,3) would enumerate 9^8 words per column
+    q, H, V, a, b = inst
+    rc, out, err = run_cli(capsys, "verify-locality", "--q", str(q), "--H", str(H),
+                           "--V", str(V), "--a", str(a), "--b", str(b),
+                           "--budget", "10", "--format", "json")
+    assert rc == 0, err
+    entries = json.loads(out)
+    assert len(entries) == H * V
+    J = (V - 1 + 2 * b) // 2
+    assert {e["punctured_distance"] for e in entries} == {V - J}
+
+
+def test_verify_locality_grid_column_rank_failure_is_exit_4(capsys, monkeypatch,
+                                                          without_top_band):
+    build = cli.build_code
+    monkeypatch.setattr(cli, "build_code", lambda grid, dp: without_top_band(build(grid, dp)))
+    rc, _, err = run_cli(capsys, "verify-locality", "--preset", "ex1")
+    assert rc == 4
+    assert err == "error: (q=5,H=5,V=3,a=0,b=0) grid column 0 has rank 1, not J+1 = 2\n"
 
 
 def test_argparse_error_is_exit_2(capsys):
@@ -261,3 +287,19 @@ def test_reproduce_examples_script(capsys, fmt):
     assert script.main(["--format", fmt]) == 0
     out = capsys.readouterr().out
     assert out.count("== ") == len(script.SECTIONS)
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("qlrc ")]
+
+
+def test_readme_has_usage_examples():
+    assert len(_readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_usage_examples_run(capsys, line):
+    rc, _, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert rc == 0, err

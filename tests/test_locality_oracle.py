@@ -1,0 +1,307 @@
+"""Definition-level locality certification, kept as the oracle for the
+batched rank/enumeration path in qlrc.lrc.
+
+The code here is the scan it replaced: one candidate repair set at a time,
+one RREF and one brute-force distance per set (a bit-packed span walk on
+GF(2)), and, for grid_lines, a brute-force distance per grid column.  Both
+must give the same certificate, byte for byte, or the same error.
+"""
+
+import json
+from functools import cache
+from itertools import combinations
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlrc import (
+    build_grid_record,
+    certify_locality,
+    from_spanning_set,
+    full_code,
+    lemma_family,
+    lrc,
+    make_field,
+    valid_a_values,
+    valid_b_values,
+    zero_code,
+)
+from qlrc.errors import (
+    NotLocallyRecoverable,
+    QlrcError,
+    SearchBudgetExceeded,
+)
+from qlrc.gf import split_prime_power
+from qlrc.linear_codes import LinearCode, _rref, min_distance_bruteforce
+from qlrc.lrc import LocalityCertificate, LocalityEntry, _validate_rd
+from qlrc.verifier import prime_powers
+
+# -- the definition-level scan -------------------------------------------------
+
+
+def _passes(code, cols, delta, budget):
+    sub = code.generator[:, list(cols)]
+    if not sub.any():
+        return True, None
+    if len(cols) < delta:
+        # a nonzero projection has a word of weight <= |cols| < delta
+        return False, None
+    R, piv = _rref(code.field, sub)
+    if R.shape[0] == len(cols):
+        return (delta <= 1), 1  # full space has distance 1
+    restricted = LinearCode(code.field, len(cols), R, piv)
+    d = min_distance_bruteforce(restricted, budget)
+    return d >= delta, d
+
+
+def _passes_gf2(row_bits, cols, delta):
+    """GF(2) span walk on bit-packed generator rows; it never enumerates
+    more than 2^|cols| words and takes no budget."""
+    packed = []
+    any_nonzero = False
+    for bits in row_bits:
+        v = 0
+        for pos, c in enumerate(cols):
+            v |= ((bits >> c) & 1) << pos
+        if v:
+            any_nonzero = True
+        packed.append(v)
+    if not any_nonzero:
+        return True, None
+    if len(cols) < delta:
+        return False, None
+    basis = []
+    for v in packed:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    if len(basis) == len(cols):
+        return (delta <= 1), 1
+    words = [0]
+    for b in basis:
+        words += [w ^ b for w in words]
+    best = min(w.bit_count() for w in words[1:])
+    return best >= delta, best
+
+
+def oracle_exhaustive(code, r, delta, budget=None,
+                      search_budget=lrc._SEARCH_BUDGET, gf2_walk=True):
+    """The candidate-by-candidate scan; gf2_walk picks _passes_gf2 on GF(2)."""
+    _validate_rd(r, delta)
+    size_cap = r + delta - 1
+    n = code.n
+    use_gf2 = gf2_walk and code.field.q == 2
+    row_bits = [int(sum(int(v) << c for c, v in enumerate(code.generator[i])))
+                for i in range(code.k)]
+    entries = []
+    for t in range(n):
+        others = [c for c in range(n) if c != t]
+        tried = 0
+        found = None
+        for size in range(1, size_cap + 1):
+            for rest in combinations(others, size - 1):
+                tried += 1
+                if tried > search_budget:
+                    raise SearchBudgetExceeded(
+                        f"coordinate {t}: more than {search_budget} candidate "
+                        f"repair sets")
+                cols = tuple(sorted((t,) + rest))
+                if use_gf2:
+                    ok, dist = _passes_gf2(row_bits, cols, delta)
+                else:
+                    ok, dist = _passes(code, cols, delta, budget)
+                if ok:
+                    found = LocalityEntry(t, cols, dist)
+                    break
+            if found is not None:
+                break
+        if found is None:
+            raise NotLocallyRecoverable(
+                f"coordinate {t} admits no repair set of size <= {size_cap} "
+                f"with punctured distance >= {delta}")
+        entries.append(found)
+    return LocalityCertificate(r, delta, "exhaustive", tuple(entries))
+
+
+def oracle_grid_lines(rec, r, delta):
+    """Each grid column certified by enumerating its restricted code."""
+    _validate_rd(r, delta)
+    size_cap = r + delta - 1
+    V = rec.grid.V
+    if V > size_cap:
+        raise NotLocallyRecoverable(
+            f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
+    entries = []
+    for col in range(rec.grid.H):
+        cols = tuple(col * V + j for j in range(V))
+        ok, dist = _passes(rec.code, cols, delta, None)
+        if not ok:
+            raise NotLocallyRecoverable(
+                f"column through coordinate {cols[0]} has punctured "
+                f"distance {dist} < {delta}")
+        entries.extend(LocalityEntry(t, cols, dist) for t in cols)
+    entries.sort(key=lambda e: e.coordinate)
+    return LocalityCertificate(r, delta, "grid_lines", tuple(entries))
+
+
+def outcome(certify):
+    """The certificate as JSON text, or the error's type and message."""
+    try:
+        cert = certify()
+    except QlrcError as exc:
+        return type(exc).__name__, str(exc)
+    return json.dumps([cert.r, cert.delta, cert.strategy, cert.to_json()])
+
+
+def assert_exhaustive_agrees(code, r, delta, cells=None, gf2_walk=True, **kw):
+    expected = outcome(lambda: oracle_exhaustive(code, r, delta, gf2_walk=gf2_walk, **kw))
+    with mock.patch.object(lrc, "_BATCH_CELLS", cells or lrc._BATCH_CELLS):
+        got = outcome(lambda: certify_locality(code, r, delta, "exhaustive", **kw))
+    assert got == expected
+    return got
+
+
+# -- random codes --------------------------------------------------------------
+
+_FIELDS = tuple(make_field(*split_prime_power(q)) for q in (2, 3, 4, 7, 9))
+
+
+@st.composite
+def codes(draw, n_max=7):
+    field = draw(st.sampled_from(_FIELDS))
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(1, min(n, 4 if field.q <= 4 else 3)))
+    entry = st.integers(0, field.q - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    mat = np.array(rows, dtype=np.int64)
+    # zero columns, repeated columns and scalar multiples make vacuous and
+    # rank-deficient repair sets likely
+    for c in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        mat[:, c] = 0
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        scale = draw(st.integers(1, field.q - 1))
+        mat[:, dst] = field.vscale(scale, mat[:, src])
+    if not mat.any():
+        return zero_code(field, n)
+    return from_spanning_set(field, list(mat))
+
+
+_RD = st.tuples(st.integers(1, 3), st.integers(2, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(), _RD)
+def test_random_codes_match_oracle(code, rd):
+    assert_exhaustive_agrees(code, *rd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes(), _RD, st.sampled_from((1, 5, 12, 40, 100)))
+def test_tiny_cell_cap_splits_chunks_inside_a_size(code, rd, cells):
+    assert_exhaustive_agrees(code, *rd, cells=cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes(), _RD, st.integers(1, 60), st.sampled_from((None, 1, 5, 12, 40)))
+def test_small_budget_raises_where_the_scan_does(code, rd, budget, cells):
+    # the GF(2) span walk never took a budget, so the budget cases compare
+    # against the generic scan on every field
+    assert_exhaustive_agrees(code, *rd, cells=cells, gf2_walk=False, budget=budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(n_max=6), _RD, st.integers(0, 40))
+def test_small_search_budget(code, rd, search_budget):
+    assert_exhaustive_agrees(code, *rd, cells=12, search_budget=search_budget)
+
+
+def test_gf2_walk_agrees_with_generic_scan():
+    # the two oracles agree with each other on GF(2), budget aside
+    gf2 = make_field(2)
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        code = from_spanning_set(gf2, list(rng.integers(0, 2, size=(3, 7))))
+        for r, delta in ((1, 2), (2, 2), (2, 3)):
+            assert (outcome(lambda: oracle_exhaustive(code, r, delta))
+                    == outcome(lambda: oracle_exhaustive(code, r, delta, gf2_walk=False)))
+
+
+def _fixed_cases():
+    gf2, gf3, gf7, gf9 = (make_field(*split_prime_power(q)) for q in (2, 3, 7, 9))
+    vec = lambda *xs: np.array(xs, dtype=np.int64)  # noqa: E731
+    return {
+        "zero column": (from_spanning_set(gf3, [vec(1, 1, 0)]), 2, 2, {}),
+        "zero code": (zero_code(gf7, 4), 1, 2, {}),
+        "full space": (full_code(gf2, 6), 3, 2, {}),
+        "full space GF(9)": (full_code(gf9, 4), 2, 2, {}),
+        "|S| < delta": (from_spanning_set(gf7, [vec(1, 2, 3, 4, 5)]), 1, 3, {}),
+        "delta 3": (from_spanning_set(gf7, [vec(1, 1, 1, 1, 0, 0), vec(0, 1, 2, 3, 1, 1)]),
+                    2, 3, {}),
+        "search budget": (full_code(gf2, 12), 3, 2, {"search_budget": 5}),
+        # every coordinate has a parallel partner, after a full-rank pair
+        # whose 7^2 words the budget would refuse
+        "budget at a full-rank pair": (
+            from_spanning_set(gf7, [vec(1, 0, 2, 0), vec(0, 1, 0, 3)]), 2, 2, {"budget": 7}),
+        # {0, 1, 2} has rank 1 and {0, 1, 3} rank 2: the error names 3^1
+        "budget below the batch's largest rank": (
+            from_spanning_set(gf3, [vec(1, 1, 2, 0, 1), vec(0, 0, 0, 1, 1)]),
+            1, 3, {"budget": 1}),
+    }
+
+
+_FIXED = _fixed_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED))
+@pytest.mark.parametrize("cells", [None, 4])
+def test_fixed_cases_match_oracle(name, cells):
+    code, r, delta, kw = _FIXED[name]
+    assert_exhaustive_agrees(code, r, delta, cells=cells, gf2_walk="budget" not in kw, **kw)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_lemma_family_matches_oracle(m):
+    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2)
+    assert isinstance(certificate, str)  # JSON text, not an error
+
+
+# -- grid columns --------------------------------------------------------------
+
+
+def _column_words(q, V, b):
+    """q^(J+1): the words of one column code, J = floor(v + b)."""
+    return q ** ((V - 1 + 2 * b) // 2 + 1)
+
+
+def _grid_instances():
+    out = []
+    for q in prime_powers(16):
+        sides = [N for N in range(3, q + 1) if (q - 1) % (N - 1) == 0]
+        out += [(q, H, V, a, b) for H in sides for V in sides
+                for a in valid_a_values(H) for b in valid_b_values(V)
+                if _column_words(q, V, b) <= 1 << 16]
+    return out
+
+
+@cache
+def _record(q, H, V, a, b):
+    return build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
+
+
+@pytest.mark.parametrize("inst", _grid_instances(),
+                         ids=lambda inst: ",".join(map(str, inst)))
+def test_grid_lines_match_column_enumeration(inst):
+    rec = _record(*inst)
+    r, delta = rec.locality
+    J = max(mono.j for mono in rec.delta)
+    # the closed-form locality, and one delta past the column distance V - J
+    for r, delta in ((r, delta), (max(1, J), rec.grid.V - J + 1)):
+        expected = outcome(lambda: oracle_grid_lines(rec, r, delta))
+        got = outcome(lambda: certify_locality(rec.code, r, delta, "grid_lines", rec))
+        assert got == expected

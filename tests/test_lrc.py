@@ -15,6 +15,7 @@ from qlrc import (
 )
 from qlrc.errors import (
     BudgetExceeded,
+    InjectivityViolated,
     InvalidParameter,
     NotLocallyRecoverable,
     ParamRangeViolated,
@@ -142,9 +143,7 @@ def test_heavy_row_budget():
 
 def test_heavy_row_cap():
     fam = lemma_family(3)
-    capped = lemma_family(3)
-    assert heavy_row_check(capped).count == 8
-    big = lemma_family(25) if False else None
+    assert heavy_row_check(fam).count == 8
     with pytest.raises(BudgetExceeded):
         heavy_row_check(
             type(fam)(25, fam.code, fam.dual_code, fam.block_rows,
@@ -160,10 +159,23 @@ def test_zero_column_counts_as_vacuous(gf3):
     assert entry.punctured_distance is None
 
 
-def test_gf2_fast_path_agrees_with_generic(rem3_record):
-    # GF(3) exercises the generic path on the same shapes the GF(2)
-    # fast path sees for lemma codes
-    cert = certify_locality(rem3_record.code, 2, 2, strategy="exhaustive")
-    assert len(cert.entries) == 9
-    for e in cert.entries:
-        assert e.punctured_distance is None or e.punctured_distance >= 2
+def test_grid_lines_column_rank_must_be_J_plus_1(ex1_record, without_top_band):
+    broken = without_top_band(ex1_record)
+    with pytest.raises(InjectivityViolated, match=(
+            r"^\(q=5,H=5,V=3,a=0,b=0\) grid column 0 has rank 1, not J\+1 = 2$")):
+        certify_locality(broken.code, 2, 2, strategy="grid_lines", grid_record=broken)
+
+
+def test_grid_lines_certifies_only_the_record_code(ex1_record):
+    with pytest.raises(InvalidParameter, match="record's own code"):
+        certify_locality(ex1_record.mirror_code, 2, 2, strategy="grid_lines",
+                         grid_record=ex1_record)
+
+
+def test_grid_lines_reports_the_column_distance(ex1_record):
+    # V = 3, J = 1: the columns have distance 2 even where |S| < delta
+    for r, delta in ((1, 3), (1, 4)):
+        with pytest.raises(NotLocallyRecoverable, match=(
+                rf"^column through coordinate 0 has punctured distance 2 < {delta}$")):
+            certify_locality(ex1_record.code, r, delta, strategy="grid_lines",
+                             grid_record=ex1_record)

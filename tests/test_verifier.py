@@ -151,6 +151,25 @@ def test_sweep_collect_gathers_failures(monkeypatch):
         run_sweep(SweepSpec(mode="thm4", q_values=(3, 5)))
 
 
+def test_collected_failure_row_keeps_the_closed_forms(monkeypatch):
+    import qlrc.verifier as verifier
+
+    spec = SweepSpec(mode="all", q_values=(5, 7, 8), collect=True)
+    clean = run_sweep(spec).rows
+
+    def boom(row, budget):
+        raise AssertionFailed("forced failure")
+
+    monkeypatch.setattr(verifier, "_oracle_check", boom)
+    failed = run_sweep(spec).rows
+    fields = ("q", "H", "V", "a", "b", "n", "k", "k_classical", "d",
+              "d_classical", "r", "delta", "impure")
+    assert len(failed) == len(clean) > 10
+    for bad, good in zip(failed, clean):
+        assert not bad.ok and good.ok
+        assert [getattr(bad, f) for f in fields] == [getattr(good, f) for f in fields]
+
+
 def test_sweep_oracle_budget_control():
     res = run_sweep(SweepSpec(mode="thm4", q_values=(3,), budget=1))
     assert res.rows[0].oracle is None
