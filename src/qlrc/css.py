@@ -41,7 +41,7 @@ def css_from_grid(rec: GridCodeRecord, distance_mode: str = "formula",
     if distance_mode not in ("formula", "bruteforce"):
         raise InvalidParameter(f"unknown distance mode {distance_mode!r}")
     n = rec.n
-    k = 2 * rec.code.k - n
+    k = 2 * rec.k - n
     k_formula = quantum_dimension_formula(rec.grid.H, rec.grid.V, rec.dp.a, rec.dp.b)
     if k != k_formula:
         raise AssertionFailed(

@@ -251,7 +251,12 @@ class FieldSpec:
             return (xs - ys) % self.p
         if self.p == 2:
             return xs ^ ys
-        return self.vadd(xs, self.vneg(ys))
+        out = np.zeros(np.broadcast(xs, ys).shape, dtype=np.int64)
+        pw = 1
+        for _ in range(self.m):
+            out += (((xs // pw) - (ys // pw)) % self.p) * pw
+            pw *= self.p
+        return out
 
     def vmul(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if self.m == 1:

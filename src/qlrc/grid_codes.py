@@ -8,12 +8,35 @@ Euclidean dual of the code is the mirror code rescaled coordinatewise by
 the inverse derivative values of the grid vanishing polynomials
 X^H - X and Y^V - Y; the rescaling is constant exactly when p | H and
 p | V, in which case the dual and the mirror coincide as codes.
+
+build_code proves these facts from per-axis data, in O(n * (H + V))
+field operations, without forming a generator matrix:
+
+* Injectivity.  Evaluating every x^i y^j (i < H, j < V) on the grid is
+  the Kronecker product of the two axis Vandermonde matrices, invertible
+  when each axis has distinct points.  So dim C(Delta) = |Delta|, and a
+  codeword lies in C(Delta) exactly when its coefficients lie in Delta.
+* Duality.  The twisted inner product of the rows of x^i y^j and
+  x^i' y^j' is the moment M[i + i', j + j'], where
+  M[e, f] = sum_{s,t} w_{s,t} x_s^e y_t^f is two axis transforms of the
+  full twist vector w.  If band j of Delta reaches i <= I(j) and band j'
+  of Delta* reaches i' <= I*(j'), the product vanishes when
+  I(j) + I*(j') lies below the first nonzero entry of column j + j' of M.
+  With Delta* inside Delta, w nowhere zero and |Delta| + |Delta*| = n,
+  that gives C(Delta)^perp = w o C(Delta*).
+* Witness.  prod_{i<A} (x - x_i) * prod_{j<B} (y - y_j) is expanded per
+  axis and must evaluate to the witness; its coefficient support must lie
+  in Delta and not inside Delta*.
+
+The generator matrices of C(Delta) and C(Delta*) are built and
+row-reduced only when a record's `code` or `mirror_code` is first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -28,7 +51,7 @@ from .errors import (
     WitnessFailed,
 )
 from .gf import FieldSpec, field_to_json
-from .linear_codes import LinearCode, from_spanning_set, in_row_space, inner_products
+from .linear_codes import LinearCode, from_spanning_set, inner_products
 
 
 class Monomial(NamedTuple):
@@ -184,9 +207,13 @@ def _axis_points(field: FieldSpec, count: int) -> np.ndarray:
 
 
 def _power_table(field: FieldSpec, pts: np.ndarray) -> np.ndarray:
-    """T[s, e] = pts[s]^e for 0 <= e < len(pts)."""
-    table = np.ones((len(pts), len(pts)), dtype=np.int64)
-    for e in range(1, len(pts)):
+    """T[s, e] = pts[s]^e for 0 <= e <= 2*(len(pts) - 1).
+
+    Exponents below len(pts) give the evaluation rows; the rest reach the
+    sums i + i' that the duality moments need.
+    """
+    table = np.ones((len(pts), 2 * len(pts) - 1), dtype=np.int64)
+    for e in range(1, table.shape[1]):
         table[:, e] = field.vmul(table[:, e - 1], pts)
     return table
 
@@ -212,6 +239,15 @@ def _vanishing_values(field: FieldSpec, pts: np.ndarray, count: int) -> np.ndarr
     return out
 
 
+def _root_product(field: FieldSpec, roots: np.ndarray) -> np.ndarray:
+    """Coefficients, lowest degree first, of prod (Z - r) over the roots."""
+    coeffs = np.ones(1, dtype=np.int64)
+    for r in roots:
+        coeffs = field.vsub(np.concatenate(([0], coeffs)),
+                            field.vscale(int(r), np.concatenate((coeffs, [0]))))
+    return coeffs
+
+
 def twist_vector(grid: GridParams) -> np.ndarray:
     """w_t = 1 / (g_H'(x_t) * g_V'(y_t)) for g_N(Z) = Z^N - Z."""
     field = grid.field
@@ -226,18 +262,21 @@ def twist_vector(grid: GridParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridCodeRecord:
+    """A proved grid code: build_code checked its dimension, duality and
+    witness.  `code` and `mirror_code` are built and row-reduced from the
+    axis power tables the first time they are read."""
+
     grid: GridParams
     dp: DeltaParams
     delta: tuple[Monomial, ...]
     delta_perp: tuple[Monomial, ...]
-    code: LinearCode
-    mirror_code: LinearCode
     plain_dual: bool
     d_formula: int
     coset_d_formula: int
     locality: tuple[int, int]
     impure: bool
     witness: np.ndarray
+    powers: tuple[np.ndarray, np.ndarray]  # _power_table of the x- and y-axis
 
     @property
     def n(self) -> int:
@@ -245,11 +284,52 @@ class GridCodeRecord:
 
     @property
     def k(self) -> int:
-        return self.code.k
+        return len(self.delta)
+
+    @cached_property
+    def code(self) -> LinearCode:
+        field = self.grid.field
+        return from_spanning_set(field, _evaluation_rows(field, *self.powers, self.delta))
+
+    @cached_property
+    def mirror_code(self) -> LinearCode:
+        field = self.grid.field
+        return from_spanning_set(field, _evaluation_rows(field, *self.powers, self.delta_perp))
 
 
 def _sorted_monomials(monos) -> tuple[Monomial, ...]:
     return tuple(sorted(monos, key=lambda m: (m.j, m.i)))
+
+
+def _exponent_mask(H: int, V: int, monos) -> np.ndarray:
+    """mask[i, j] is True exactly when x^i y^j is in monos."""
+    mask = np.zeros((H, V), dtype=bool)
+    mask[[m.i for m in monos], [m.j for m in monos]] = True
+    return mask
+
+
+def _band_tops(mask: np.ndarray) -> np.ndarray:
+    """The largest i with mask[i, j], per column j; -1 for an empty column."""
+    return np.where(mask.any(axis=0), mask.shape[0] - 1 - np.argmax(mask[::-1], axis=0), -1)
+
+
+def _twisted_orthogonal(field: FieldSpec, X: np.ndarray, Y: np.ndarray,
+                        w: np.ndarray, in_delta: np.ndarray, in_perp: np.ndarray) -> bool:
+    """True when G diag(w) G*^T = 0 for the rows of Delta and Delta*.
+
+    Entry (x^i y^j, x^i' y^j') is the moment M[i + i', j + j'], and every
+    i <= top(j), i' <= top*(j'), so the pair of bands (j, j') is orthogonal
+    when top(j) + top*(j') is below the first nonzero row of column j + j'.
+    That is a sufficient test for any exponent sets and an exact one when
+    every band is a prefix 0..top(j), as in Delta and Delta*.
+    """
+    H, V = in_delta.shape
+    M = inner_products(field, inner_products(field, X.T, w.reshape(H, V).T), Y.T)
+    nonzero = M != 0
+    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), M.shape[0])
+    top, top_p = _band_tops(in_delta), _band_tops(in_perp)
+    j, jp = np.flatnonzero(top >= 0), np.flatnonzero(top_p >= 0)
+    return bool((top[j, None] + top_p[None, jp] < first[j[:, None] + jp[None, :]]).all())
 
 
 def instance_label(grid: GridParams, dp: DeltaParams) -> str:
@@ -265,45 +345,52 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     perp = _sorted_monomials(delta_perp_set(H, V, a, b))
     xs = _axis_points(field, H)
     ys = _axis_points(field, V)
+    for axis, pts in (("x", xs), ("y", ys)):
+        ordered = np.sort(pts)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise InjectivityViolated(
+                f"{where} the grid evaluation map is not injective: "
+                f"the {axis}-axis points repeat")
     X = _power_table(field, xs)
     Y = _power_table(field, ys)
-
-    code = from_spanning_set(field, _evaluation_rows(field, X, Y, delta))
-    if code.k != len(delta):
-        raise InjectivityViolated(
-            f"{where} evaluation map dropped rank: dim {code.k} != |Delta| {len(delta)}")
-    mirror = from_spanning_set(field, _evaluation_rows(field, X, Y, perp))
-    if mirror.k != len(perp):
-        raise InjectivityViolated(
-            f"{where} evaluation map dropped rank on the mirror set: "
-            f"{mirror.k} != {len(perp)}")
 
     # C(Delta)^perp = w o C(Delta*): Delta* inside Delta puts the mirror
     # code inside the code; G diag(w) G*^T = 0 with w nowhere zero puts
     # w o C(Delta*) inside the dual, and |Delta| + |Delta*| = n makes the
     # two dimensions equal.
-    if not set(perp) <= set(delta):
+    in_delta = _exponent_mask(H, V, delta)
+    in_perp = _exponent_mask(H, V, perp)
+    if (in_perp & ~in_delta).any():
         raise DualityViolated(f"{where} Delta* is not contained in Delta")
     if len(delta) + len(perp) != grid.n:
         raise DualityViolated(
             f"{where} |Delta| + |Delta*| = {len(delta) + len(perp)} != n = {grid.n}")
     w = twist_vector(grid)
-    twisted = field.vmul(w[None, :], mirror.generator)
-    if not w.all() or inner_products(field, code.generator, twisted).any():
+    if not w.all() or not _twisted_orthogonal(field, X, Y, w, in_delta, in_perp):
         raise DualityViolated(
             f"{where} the code is not orthogonal to the rescaled mirror code")
     plain_dual = (H % field.p == 0) and (V % field.p == 0)
 
     d_formula = min_distance_formula(H, V, a, b)
     coset_d = coset_distance_formula(H, V, a, b)
-    wit = _outer(field, _vanishing_values(field, xs, math.floor(grid.h + a)),
-                 _vanishing_values(field, ys, math.floor(grid.v + b)))
+    A, B = math.floor(grid.h + a), math.floor(grid.v + b)
+    wit = _outer(field, _vanishing_values(field, xs, A), _vanishing_values(field, ys, B))
     if int(np.count_nonzero(wit)) != coset_d:
         raise WitnessFailed(
             f"{where} witness weight {int(np.count_nonzero(wit))} != formula {coset_d}")
-    if not in_row_space(code, wit):
+    # The evaluation map is a bijection, so the witness is in C(Delta), and
+    # outside C(Delta*), exactly as its coefficient support is.
+    cx = _root_product(field, xs[:A])
+    cy = _root_product(field, ys[:B])
+    ex = inner_products(field, X[:, :A + 1], cx[None, :])[:, 0]
+    ey = inner_products(field, Y[:, :B + 1], cy[None, :])[:, 0]
+    if not np.array_equal(_outer(field, ex, ey), wit):
+        raise WitnessFailed(f"{where} witness vector is not the evaluation of its polynomial")
+    support = np.zeros((H, V), dtype=bool)
+    support[:A + 1, :B + 1] = (cx != 0)[:, None] & (cy != 0)[None, :]
+    if (support & ~in_delta).any():
         raise WitnessFailed(f"{where} witness vector is not a codeword")
-    if in_row_space(mirror, wit):
+    if not (support & ~in_perp).any():
         raise WitnessFailed(f"{where} witness vector fell inside the mirror code")
 
     return GridCodeRecord(
@@ -311,14 +398,13 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
         dp=dp,
         delta=delta,
         delta_perp=perp,
-        code=code,
-        mirror_code=mirror,
         plain_dual=plain_dual,
         d_formula=d_formula,
         coset_d_formula=coset_d,
         locality=locality_formula(H, V, a, b),
         impure=impurity_predicate(H, V, a, b),
         witness=wit,
+        powers=(X, Y),
     )
 
 

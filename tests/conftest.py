@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 from qlrc import build_code, from_spanning_set, make_delta_params, make_field, make_grid_params
-from qlrc.grid_codes import _axis_points, _evaluation_rows, _power_table
+from qlrc import grid_codes, linear_codes
+from qlrc.grid_codes import _evaluation_rows
 
 
 @pytest.fixture(scope="session")
@@ -68,13 +69,28 @@ def grid55_record(gf5):
 
 @pytest.fixture(scope="session")
 def without_top_band():
-    """A record's copy whose C(Delta) lost the monomials of its top y-degree J."""
+    """A record's copy whose C(Delta) lost the monomials of its top y-degree J.
+
+    The copy's lazy `code` is filled in ahead of its first read, so every
+    consumer of the copy sees the broken code.
+    """
     def drop(rec):
         field = rec.grid.field
-        X = _power_table(field, _axis_points(field, rec.grid.H))
-        Y = _power_table(field, _axis_points(field, rec.grid.V))
         J = max(mono.j for mono in rec.delta)
-        rows = _evaluation_rows(field, X, Y, [mono for mono in rec.delta if mono.j < J])
-        return dataclasses.replace(rec, code=from_spanning_set(field, list(rows)))
+        rows = _evaluation_rows(field, *rec.powers, [mono for mono in rec.delta if mono.j < J])
+        broken = dataclasses.replace(rec)
+        object.__setattr__(broken, "code", from_spanning_set(field, list(rows)))
+        return broken
 
     return drop
+
+
+@pytest.fixture
+def no_generator_matrices(monkeypatch):
+    """Building, row-reducing or reducing against a generator matrix raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator matrix was built or reduced")
+
+    monkeypatch.setattr(grid_codes, "from_spanning_set", refuse)
+    monkeypatch.setattr(linear_codes, "_rref", refuse)
+    monkeypatch.setattr(linear_codes, "in_row_space", refuse)

@@ -128,6 +128,24 @@ def test_verify_locality_grid_column_rank_failure_is_exit_4(capsys, monkeypatch,
     assert err == "error: (q=5,H=5,V=3,a=0,b=0) grid column 0 has rank 1, not J+1 = 2\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--preset", "ex1e", "--format", "json"),
+    # q^|Delta| far above the oracle budget on every row: no oracle runs
+    ("sweep", "--mode", "all", "--q", "13", "--H", "13", "--V", "7,13",
+     "--format", "json"),
+], ids=["construct", "sweep"])
+def test_formula_mode_builds_no_generator_matrix(capsys, request, argv):
+    rc, expected, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    request.getfixturevalue("no_generator_matrices")
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert out == expected
+    if argv[0] == "sweep":
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows and all(row["oracle"] is None for row in rows)
+
+
 def test_argparse_error_is_exit_2(capsys):
     rc, _, _ = run_cli(capsys, "construct", "--preset", "nope")
     assert rc == 2

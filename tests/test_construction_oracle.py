@@ -1,15 +1,21 @@
 """Definition-level construction, kept as the oracle for build_code.
 
-build_code evaluates monomials as outer products of axis power tables,
-gets the witness from axis vanishing products and proves the twisted
-duality with one orthogonality product.  The code here is the definition
-it replaced: every monomial evaluated point by point, the witness
+build_code proves a record's dimension, twisted duality and witness from
+per-axis data and builds the generator matrices only when they are read.
+Two older constructions are kept here.  `oracle_record` is the
+definition: every monomial evaluated point by point, the witness
 polynomial expanded and evaluated, the row-by-row RREF, and the duality
 checked by comparing the full Euclidean dual with the rescaled mirror
-code.  Both must give the same records entry for entry.
+code.  `matrix_proof` is the proof build_code ran before it worked on the
+axes: two n-column RREFs, one orthogonality product G diag(w) G*^T and
+two row-space reductions of the witness.  Records must agree with both
+entry for entry, and on corrupted inputs the matrix proof and build_code
+must raise the same error class.
 """
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlrc import (
-    GridCodeRecord,
+    DeltaParams,
+    GridParams,
     LinearCode,
     Monomial,
     build_code,
@@ -25,6 +32,7 @@ from qlrc import (
     coset_distance_formula,
     delta_perp_set,
     delta_set,
+    from_spanning_set,
     impurity_predicate,
     in_row_space,
     locality_formula,
@@ -39,10 +47,17 @@ from qlrc import (
     weight,
     zero_code,
 )
+from qlrc import grid_codes
 from qlrc.cli import PRESETS
-from qlrc.errors import ExponentOutOfRange
+from qlrc.errors import (
+    DualityViolated,
+    ExponentOutOfRange,
+    InjectivityViolated,
+    InternalCheckError,
+    WitnessFailed,
+)
 from qlrc.gf import split_prime_power
-from qlrc.linear_codes import _rref
+from qlrc.linear_codes import _rref, inner_products
 
 # -- the definition-level construction ----------------------------------------
 
@@ -174,6 +189,31 @@ def _dual(code):
     return LinearCode(field, n, R, pivots)
 
 
+class OracleRecord(NamedTuple):
+    """The fields of a GridCodeRecord, with k taken from the RREF rank."""
+
+    grid: GridParams
+    dp: DeltaParams
+    delta: tuple
+    delta_perp: tuple
+    code: LinearCode
+    mirror_code: LinearCode
+    plain_dual: bool
+    d_formula: int
+    coset_d_formula: int
+    locality: tuple
+    impure: bool
+    witness: np.ndarray
+
+    @property
+    def n(self):
+        return self.grid.n
+
+    @property
+    def k(self):
+        return self.code.k
+
+
 def oracle_record(grid, dp):
     """The record by definition; every self-check is an assertion."""
     H, V, field = grid.H, grid.V, grid.field
@@ -199,13 +239,60 @@ def oracle_record(grid, dp):
     assert weight(wit) == coset_d
     assert in_row_space(code, wit)
     assert not in_row_space(mirror, wit)
-    return GridCodeRecord(
+    return OracleRecord(
         grid=grid, dp=dp, delta=delta, delta_perp=perp, code=code,
         mirror_code=mirror,
         plain_dual=(H % field.p == 0) and (V % field.p == 0),
         d_formula=min_distance_formula(H, V, a, b), coset_d_formula=coset_d,
         locality=locality_formula(H, V, a, b),
         impure=impurity_predicate(H, V, a, b), witness=wit)
+
+
+def matrix_proof(grid, dp):
+    """build_code's checks as generator-matrix computations.
+
+    The monomial sets, the axis points, the twist and the vanishing values
+    come from the grid_codes functions, looked up at call time, so a test
+    that corrupts one of them corrupts this proof and build_code alike.  Returns the
+    code, the mirror code and the witness; a failed check raises the error
+    build_code raises for it.
+    """
+    H, V, field = grid.H, grid.V, grid.field
+    a, b = dp.a, dp.b
+    where = grid_codes.instance_label(grid, dp)
+    delta = tuple(sorted(grid_codes.delta_set(H, V, a, b), key=lambda m: (m.j, m.i)))
+    perp = tuple(sorted(grid_codes.delta_perp_set(H, V, a, b), key=lambda m: (m.j, m.i)))
+    xs = grid_codes._axis_points(field, H)
+    ys = grid_codes._axis_points(field, V)
+    X = grid_codes._power_table(field, xs)
+    Y = grid_codes._power_table(field, ys)
+
+    code = from_spanning_set(field, grid_codes._evaluation_rows(field, X, Y, delta))
+    if code.k != len(delta):
+        raise InjectivityViolated(f"{where} dim {code.k} != |Delta| {len(delta)}")
+    mirror = from_spanning_set(field, grid_codes._evaluation_rows(field, X, Y, perp))
+    if mirror.k != len(perp):
+        raise InjectivityViolated(f"{where} dim {mirror.k} != |Delta*| {len(perp)}")
+
+    if not set(perp) <= set(delta):
+        raise DualityViolated(f"{where} Delta* is not contained in Delta")
+    if len(delta) + len(perp) != grid.n:
+        raise DualityViolated(f"{where} |Delta| + |Delta*| != n")
+    w = grid_codes.twist_vector(grid)
+    twisted = field.vmul(w[None, :], mirror.generator)
+    if not w.all() or inner_products(field, code.generator, twisted).any():
+        raise DualityViolated(f"{where} G diag(w) G*^T != 0")
+
+    wit = grid_codes._outer(
+        field, grid_codes._vanishing_values(field, xs, math.floor(grid.h + a)),
+        grid_codes._vanishing_values(field, ys, math.floor(grid.v + b)))
+    if weight(wit) != coset_distance_formula(H, V, a, b):
+        raise WitnessFailed(f"{where} witness weight {weight(wit)}")
+    if not in_row_space(code, wit):
+        raise WitnessFailed(f"{where} witness vector is not a codeword")
+    if in_row_space(mirror, wit):
+        raise WitnessFailed(f"{where} witness vector fell inside the mirror code")
+    return code, mirror, wit
 
 
 # -- instances ------------------------------------------------------------------
@@ -224,21 +311,25 @@ LADDER_ENDS = tuple(sorted({
     for q, H, V in CONSTRUCT_GRIDS for pick in (min, max)}))
 
 
-def _cases():
-    for name in ("ex1", "ex1e", "rem3"):
-        c = PRESETS[name]
-        yield pytest.param(c["q"], c["H"], c["V"], c["a"], c["b"], c["modulus"],
-                           c["alpha"], id=name)
-    for inst in CRITERION_5 + LADDER_ENDS:
-        yield pytest.param(*inst, None, None, id=",".join(map(str, inst)))
+INSTANCES = tuple(
+    (c["q"], c["H"], c["V"], c["a"], c["b"], c["modulus"], c["alpha"])
+    for c in (PRESETS[name] for name in ("ex1", "ex1e", "rem3"))
+) + tuple(inst + (None, None) for inst in CRITERION_5 + LADDER_ENDS)
+_IDS = ("ex1", "ex1e", "rem3") + tuple(",".join(map(str, inst[:5])) for inst in INSTANCES[3:])
 
 
-@pytest.mark.parametrize("q, H, V, a, b, modulus, alpha", list(_cases()))
-def test_build_code_matches_definition(q, H, V, a, b, modulus, alpha):
+@functools.lru_cache(maxsize=None)
+def _grid_and_dp(q, H, V, a, b, modulus, alpha):
     field = make_field(*split_prime_power(q), modulus=modulus, primitive=alpha)
     grid = make_grid_params(H, V, field)
-    dp = make_delta_params(grid, a, b)
+    return grid, make_delta_params(grid, a, b)
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=_IDS)
+def test_build_code_matches_definition(inst):
+    grid, dp = _grid_and_dp(*inst)
     new = build_code(grid, dp)
+    assert "code" not in vars(new) and "mirror_code" not in vars(new)
     old = oracle_record(grid, dp)
     assert np.array_equal(new.code.generator, old.code.generator)
     assert new.code.pivots == old.code.pivots
@@ -247,6 +338,117 @@ def test_build_code_matches_definition(q, H, V, a, b, modulus, alpha):
     assert np.array_equal(twist_vector(grid), twist_by_point(grid))
     assert new.plain_dual == old.plain_dual
     assert record_to_json(new) == record_to_json(old)
+
+    code, mirror, wit = matrix_proof(grid, dp)
+    assert np.array_equal(new.code.generator, code.generator)
+    assert new.code.pivots == code.pivots
+    assert np.array_equal(new.mirror_code.generator, mirror.generator)
+    assert np.array_equal(new.witness, wit)
+
+
+# -- corrupted inputs: build_code and the matrix proof fail alike -------------
+
+
+def _edited(edit):
+    """A patch for a grid_codes function: its result, copied and edited in place."""
+    def patch(original):
+        def changed(*args):
+            out = original(*args).copy()
+            edit(args, out)
+            return out
+
+        return changed
+
+    return patch
+
+
+def _outcome(prove, grid, dp):
+    """None if `prove` passes, else the class of the error it raised."""
+    try:
+        prove(grid, dp)
+    except InternalCheckError as exc:
+        assert str(exc).startswith(grid_codes.instance_label(grid, dp))
+        return type(exc)
+    return None
+
+
+@st.composite
+def corruptions(draw):
+    """An instance, one corruption of it and the error it must raise."""
+    grid, dp = _grid_and_dp(*draw(st.sampled_from(INSTANCES)))
+    field = grid.field
+    kind = draw(st.sampled_from(("twist", "vanishing", "axis", "mirror")))
+    if kind == "twist":
+        t = draw(st.integers(0, grid.n - 1))
+        unit = draw(st.integers(2, field.q - 1))  # encoding 1 is the field's one
+
+        def change(args, w):
+            w[t] = field.mul(int(w[t]), unit)
+
+        return grid, dp, "twist_vector", _edited(change), DualityViolated
+    if kind == "vanishing":
+        N = draw(st.sampled_from((grid.H, grid.V)))
+        s = draw(st.integers(0, N - 1))
+        shift = draw(st.integers(1, field.q - 1))
+
+        def change(args, values):
+            if len(args[1]) == N:
+                values[s] = (int(values[s]) + shift) % field.q
+
+        return grid, dp, "_vanishing_values", _edited(change), WitnessFailed
+    if kind == "axis":
+        dst, src = draw(st.lists(st.integers(0, grid.H - 1), min_size=2, max_size=2,
+                                 unique=True))
+
+        def change(args, pts):
+            if args[1] == grid.H:
+                pts[dst] = pts[src]
+
+        return grid, dp, "_axis_points", _edited(change), InjectivityViolated
+    # One mirror band one monomial deeper, paid for by the top of the last
+    # full band: Delta* stays inside Delta, keeps its size and its prefix
+    # bands, and only the orthogonality can fail.
+    perp = delta_perp_set(grid.H, grid.V, dp.a, dp.b)
+    tops = {j: max(m.i for m in perp if m.j == j) for j in {m.j for m in perp}}
+    j = draw(st.sampled_from(sorted(j for j, top in tops.items() if top < grid.H - 1)))
+    full = max(j for j, top in tops.items() if top == grid.H - 1)
+
+    moved, added = Monomial(grid.H - 1, full), Monomial(tops[j] + 1, j)
+
+    def patch(original):
+        def deeper(*args):
+            return (original(*args) - {moved}) | {added}
+
+        return deeper
+
+    return grid, dp, "delta_perp_set", patch, DualityViolated
+
+
+@settings(max_examples=120, deadline=None)
+@given(corruptions())
+def test_corruptions_fail_both_proofs_alike(case):
+    grid, dp, name, patch, error = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_codes, name, patch(getattr(grid_codes, name)))
+        assert _outcome(build_code, grid, dp) is error
+        assert _outcome(matrix_proof, grid, dp) is error
+
+
+def test_repeated_y_point_fails_the_matrix_proof_on_duality(monkeypatch):
+    # Delta holds no y^(V-1), so its rows keep full rank on V-1 distinct y
+    # values; build_code names the repeated points, the matrix proof only
+    # sees the broken duality.
+    grid, dp = _grid_and_dp(*INSTANCES[0])
+
+    def repeat_last_y(args, pts):
+        if args[1] == grid.V:
+            pts[-1] = pts[-2]
+
+    monkeypatch.setattr(grid_codes, "_axis_points",
+                        _edited(repeat_last_y)(grid_codes._axis_points))
+    with pytest.raises(InjectivityViolated, match="y-axis points repeat"):
+        build_code(grid, dp)
+    assert _outcome(matrix_proof, grid, dp) is DualityViolated
 
 
 # -- RREF: one array step per pivot against the row-by-row loop ----------------

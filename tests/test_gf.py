@@ -160,7 +160,8 @@ def test_vector_ops_match_scalars(p, m):
         assert vs[i] == f.mul(c, int(xs[i]))
 
 
-_VSUB_FIELDS = tuple(make_field(p, m) for p, m in ((2, 1), (7, 1), (3, 2), (2, 4)))
+_VSUB_FIELDS = tuple(make_field(p, m)
+                     for p, m in ((2, 1), (7, 1), (3, 2), (2, 4), (5, 2), (3, 4)))
 
 
 @settings(max_examples=60, deadline=None)

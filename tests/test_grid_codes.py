@@ -1,5 +1,7 @@
 """Grid geometry, the staircase monomial set, and code construction."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from qlrc.errors import (
     ParamRangeViolated,
     WitnessFailed,
 )
+from qlrc.gf import split_prime_power
 
 _SHAPES = [(H, V, a, b)
            for H in range(3, 14)
@@ -223,6 +226,39 @@ def test_build_code_respects_field_choice():
     assert (rec.n, rec.k) == (9, 5)
 
 
+@pytest.mark.parametrize("inst", [(5, 5, 3, 0, 0), (8, 8, 8, 1, 1), (4, 4, 4, 1, 1),
+                                  (25, 9, 9, 2, 3), (27, 14, 3, 6, 0), (13, 13, 13, 0, 5)],
+                         ids=lambda inst: ",".join(map(str, inst)))
+def test_build_code_proves_without_generator_matrices(monkeypatch, no_generator_matrices,
+                                                      inst):
+    q, H, V, a, b = inst
+    lengths = []
+    products = grid_codes.inner_products
+
+    def recorded(field, x, y):
+        lengths.append(x.shape[1])
+        return products(field, x, y)
+
+    monkeypatch.setattr(grid_codes, "inner_products", recorded)
+    rec = build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
+    assert rec.k == len(rec.delta) == delta_size_formula(H, V, a, b)
+    assert lengths and max(lengths) < rec.n  # no product runs along the n coordinates
+    assert "code" not in vars(rec) and "mirror_code" not in vars(rec)
+
+
+@pytest.mark.parametrize("p, m, side, seconds", [(2, 6, 64, 10), (2, 8, 256, 120)],
+                         ids=["q=64", "q=256"])
+def test_large_grids_construct_in_bounded_time(no_generator_matrices, p, m, side, seconds):
+    # the axis proof is O(n (H + V)); row-reducing either generator
+    # matrix here would take minutes
+    field = make_field(p, m)
+    start = time.monotonic()
+    rec = build_grid_record(field, side, side, 2, 2)
+    assert time.monotonic() - start < seconds
+    assert rec.k == delta_size_formula(side, side, 2, 2)
+    assert "code" not in vars(rec) and "mirror_code" not in vars(rec)
+
+
 # -- the construction's self-checks fire on corrupted inputs ------------------
 # Each corruption runs ex1 = (q=5,H=5,V=3,a=0,b=0) through build_code and
 # through the construct command, which must exit 4 and name the instance.
@@ -270,7 +306,7 @@ def _last_entry_doubled(args, values):
 
 @pytest.mark.parametrize("change, match", [
     (_first_entry_one, "witness weight 12 != formula 6"),
-    (_last_entry_doubled, "not a codeword"),
+    (_last_entry_doubled, "not the evaluation of its polynomial"),
 ], ids=["weight", "membership"])
 def test_corrupted_witness_fails(monkeypatch, capsys, change, match):
     _corrupt(monkeypatch, "_vanishing_values", change)
@@ -282,4 +318,4 @@ def test_repeated_axis_point_fails_injectivity(monkeypatch, capsys):
         pts[-1] = pts[-2]
 
     _corrupt(monkeypatch, "_axis_points", change)
-    _assert_construct_fails(capsys, InjectivityViolated, "dropped rank")
+    _assert_construct_fails(capsys, InjectivityViolated, "x-axis points repeat")
