@@ -3,7 +3,8 @@
 
 Runs every named preset through the command line interface: constructions
 with brute-force cross-checks where feasible, the bound tables for the
-derived quantum codes, a locality certificate, and the binary family.
+derived quantum codes, locality certificates by grid columns and by
+exhaustive search, and the binary family.
 """
 
 import argparse
@@ -32,6 +33,9 @@ SECTIONS = [
       "--q", "5", "--r", "2", "--delta", "2", "--bound", "singleton"]),
     ("locality certificate for ex1",
      ["verify-locality", "--preset", "ex1", "--r", "2", "--delta", "2"]),
+    ("locality certificate for ex1 (exhaustive search)",
+     ["verify-locality", "--preset", "ex1", "--r", "2", "--delta", "2",
+      "--strategy", "exhaustive"]),
     ("binary family at m=2",
      ["lemma", "--m", "2"]),
 ]

@@ -21,7 +21,7 @@ from .gf import make_field, split_prime_power
 from .grid_codes import (build_code, instance_label, make_delta_params,
                          make_grid_params, record_to_json)
 from .linear_codes import contains
-from .lrc import certify_locality, heavy_row_check, lemma_family
+from .lrc import certify_grid_lines, certify_locality, heavy_row_check, lemma_family
 from .verifier import SweepSpec, prime_powers, render_rows_table, run_sweep
 
 PRESETS = {
@@ -292,9 +292,11 @@ def _cmd_verify_locality(args) -> int:
     rec = _build_record(args)
     r = args.loc_r if args.loc_r is not None else rec.locality[0]
     delta = args.loc_delta if args.loc_delta is not None else rec.locality[1]
-    with _naming_budget_errors(rec):
-        cert = certify_locality(rec.code, r, delta, strategy=args.strategy,
-                                grid_record=rec, budget=args.budget)
+    if args.strategy == "grid_lines":
+        cert = certify_grid_lines(rec, r, delta)
+    else:
+        with _naming_budget_errors(rec):
+            cert = certify_locality(rec.code, r, delta, budget=args.budget)
     if args.format == "json":
         _print_json(cert.to_json())
         return 0
@@ -310,7 +312,7 @@ def _cmd_verify_locality(args) -> int:
 def _cmd_lemma(args) -> int:
     fam = lemma_family(args.m)
     heavy = heavy_row_check(fam)
-    cert = certify_locality(fam.code, r=3, delta=2, strategy="exhaustive")
+    cert = certify_locality(fam.code, r=3, delta=2)
     # fam.code is the Euclidean dual of fam.dual_code, so the dual is
     # self-orthogonal exactly when the code contains it.
     self_orth = contains(fam.code, fam.dual_code)

@@ -337,6 +337,14 @@ def instance_label(grid: GridParams, dp: DeltaParams) -> str:
     return f"(q={grid.q},H={grid.H},V={grid.V},a={dp.a},b={dp.b})"
 
 
+def _require_distinct(where: str, axis: str, pts: np.ndarray) -> None:
+    ordered = np.sort(pts)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise InjectivityViolated(
+            f"{where} the grid evaluation map is not injective: "
+            f"the {axis}-axis points repeat")
+
+
 def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     H, V, field = grid.H, grid.V, grid.field
     a, b = dp.a, dp.b
@@ -345,12 +353,8 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     perp = _sorted_monomials(delta_perp_set(H, V, a, b))
     xs = _axis_points(field, H)
     ys = _axis_points(field, V)
-    for axis, pts in (("x", xs), ("y", ys)):
-        ordered = np.sort(pts)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise InjectivityViolated(
-                f"{where} the grid evaluation map is not injective: "
-                f"the {axis}-axis points repeat")
+    _require_distinct(where, "x", xs)
+    _require_distinct(where, "y", ys)
     X = _power_table(field, xs)
     Y = _power_table(field, ys)
 

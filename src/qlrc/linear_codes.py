@@ -159,10 +159,8 @@ def euclidean_dual(code: LinearCode) -> LinearCode:
     if not free:
         return zero_code(field, n)
     rows = np.zeros((len(free), n), dtype=np.int64)
-    for row, f in enumerate(free):
-        rows[row, f] = 1
-        for i, pc in enumerate(code.pivots):
-            rows[row, pc] = field.neg(int(code.generator[i, f]))
+    rows[np.arange(len(free)), free] = 1
+    rows[:, list(code.pivots)] = field.vneg(code.generator[:, free]).T
     R, pivots = _rref(field, rows)
     return LinearCode(field, n, R, pivots)
 

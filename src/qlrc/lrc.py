@@ -6,16 +6,17 @@ r + delta - 1 containing it whose punctured (projected) code C|_S has
 minimum distance at least delta.  Every distance in a certificate is
 proved, not claimed:
 
-* exhaustive: the column blocks G[:, S] of many candidate sets are
-  row-reduced together.  Rank 0 makes C|_S the zero code, which repairs
-  trivially; rank |S| makes it the whole space, of distance 1; any other
-  set has the q^rank words of its reduced rows enumerated, and its
-  distance is their least positive weight.
-* grid_lines: on a fixed-x column of the grid, C(Delta) evaluates the
-  polynomials in y of degree at most J = max{j : x^i y^j in Delta} at V
-  distinct points, a Reed-Solomon code.  Once the column has rank J + 1,
-  its distance is V - J because the code is MDS, and nothing is
-  enumerated.
+* exhaustive (certify_locality): the column blocks G[:, S] of many
+  candidate sets are row-reduced together.  Rank 0 makes C|_S the zero
+  code, which repairs trivially; rank |S| makes it the whole space, of
+  distance 1; any other set has the q^rank words of its reduced rows
+  enumerated, and its distance is their least positive weight.
+* grid_lines (certify_grid_lines): on the column x = x_s of the grid,
+  sum c_ij x^i y^j is the polynomial sum_j (sum_i c_ij x_s^i) y^j at the V
+  y-axis points.  With distinct y points the column's rank is the number
+  of j with some x^i y^j in Delta and x_s^i != 0.  At rank J + 1, J =
+  max{j : x^i y^j in Delta}, it is a Reed-Solomon code, MDS, of distance
+  V - J; no matrix is formed and no word enumerated.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     InjectivityViolated,
-    InvalidParameter,
     NotLocallyRecoverable,
     ParamRangeViolated,
     SearchBudgetExceeded,
     ZeroLocality,
 )
 from .gf import FieldSpec, make_field
-from .grid_codes import GridCodeRecord, instance_label
+from .grid_codes import GridCodeRecord, _exponent_mask, _require_distinct, instance_label
 from .linear_codes import (
     LinearCode,
     _encode_block,
@@ -162,58 +162,49 @@ def _validate_rd(r: int, delta: int) -> None:
         raise ParamRangeViolated(f"need delta >= 2, got {delta}")
 
 
+def certify_grid_lines(rec: GridCodeRecord, r: int, delta: int) -> LocalityCertificate:
+    """Certify rec's C(Delta) with the grid columns as repair sets, from
+    Delta and the axis points alone (module docstring); repeated y points
+    or a column rank other than J + 1 raise InjectivityViolated."""
+    _validate_rd(r, delta)
+    size_cap = r + delta - 1
+    H, V = rec.grid.H, rec.grid.V
+    if V > size_cap:
+        raise NotLocallyRecoverable(
+            f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
+    where = instance_label(rec.grid, rec.dp)
+    X, Y = rec.powers
+    _require_distinct(where, "y", Y[:, 1])
+    J = max(mono.j for mono in rec.delta)
+    rank = ((X[:, :H] != 0) @ _exponent_mask(H, V, rec.delta)).sum(axis=1)
+    bad = np.flatnonzero(rank != J + 1)
+    if bad.size:
+        raise InjectivityViolated(
+            f"{where} grid column {bad[0]} has rank {rank[bad[0]]}, not J+1 = {J + 1}")
+    if V - J < delta:
+        raise NotLocallyRecoverable(
+            f"column through coordinate 0 has punctured distance {V - J} < {delta}")
+    columns = np.arange(H * V).reshape(H, V)
+    entries = [LocalityEntry(t, tuple(columns[t // V].tolist()), V - J)
+               for t in range(H * V)]
+    return LocalityCertificate(r, delta, "grid_lines", tuple(entries))
+
+
 def certify_locality(code: LinearCode, r: int, delta: int,
-                     strategy: str = "exhaustive",
-                     grid_record: GridCodeRecord | None = None,
                      budget: int | None = None,
                      search_budget: int = _SEARCH_BUDGET) -> LocalityCertificate:
-    """Certify (r, delta)-locality coordinate by coordinate.
+    """Certify (r, delta)-locality coordinate by coordinate, exhaustively.
 
-    grid_lines uses the fixed-x columns of the grid as repair sets and
-    certifies only grid_record.code: each column must have rank J + 1
-    (InjectivityViolated otherwise), and then has distance V - J by the
-    Reed-Solomon argument of the module docstring.  exhaustive scans
-    candidate sets smallest-size-first, lexicographic within a size, takes
-    the first whose punctured distance is at least delta, and proves
-    NotLocallyRecoverable when the scan finds nothing.  A set's distance
-    comes from its rank alone when the rank is 0 or |S|, and otherwise from
-    enumerating its q^rank words; `budget` caps that enumeration, so it
-    applies to exhaustive only, and `search_budget` caps the candidates per
-    coordinate.
+    Candidate sets are scanned smallest-size-first, lexicographic within a
+    size; the first whose punctured distance is at least delta repairs the
+    coordinate, and NotLocallyRecoverable is proved when the scan finds
+    nothing.  A set's distance comes from its rank alone when the rank is 0
+    or |S|, and otherwise from enumerating its q^rank words; `budget` caps
+    that enumeration and `search_budget` the candidates per coordinate.
     """
     _validate_rd(r, delta)
     size_cap = r + delta - 1
     field, gen = code.field, code.generator
-    if strategy == "grid_lines":
-        rec = grid_record
-        if rec is None:
-            raise InvalidParameter("grid_lines strategy needs a grid record")
-        if code != rec.code:
-            raise InvalidParameter("grid_lines certifies only the grid record's own code")
-        H, V = rec.grid.H, rec.grid.V
-        if V > size_cap:
-            raise NotLocallyRecoverable(
-                f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
-        J = max(mono.j for mono in rec.delta)
-        columns = np.arange(H * V).reshape(H, V)
-        per = max(1, _BATCH_CELLS // max(1, code.k * V))
-        rank = np.concatenate([_reduce(field, gen[:, columns[i:i + per]].transpose(1, 0, 2))
-                               for i in range(0, H, per)])
-        bad = np.flatnonzero(rank != J + 1)
-        if bad.size:
-            raise InjectivityViolated(
-                f"{instance_label(rec.grid, rec.dp)} grid column {bad[0]} has rank "
-                f"{rank[bad[0]]}, not J+1 = {J + 1}")
-        if V - J < delta:
-            raise NotLocallyRecoverable(
-                f"column through coordinate 0 has punctured distance {V - J} < {delta}")
-        entries = [LocalityEntry(t, tuple(columns[t // V].tolist()), V - J)
-                   for t in range(H * V)]
-        return LocalityCertificate(r, delta, strategy, tuple(entries))
-
-    if strategy != "exhaustive":
-        raise InvalidParameter(f"unknown strategy {strategy!r}")
-
     n = code.n
     entries = []
     for t in range(n):
@@ -240,7 +231,7 @@ def certify_locality(code: LinearCode, r: int, delta: int,
                 f"coordinate {t} admits no repair set of size <= {size_cap} "
                 f"with punctured distance >= {delta}")
         entries.append(LocalityEntry(t, *found))
-    return LocalityCertificate(r, delta, strategy, tuple(entries))
+    return LocalityCertificate(r, delta, "exhaustive", tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ Modes:
   rem_valid   H, V odd, b = 0: gg / luo / sphere-packing all hold
   all         every valid instance in range; reports every bound and applies
               each theorem layer on its hypothesis-matching subset
+
+Every mode but all keeps only the b = 0 instances of its range.
 """
 
 from __future__ import annotations
@@ -392,12 +394,10 @@ def _instances(spec: SweepSpec) -> tuple[list, int]:
                           if spec.a_values is not None else list(a_all))
                 if spec.mode == "thm5":
                     a_vals = [a for a in a_vals if a == 0]
-                if spec.mode == "all" and spec.b_values is None:
-                    b_vals = list(b_all)
-                elif spec.b_values is not None:
-                    b_vals = [b for b in spec.b_values if b in b_all]
-                else:
-                    b_vals = [0] if 0 in b_all else []
+                b_vals = ([b for b in spec.b_values if b in b_all]
+                          if spec.b_values is not None else list(b_all))
+                if spec.mode != "all":
+                    b_vals = [b for b in b_vals if b == 0]
                 for a in a_vals:
                     for b in b_vals:
                         out.append((q, H, V, a, b))

@@ -2,9 +2,8 @@ import dataclasses
 
 import pytest
 
-from qlrc import build_code, from_spanning_set, make_delta_params, make_field, make_grid_params
+from qlrc import build_code, make_delta_params, make_field, make_grid_params
 from qlrc import grid_codes, linear_codes
-from qlrc.grid_codes import _evaluation_rows
 
 
 @pytest.fixture(scope="session")
@@ -69,18 +68,14 @@ def grid55_record(gf5):
 
 @pytest.fixture(scope="session")
 def without_top_band():
-    """A record's copy whose C(Delta) lost the monomials of its top y-degree J.
+    """A record's copy whose Delta lost x^0 y^J, J its top y-degree.
 
-    The copy's lazy `code` is filled in ahead of its first read, so every
-    consumer of the copy sees the broken code.
+    Column 0 sits at x = 0, where only the monomials x^0 y^j survive, so
+    that column's rank drops to J.
     """
     def drop(rec):
-        field = rec.grid.field
         J = max(mono.j for mono in rec.delta)
-        rows = _evaluation_rows(field, *rec.powers, [mono for mono in rec.delta if mono.j < J])
-        broken = dataclasses.replace(rec)
-        object.__setattr__(broken, "code", from_spanning_set(field, list(rows)))
-        return broken
+        return dataclasses.replace(rec, delta=tuple(m for m in rec.delta if m != (0, J)))
 
     return drop
 

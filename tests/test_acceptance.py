@@ -55,7 +55,7 @@ def test_criterion_1_ex1_bruteforce(capsys):
     assert css["source"]["oracle_agreement"] == {"d": True, "coset_d": True}
 
     rec = build_grid_record(make_field(5), 5, 3, 0, 0)
-    cert = certify_locality(rec.code, 2, 2, strategy="exhaustive")
+    cert = certify_locality(rec.code, 2, 2)
     assert len(cert.entries) == 15
     assert sorted(e.coordinate for e in cert.entries) == list(range(15))
     for entry in cert.entries:
@@ -221,7 +221,7 @@ def test_criterion_7_lemma_family():
         assert fam.dual_code.k == m + 1
         assert euclidean_dual(fam.code) == fam.dual_code
         assert contains(fam.code, fam.dual_code)  # dual self-orthogonal
-        cert = certify_locality(fam.code, 3, 2, strategy="exhaustive")
+        cert = certify_locality(fam.code, 3, 2)
         assert sorted(e.coordinate for e in cert.entries) == list(range(4 * m))
         heavy = heavy_row_check(fam)
         assert (heavy.min_weight, heavy.max_weight) == (2 * m, 2 * m)

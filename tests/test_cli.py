@@ -3,11 +3,12 @@
 import importlib.util
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
-from qlrc import BoundInput, cli, sphere_packing_like
+from qlrc import BoundInput, cli, lrc, sphere_packing_like
 from qlrc.gf import field_from_json
 from qlrc.linear_codes import code_from_json, code_to_json
 
@@ -103,15 +104,24 @@ def test_verify_locality_budget_error_names_the_instance(capsys, strategy):
     assert "exceeds budget 10" in err
 
 
-@pytest.mark.parametrize("inst", [(5, 5, 3, 0, 0), (9, 9, 9, 3, 3), (16, 16, 16, 7, 7)],
+@pytest.mark.parametrize("inst", [(5, 5, 3, 0, 0), (9, 9, 9, 3, 3), (16, 16, 16, 7, 7),
+                                  (64, 64, 64, 2, 2)],
                          ids=lambda inst: ",".join(map(str, inst)))
-def test_verify_locality_grid_lines_enumerates_nothing(capsys, inst):
-    # column distances come from the Reed-Solomon argument, so no budget
-    # applies; (9,9,9,3,3) would enumerate 9^8 words per column
+def test_verify_locality_grid_lines_enumerates_nothing(capsys, monkeypatch, inst,
+                                                       no_generator_matrices):
+    # column distances come from the Reed-Solomon argument and the column
+    # ranks from Delta, so no budget applies and no matrix is reduced;
+    # (9,9,9,3,3) would enumerate 9^8 words per column
+    def refuse(*args):
+        raise AssertionError("a column block was row-reduced")
+
+    monkeypatch.setattr(lrc, "_reduce", refuse)
     q, H, V, a, b = inst
+    start = time.monotonic()
     rc, out, err = run_cli(capsys, "verify-locality", "--q", str(q), "--H", str(H),
                            "--V", str(V), "--a", str(a), "--b", str(b),
                            "--budget", "10", "--format", "json")
+    assert time.monotonic() - start < 10
     assert rc == 0, err
     entries = json.loads(out)
     assert len(entries) == H * V
@@ -213,6 +223,16 @@ def test_sweep_failure_exit(capsys, monkeypatch):
     assert "FAIL" in err2
 
 
+@pytest.mark.parametrize("mode", ["thm3", "prop_impure", "rem_valid"])
+def test_theorem_sweeps_keep_only_b_0(capsys, mode):
+    # the theorems assume b = 0; only --mode all sweeps other b values
+    rc, out, err = run_cli(capsys, "sweep", "--mode", mode, "--q", "5", "--V", "5",
+                           "--b", "0,1", "--format", "json")
+    assert rc == 0, err
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows and {row["b"] for row in rows} == {0}
+
+
 def test_verify_locality_table(capsys):
     rc, out, _ = run_cli(capsys, "verify-locality", "--preset", "ex1",
                          "--r", "2", "--delta", "2")
@@ -305,6 +325,8 @@ def test_reproduce_examples_script(capsys, fmt):
     assert script.main(["--format", fmt]) == 0
     out = capsys.readouterr().out
     assert out.count("== ") == len(script.SECTIONS)
+    if fmt == "table":
+        assert "strategy=grid_lines" in out and "strategy=exhaustive" in out
 
 
 def _readme_commands():

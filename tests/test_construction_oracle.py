@@ -32,6 +32,7 @@ from qlrc import (
     coset_distance_formula,
     delta_perp_set,
     delta_set,
+    euclidean_dual,
     from_spanning_set,
     impurity_predicate,
     in_row_space,
@@ -495,6 +496,16 @@ def test_rref_matches_row_loop(case):
     R_old, piv_old = rref_rows(field, M)
     assert piv_new == piv_old
     assert np.array_equal(R_new, R_old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_euclidean_dual_matches_row_loop(case):
+    field, M = case
+    code = from_spanning_set(field, list(M))
+    new, old = euclidean_dual(code), _dual(code)
+    assert new.pivots == old.pivots
+    assert np.array_equal(new.generator, old.generator)
 
 
 # -- the definition-level helpers on known values ------------------------------

@@ -1,13 +1,17 @@
 """Definition-level locality certification, kept as the oracle for the
-batched rank/enumeration path in qlrc.lrc.
+batched rank/enumeration path and the closed-form grid-column ranks in
+qlrc.lrc.
 
-The code here is the scan it replaced: one candidate repair set at a time,
-one RREF and one brute-force distance per set (a bit-packed span walk on
-GF(2)), and, for grid_lines, a brute-force distance per grid column.  Both
-must give the same certificate, byte for byte, or the same error.
+The code here is what those paths replaced: one candidate repair set at a
+time, one RREF and one brute-force distance per set (a bit-packed span
+walk on GF(2)); for grid_lines, a brute-force distance per grid column,
+and the column ranks of the row-reduced generator matrix.  Each must give
+the same certificate, byte for byte, or the same error.
 """
 
+import dataclasses
 import json
+import re
 from functools import cache
 from itertools import combinations
 from unittest import mock
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 from qlrc import (
     build_grid_record,
+    certify_grid_lines,
     certify_locality,
     from_spanning_set,
     full_code,
@@ -30,11 +35,13 @@ from qlrc import (
     zero_code,
 )
 from qlrc.errors import (
+    InjectivityViolated,
     NotLocallyRecoverable,
     QlrcError,
     SearchBudgetExceeded,
 )
 from qlrc.gf import split_prime_power
+from qlrc.grid_codes import instance_label
 from qlrc.linear_codes import LinearCode, _rref, min_distance_bruteforce
 from qlrc.lrc import LocalityCertificate, LocalityEntry, _validate_rd
 from qlrc.verifier import prime_powers
@@ -149,6 +156,39 @@ def oracle_grid_lines(rec, r, delta):
     return LocalityCertificate(r, delta, "grid_lines", tuple(entries))
 
 
+def oracle_grid_ranks(rec, r, delta):
+    """grid_lines by the ranks of the generator's column blocks.
+
+    Delta has no y^(V-1), so a repeated y point leaves every column's rank
+    at J + 1; the y-axis Vandermonde matrix is reduced first, and must have
+    rank V, for the same reason the closed form checks distinct points.
+    """
+    _validate_rd(r, delta)
+    size_cap = r + delta - 1
+    H, V = rec.grid.H, rec.grid.V
+    if V > size_cap:
+        raise NotLocallyRecoverable(
+            f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
+    where = instance_label(rec.grid, rec.dp)
+    field, code = rec.grid.field, rec.code
+    vandermonde = rec.powers[1][None, :, :V].copy()
+    if lrc._reduce(field, vandermonde)[0] != V:
+        raise InjectivityViolated(f"{where} the y-axis Vandermonde matrix is singular")
+    J = max(mono.j for mono in rec.delta)
+    columns = np.arange(H * V).reshape(H, V)
+    rank = lrc._reduce(field, code.generator[:, columns].transpose(1, 0, 2))
+    bad = np.flatnonzero(rank != J + 1)
+    if bad.size:
+        raise InjectivityViolated(
+            f"{where} grid column {bad[0]} has rank {rank[bad[0]]}, not J+1 = {J + 1}")
+    if V - J < delta:
+        raise NotLocallyRecoverable(
+            f"column through coordinate 0 has punctured distance {V - J} < {delta}")
+    entries = [LocalityEntry(t, tuple(columns[t // V].tolist()), V - J)
+               for t in range(H * V)]
+    return LocalityCertificate(r, delta, "grid_lines", tuple(entries))
+
+
 def outcome(certify):
     """The certificate as JSON text, or the error's type and message."""
     try:
@@ -161,7 +201,7 @@ def outcome(certify):
 def assert_exhaustive_agrees(code, r, delta, cells=None, gf2_walk=True, **kw):
     expected = outcome(lambda: oracle_exhaustive(code, r, delta, gf2_walk=gf2_walk, **kw))
     with mock.patch.object(lrc, "_BATCH_CELLS", cells or lrc._BATCH_CELLS):
-        got = outcome(lambda: certify_locality(code, r, delta, "exhaustive", **kw))
+        got = outcome(lambda: certify_locality(code, r, delta, **kw))
     assert got == expected
     return got
 
@@ -294,14 +334,54 @@ def _record(q, H, V, a, b):
     return build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
 
 
-@pytest.mark.parametrize("inst", _grid_instances(),
+_GRID_INSTANCES = _grid_instances()
+
+
+@pytest.mark.parametrize("inst", _GRID_INSTANCES,
                          ids=lambda inst: ",".join(map(str, inst)))
-def test_grid_lines_match_column_enumeration(inst):
+def test_grid_lines_match_column_enumeration(inst, without_top_band):
     rec = _record(*inst)
     r, delta = rec.locality
     J = max(mono.j for mono in rec.delta)
     # the closed-form locality, and one delta past the column distance V - J
     for r, delta in ((r, delta), (max(1, J), rec.grid.V - J + 1)):
         expected = outcome(lambda: oracle_grid_lines(rec, r, delta))
-        got = outcome(lambda: certify_locality(rec.code, r, delta, "grid_lines", rec))
+        got = outcome(lambda: certify_grid_lines(rec, r, delta))
         assert got == expected
+        assert outcome(lambda: oracle_grid_ranks(rec, r, delta)) == expected
+    broken = without_top_band(rec)
+    r, delta = rec.locality
+    assert (outcome(lambda: certify_grid_lines(broken, r, delta))
+            == outcome(lambda: oracle_grid_ranks(broken, r, delta)))
+
+
+@st.composite
+def column_corruptions(draw):
+    """A grid record with one monomial x^0 y^j, one band j < J, or one
+    y-axis point taken away."""
+    rec = _record(*draw(st.sampled_from(_GRID_INSTANCES)))
+    J = max(mono.j for mono in rec.delta)
+    kind = draw(st.sampled_from(("monomial", "band", "y point")))
+    if kind == "y point":
+        dst, src = draw(st.lists(st.integers(0, rec.grid.V - 1), min_size=2, max_size=2,
+                                 unique=True))
+        X, Y = rec.powers
+        Y = Y.copy()
+        Y[dst] = Y[src]
+        return dataclasses.replace(rec, powers=(X, Y))
+    j = draw(st.integers(0, J if kind == "monomial" else J - 1))
+    if kind == "monomial":
+        kept = [m for m in rec.delta if m != (0, j)]
+    else:
+        kept = [m for m in rec.delta if m.j != j]
+    return dataclasses.replace(rec, delta=tuple(kept))
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_corruptions())
+def test_corruptions_fail_both_column_proofs_alike(broken):
+    r, delta = broken.locality
+    where = instance_label(broken.grid, broken.dp)
+    for certify in (certify_grid_lines, oracle_grid_ranks):
+        with pytest.raises(InjectivityViolated, match="^" + re.escape(where)):
+            certify(broken, r, delta)

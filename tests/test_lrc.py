@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qlrc import (
+    certify_grid_lines,
     certify_locality,
     contains,
     euclidean_dual,
@@ -16,7 +17,6 @@ from qlrc import (
 from qlrc.errors import (
     BudgetExceeded,
     InjectivityViolated,
-    InvalidParameter,
     NotLocallyRecoverable,
     ParamRangeViolated,
     SearchBudgetExceeded,
@@ -29,15 +29,14 @@ def test_parameter_validation(ex1_record):
         certify_locality(ex1_record.code, 0, 2)
     with pytest.raises(ParamRangeViolated):
         certify_locality(ex1_record.code, 2, 1)
-    with pytest.raises(InvalidParameter):
-        certify_locality(ex1_record.code, 2, 2, strategy="grid_lines")
-    with pytest.raises(InvalidParameter):
-        certify_locality(ex1_record.code, 2, 2, strategy="mystery")
+    with pytest.raises(ZeroLocality):
+        certify_grid_lines(ex1_record, 0, 2)
+    with pytest.raises(ParamRangeViolated):
+        certify_grid_lines(ex1_record, 2, 1)
 
 
 def test_grid_lines_ex1(ex1_record):
-    cert = certify_locality(ex1_record.code, 2, 2, strategy="grid_lines",
-                            grid_record=ex1_record)
+    cert = certify_grid_lines(ex1_record, 2, 2)
     assert len(cert.entries) == 15
     assert [e.coordinate for e in cert.entries] == list(range(15))
     for e in cert.entries:
@@ -47,8 +46,7 @@ def test_grid_lines_ex1(ex1_record):
 
 
 def test_grid_lines_ex1e(ex1e_record):
-    cert = certify_locality(ex1e_record.code, 5, 4, strategy="grid_lines",
-                            grid_record=ex1e_record)
+    cert = certify_grid_lines(ex1e_record, 5, 4)
     assert len(cert.entries) == 64
     assert all(e.punctured_distance == 4 for e in cert.entries)
     assert all(len(e.repair_set) == 8 for e in cert.entries)
@@ -56,12 +54,11 @@ def test_grid_lines_ex1e(ex1e_record):
 
 def test_grid_lines_column_too_wide(ex1e_record):
     with pytest.raises(NotLocallyRecoverable):
-        certify_locality(ex1e_record.code, 2, 2, strategy="grid_lines",
-                         grid_record=ex1e_record)
+        certify_grid_lines(ex1e_record, 2, 2)
 
 
 def test_exhaustive_matches_grid_lines_on_ex1(ex1_record):
-    cert = certify_locality(ex1_record.code, 2, 2, strategy="exhaustive")
+    cert = certify_locality(ex1_record.code, 2, 2)
     assert len(cert.entries) == 15
     for e in cert.entries:
         assert len(e.repair_set) <= 3
@@ -70,7 +67,7 @@ def test_exhaustive_matches_grid_lines_on_ex1(ex1_record):
 
 def test_exhaustive_lemma_m2_finds_blocks():
     fam = lemma_family(2)
-    cert = certify_locality(fam.code, 3, 2, strategy="exhaustive")
+    cert = certify_locality(fam.code, 3, 2)
     first = cert.entries[0]
     assert first.coordinate == 0
     assert first.repair_set == (0, 1, 2, 3)
@@ -79,18 +76,16 @@ def test_exhaustive_lemma_m2_finds_blocks():
 
 def test_full_space_is_not_locally_recoverable(gf2):
     with pytest.raises(NotLocallyRecoverable):
-        certify_locality(full_code(gf2, 6), 3, 2, strategy="exhaustive")
+        certify_locality(full_code(gf2, 6), 3, 2)
 
 
 def test_search_budget(gf2):
     with pytest.raises(SearchBudgetExceeded):
-        certify_locality(full_code(gf2, 12), 3, 2, strategy="exhaustive",
-                         search_budget=5)
+        certify_locality(full_code(gf2, 12), 3, 2, search_budget=5)
 
 
 def test_certificate_json(ex1_record):
-    cert = certify_locality(ex1_record.code, 2, 2, strategy="grid_lines",
-                            grid_record=ex1_record)
+    cert = certify_grid_lines(ex1_record, 2, 2)
     data = cert.to_json()
     assert isinstance(data, list)
     assert len(data) == 15
@@ -154,7 +149,7 @@ def test_zero_column_counts_as_vacuous(gf3):
     # coordinate 2 is identically zero; any set containing it projects to
     # the zero code there and the certificate records no finite distance
     code = from_spanning_set(gf3, [np.array([1, 1, 0], dtype=np.int64)])
-    cert = certify_locality(code, 2, 2, strategy="exhaustive")
+    cert = certify_locality(code, 2, 2)
     entry = cert.entries[2]
     assert entry.punctured_distance is None
 
@@ -163,13 +158,7 @@ def test_grid_lines_column_rank_must_be_J_plus_1(ex1_record, without_top_band):
     broken = without_top_band(ex1_record)
     with pytest.raises(InjectivityViolated, match=(
             r"^\(q=5,H=5,V=3,a=0,b=0\) grid column 0 has rank 1, not J\+1 = 2$")):
-        certify_locality(broken.code, 2, 2, strategy="grid_lines", grid_record=broken)
-
-
-def test_grid_lines_certifies_only_the_record_code(ex1_record):
-    with pytest.raises(InvalidParameter, match="record's own code"):
-        certify_locality(ex1_record.mirror_code, 2, 2, strategy="grid_lines",
-                         grid_record=ex1_record)
+        certify_grid_lines(broken, 2, 2)
 
 
 def test_grid_lines_reports_the_column_distance(ex1_record):
@@ -177,5 +166,4 @@ def test_grid_lines_reports_the_column_distance(ex1_record):
     for r, delta in ((1, 3), (1, 4)):
         with pytest.raises(NotLocallyRecoverable, match=(
                 rf"^column through coordinate 0 has punctured distance 2 < {delta}$")):
-            certify_locality(ex1_record.code, r, delta, strategy="grid_lines",
-                             grid_record=ex1_record)
+            certify_grid_lines(ex1_record, r, delta)
