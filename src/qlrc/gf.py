@@ -146,6 +146,12 @@ class FieldSpec:
         log_np[exp_np] = np.arange(self.q - 1, dtype=np.int64)
         object.__setattr__(self, "_exp", exp_np.tolist())
         object.__setattr__(self, "_log", log_np.tolist())
+        if m > 1:
+            # vmul's tables: log 0 is the sentinel 2(q-1), and exp holds the
+            # powers twice over, then 2q zeros, so exp[log x + log y] = x*y
+            # for every x, y, zero included
+            log_np[0] = 2 * (self.q - 1)
+            exp_np = np.concatenate((exp_np, exp_np, np.zeros(2 * self.q, dtype=np.int64)))
         object.__setattr__(self, "_exp_np", exp_np)
         object.__setattr__(self, "_log_np", log_np)
 
@@ -261,10 +267,7 @@ class FieldSpec:
     def vmul(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if self.m == 1:
             return (xs * ys) % self.p
-        mask = (xs != 0) & (ys != 0)
-        idx = (self._log_np[xs] + self._log_np[ys]) % (self.q - 1)
-        out = self._exp_np[idx]
-        return np.where(mask, out, 0)
+        return self._exp_np[self._log_np[xs] + self._log_np[ys]]
 
     def vscale(self, c: int, xs: np.ndarray) -> np.ndarray:
         if c == 0:
@@ -273,8 +276,7 @@ class FieldSpec:
             return xs.astype(np.int64, copy=True)
         if self.m == 1:
             return (c * xs) % self.p
-        idx = (self._log_np[xs] + self._log[c]) % (self.q - 1)
-        return np.where(xs != 0, self._exp_np[idx], 0)
+        return self._exp_np[self._log_np[xs] + self._log[c]]
 
     def coeffs(self, value: int) -> tuple[int, ...]:
         return _digits(value, self.p, self.m)

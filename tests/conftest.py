@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 from qlrc import build_code, make_delta_params, make_field, make_grid_params
-from qlrc import grid_codes, linear_codes
+from qlrc import grid_codes, linear_codes, verifier
+from qlrc.errors import AssertionFailed
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +90,16 @@ def no_generator_matrices(monkeypatch):
     monkeypatch.setattr(grid_codes, "from_spanning_set", refuse)
     monkeypatch.setattr(linear_codes, "_rref", refuse)
     monkeypatch.setattr(linear_codes, "in_row_space", refuse)
+
+
+@pytest.fixture
+def force_claim(monkeypatch):
+    """force_claim(mode) makes that theorem's claim raise "forced failure"."""
+    def boom(row):
+        raise AssertionFailed("forced failure")
+
+    def force(mode):
+        theorem = verifier._THEOREMS[mode]
+        monkeypatch.setitem(verifier._THEOREMS, mode, theorem._replace(claim=boom))
+
+    return force

@@ -14,7 +14,7 @@ from qlrc import (
     build_code,
     build_grid_record,
     certify_locality,
-    check_thm5,
+    check_theorem,
     cli,
     coset_min_weight_bruteforce,
     css_from_grid,
@@ -265,7 +265,7 @@ def test_criterion_9_exactness_guard():
     assert plotkin.to_json()["rhs"] == {"num": 75, "den": 13}
 
     for q in (3, 5, 7, 9, 11, 13):
-        row = check_thm5(q)  # internal monotonicity assertion
+        row = check_theorem("thm5", q, q, 3, 0)  # internal monotonicity assertion
         profile = plotkin_profile(BoundInput(row.n, row.k, row.d, q,
                                              row.r, row.delta))
         values = [val for _, val in profile]

@@ -199,7 +199,8 @@ def test_sweep_json_lines(capsys):
     lines = [json.loads(line) for line in out.splitlines() if line.strip()]
     assert len(lines) == 3
     assert all(row["mode"] == "thm4" for row in lines)
-    assert "rows=3 failures=0 skipped=0" in err
+    # the seven other q = 5 instances lie outside thm4's hypothesis
+    assert "rows=3 failures=0 skipped=7" in err
 
 
 def test_sweep_table(capsys):
@@ -208,19 +209,32 @@ def test_sweep_table(capsys):
     assert "[[15, 1, 6]]_5" in out
 
 
-def test_sweep_failure_exit(capsys, monkeypatch):
-    import qlrc.verifier as verifier
-
-    def boom(row):
-        raise verifier.AssertionFailed("forced failure")
-
-    monkeypatch.setattr(verifier, "_assert_thm4", boom)
+def test_sweep_failure_exit(capsys, force_claim):
+    force_claim("thm4")
     rc, _, err = run_cli(capsys, "sweep", "--mode", "thm4", "--q", "3")
     assert rc == 4
     rc2, _, err2 = run_cli(capsys, "sweep", "--mode", "thm4", "--q", "3",
                            "--collect")
     assert rc2 == 4
     assert "FAIL" in err2
+
+
+def test_sweep_error_names_its_instance(capsys, force_claim):
+    force_claim("thm3")
+    rc, _, err = run_cli(capsys, "sweep", "--mode", "thm3", "--q", "5")
+    assert rc == 4
+    assert err.startswith("error: (q=5,H=3,V=3,a=0,b=0) forced failure")
+    rc, _, err = run_cli(capsys, "sweep", "--mode", "thm3", "--q", "5", "--collect")
+    assert rc == 4
+    assert "FAIL (5, 3, 3, 0, 0): forced failure" in err.splitlines()
+
+
+def test_theorem_sweep_counts_excluded_instances_as_skipped(capsys):
+    # all three q = 5, V = 5, b = 1 instances break thm3's b = 0 hypothesis
+    rc, out, err = run_cli(capsys, "sweep", "--mode", "thm3", "--q", "5",
+                           "--V", "5", "--b", "1")
+    assert rc == 0
+    assert "rows=0 failures=0 skipped=3" in err
 
 
 @pytest.mark.parametrize("mode", ["thm3", "prop_impure", "rem_valid"])

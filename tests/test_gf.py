@@ -160,6 +160,18 @@ def test_vector_ops_match_scalars(p, m):
         assert vs[i] == f.mul(c, int(xs[i]))
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_vmul_vscale_match_scalar_mul_with_zeros(p, m):
+    # extension fields multiply vectors through the log sentinel of zero
+    f = make_field(p, m)
+    elems = np.arange(f.q, dtype=np.int64)
+    table = [[f.mul(x, y) for y in range(f.q)] for x in range(f.q)]
+    assert f.vmul(elems[:, None], elems[None, :]).tolist() == table
+    assert f.vmul(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)).tolist() == [0] * 3
+    for c in range(f.q):
+        assert f.vscale(c, elems).tolist() == table[c]
+
+
 _VSUB_FIELDS = tuple(make_field(p, m)
                      for p, m in ((2, 1), (7, 1), (3, 2), (2, 4), (5, 2), (3, 4)))
 

@@ -1,6 +1,7 @@
 """Theorem checks and parameter sweeps."""
 
 import dataclasses
+import hashlib
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -9,11 +10,8 @@ import pytest
 
 from qlrc import (
     SweepSpec,
-    check_prop_impure,
-    check_rem_valid,
-    check_thm3,
-    check_thm4,
-    check_thm5,
+    check_theorem,
+    cli,
     prime_powers,
     run_sweep,
     thm3_slack_lower_bound,
@@ -34,7 +32,7 @@ def test_prime_powers():
 
 
 def test_check_thm3_ex2():
-    row = check_thm3(5, 5, 3, 0)
+    row = check_theorem("thm3", 5, 5, 3, 0)
     rep = row.reports["qsingleton"]
     assert rep.verdict == "violated"
     assert rep.slack == 1
@@ -45,55 +43,55 @@ def test_check_thm3_ex2():
 
 def test_check_thm3_hypothesis_errors():
     with pytest.raises(HypothesisViolated):
-        check_thm3(5, 5, 4, 0)  # V even
+        check_theorem("thm3", 5, 5, 4, 0)  # V even
     with pytest.raises(HypothesisViolated):
-        check_thm3(4, 4, 3, 1)  # V = 3 needs 2 | q-1
+        check_theorem("thm3", 4, 4, 3, 1)  # V = 3 needs 2 | q-1
     with pytest.raises(HypothesisViolated):
-        check_thm3(5, 5, 3, 2)  # a out of range
+        check_theorem("thm3", 5, 5, 3, 2)  # a out of range
 
 
 def test_check_thm4_values():
-    row = check_thm4(7, 1)
+    row = check_theorem("thm4", 7, 7, 3, 1)
     assert (row.n, row.k, row.d) == (21, 3, 6)
     assert row.reports["griesmer"].verdict == "violated"
-    row9 = check_thm4(9, 0)
+    row9 = check_theorem("thm4", 9, 9, 3, 0)
     assert (row9.n, row9.k, row9.d) == (27, 1, 10)
 
 
 def test_check_thm4_hypothesis_errors():
     with pytest.raises(HypothesisViolated):
-        check_thm4(4, 1)  # even q
+        check_theorem("thm4", 4, 4, 3, 1)  # even q
     with pytest.raises(HypothesisViolated):
-        check_thm4(8, 1)
+        check_theorem("thm4", 8, 8, 3, 1)
     with pytest.raises(HypothesisViolated):
-        check_thm4(7, 3)  # a beyond h
+        check_theorem("thm4", 7, 7, 3, 3)  # a beyond h
 
 
 def test_check_thm5_closed_forms():
-    row13 = check_thm5(13)
+    row13 = check_theorem("thm5", 13, 13, 3, 0)
     assert row13.d == 14
     assert row13.reports["plotkin"].rhs == Fraction(1014, 85)
-    row9 = check_thm5(9)
+    row9 = check_theorem("thm5", 9, 9, 3, 0)
     assert row9.reports["plotkin"].rhs == Fraction(729, 82)
-    row3 = check_thm5(3)
+    row3 = check_theorem("thm5", 3, 3, 3, 0)
     assert row3.reports["plotkin"].rhs == 3
     with pytest.raises(HypothesisViolated):
-        check_thm5(8)
+        check_theorem("thm5", 8, 8, 3, 0)
 
 
 def test_check_prop_impure():
-    row = check_prop_impure(5, 5, 3, 1)
+    row = check_theorem("prop_impure", 5, 5, 3, 1)
     assert row.impure
     with pytest.raises(HypothesisViolated):
-        check_prop_impure(5, 5, 3, 0, b=1)
+        check_theorem("prop_impure", 5, 5, 3, 0, b=1)
 
 
 def test_check_rem_valid():
-    row = check_rem_valid(5, 5, 3, 1)
+    row = check_theorem("rem_valid", 5, 5, 3, 1)
     for bid in ("gg", "luo", "sphere_packing"):
         assert row.reports[bid].verdict in ("holds", "holds_with_equality")
     with pytest.raises(HypothesisViolated):
-        check_rem_valid(4, 4, 3, 1)  # H even
+        check_theorem("rem_valid", 4, 4, 3, 1)  # H even
 
 
 def test_sweep_thm4_rows():
@@ -136,13 +134,8 @@ def test_sweep_jobs_deterministic():
     assert rows1 == rows2
 
 
-def test_sweep_collect_gathers_failures(monkeypatch):
-    import qlrc.verifier as verifier
-
-    def boom(row):
-        raise AssertionFailed("forced failure")
-
-    monkeypatch.setattr(verifier, "_assert_thm4", boom)
+def test_sweep_collect_gathers_failures(force_claim):
+    force_claim("thm4")
     res = run_sweep(SweepSpec(mode="thm4", q_values=(3, 5), collect=True))
     assert len(res.failures) == 3
     assert not res.ok
@@ -214,7 +207,7 @@ def test_all_mode_runs_matching_layers():
 def test_thm4_layer_rejects_distance_above_q_squared():
     import qlrc.verifier as verifier
 
-    row = check_thm4(3, 0)
+    row = check_theorem("thm4", 3, 3, 3, 0)
     verifier._assert_thm4(row)
     # d = q + 1 - 2a = 10 > q^2 = 9 makes ceil(d/q^2) = 2
     bad = dataclasses.replace(row, a=-3, d=10)
@@ -230,19 +223,65 @@ def _load_theorem_sweeps():
     return module
 
 
-def test_theorem_sweep_script_reports_failures(monkeypatch, capsys):
-    import qlrc.verifier as verifier
-
+def test_theorem_sweep_script_reports_failures(monkeypatch, capsys, force_claim):
     script = _load_theorem_sweeps()
     monkeypatch.setattr(script, "SWEEPS", [("thm4", dict(q_values=(3, 5)))])
     assert script.main([]) == 0
 
-    def boom(row):
-        raise AssertionFailed("forced failure")
-
-    monkeypatch.setattr(verifier, "_assert_thm4", boom)
+    force_claim("thm4")
     capsys.readouterr()
     assert script.main([]) == 4
     out = capsys.readouterr()
     assert "failures=  3" in out.out and "FAILED" in out.out
     assert "  FAIL q=3 H=3 V=3 a=0 b=0: forced failure" in out.err.splitlines()
+
+
+# SHA-256 of `sweep --mode M --q 3,4,5,7,8,9,11,13 --format json` stdout,
+# recorded before the theorem modes were driven by one hypothesis table
+_THEOREM_MODE_DIGESTS = {
+    "thm3": "be128e89d0c4a152d2c825f46789fe5075d628308561510b89cb547afac6fbba",
+    "thm4": "38770b32dbc1580b88568934ce6c6a82e3080a392c13d66a36d80b1a539700cd",
+    "thm5": "0e473eab950c009d7121622bc9685db8c84545f9a54f8d186bb5d130138488b1",
+    "prop_impure": "91a1a8acdbbf7ec4d514c5b7de16906b74cb8e618b8f3571bdba3635e22493d2",
+    "rem_valid": "5c39724ab418a697659dd4d4a0d8e1ee988bb2689142dd2f5fdd9e119d74990d",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_THEOREM_MODE_DIGESTS))
+def test_theorem_mode_output_is_locked(capsys, monkeypatch, mode):
+    monkeypatch.delenv("QLRC_BUDGET", raising=False)  # the oracle rows are locked too
+    rc = cli.main(["sweep", "--mode", mode, "--q", "3,4,5,7,8,9,11,13",
+                   "--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _THEOREM_MODE_DIGESTS[mode]
+
+
+def test_check_theorem_rejects_unknown_modes_and_names_the_instance():
+    with pytest.raises(ParamRangeViolated):
+        check_theorem("all", 5, 5, 3, 0)
+    with pytest.raises(InvalidParameter):
+        check_theorem("thm3", 15, 3, 3, 0)  # 15 is not a prime power
+    with pytest.raises(HypothesisViolated, match=r"^\(q=5,H=5,V=5,a=0,b=1\) is outside"):
+        check_theorem("thm3", 5, 5, 5, 0, b=1)
+
+
+def test_all_mode_applies_each_claim_on_its_hypothesis(monkeypatch):
+    import qlrc.verifier as verifier
+
+    def key(row):
+        return (row.q, row.H, row.V, row.a, row.b)
+
+    qs = (5, 9)
+    by_mode = {mode: {key(r) for r in run_sweep(SweepSpec(mode=mode, q_values=qs)).rows}
+               for mode in verifier._THEOREMS}
+    applied = []
+    for mode, theorem in list(verifier._THEOREMS.items()):
+        def claim(row, mode=mode):
+            applied.append((key(row), mode))
+        monkeypatch.setitem(verifier._THEOREMS, mode, theorem._replace(claim=claim))
+    rows = run_sweep(SweepSpec(mode="all", q_values=qs)).rows
+    # table order within a row: thm3, prop_impure, rem_valid, thm4, thm5
+    assert applied == [(key(r), mode) for r in rows
+                       for mode in verifier._THEOREMS if key(r) in by_mode[mode]]
+    assert all(by_mode.values())
