@@ -6,10 +6,13 @@ r + delta - 1 containing it whose punctured (projected) code C|_S has
 minimum distance at least delta.  Every distance in a certificate is
 proved, not claimed:
 
-* exhaustive (certify_locality): the column blocks G[:, S] of many
-  candidate sets are row-reduced together.  Rank 0 makes C|_S the zero
-  code, which repairs trivially; rank |S| makes it the whole space, of
-  distance 1; any other set has the q^rank words of its reduced rows
+* exhaustive (certify_locality): candidate sets are scanned in
+  lexicographic runs that share all but their last two columns.  Each
+  distinct prefix costs one pivot step on the generator G, and each set
+  one step on its last two columns, which gives its rank.  Rank 0 makes
+  C|_S the zero code, which repairs trivially; rank |S| makes it the
+  whole space, of distance 1; only a set of any other rank has its block
+  G[:, S] row-reduced and the q^rank words of its reduced rows
   enumerated, and its distance is their least positive weight.
 * grid_lines (certify_grid_lines): on the column x = x_s of the grid,
   sum c_ij x^i y^j is the polynomial sum_j (sum_i c_ij x_s^i) y^j at the V
@@ -47,7 +50,7 @@ from .linear_codes import (
 )
 
 _SEARCH_BUDGET = 10**6
-_BATCH_CELLS = 1 << 14  # cells in one stack of column blocks or words; sets peak memory
+_BATCH_CELLS = 1 << 14  # cells in one stack of blocks, prefix states or words; sets peak memory
 
 
 @dataclass(frozen=True)
@@ -121,15 +124,79 @@ def _min_weights(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     return best
 
 
+def _eliminate(field: FieldSpec, pivots: np.ndarray, block: np.ndarray):
+    """One pivot step on every k x w matrix of an (N, k, w) stack.
+
+    Row i of `pivots` is a column of matrix i's (it may lie outside the
+    block).  Its first nonzero entry c, in row p, turns each row into
+    c * row - row[pivot] * row_p, which keeps the row space, needs no
+    inverse, and clears row p itself; a zero pivot column leaves the matrix
+    as it is.  Returns the new stack and whether each matrix took a pivot.
+    """
+    mats = np.arange(len(pivots))
+    top = (pivots != 0).argmax(axis=1)
+    lead = pivots[mats, top]
+    took = lead != 0
+    lead[~took] = 1
+    return field.vsub(field.vmul(lead[:, None, None], block),
+                      field.vmul(pivots[:, :, None], block[mats, top][:, None, :])), took
+
+
+def _ranks(field: FieldSpec, gen: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Rank of gen[:, S] for every row S of an (N, s) array of column sets.
+
+    A set is read as a prefix, its first s - 2 columns, then a last column
+    a and (when s >= 2) b.  The scan is lexicographic, so sets that share a
+    prefix lie in runs, and each distinct prefix costs one pivot step on
+    the whole generator, taken from the state of its one-shorter prefix.
+    In that state a set's rank is the prefix's pivot count, plus 1 if
+    column a has a pivot, plus 1 if column b is nonzero after a's step.
+    Runs are taken a group at a time, so that a stack of k x n states stays
+    within _BATCH_CELLS.
+    """
+    N, s = sets.shape
+    k, n = gen.shape
+    rank = np.zeros(N, dtype=np.int64)
+    if not k:
+        return rank
+    depth = max(s - 2, 0)
+    # starts[i, d]: set i begins a run of equal d-column prefixes
+    starts = np.ones((N, depth + 1), dtype=bool)
+    starts[1:, 0] = False
+    starts[1:, 1:] = np.logical_or.accumulate(sets[1:, :depth] != sets[:-1, :depth], axis=1)
+    heads = np.flatnonzero(starts[:, depth])
+    ends = np.append(heads[1:], N)
+    cap = max(1, _BATCH_CELLS // (k * n))
+    for g in range(0, len(heads), cap):
+        rows, stops = heads[g:g + cap], ends[g:g + cap]
+        # states[j], base[j]: gen after the pivot steps of the j-th distinct
+        # prefix of length d in this group, and their pivot count
+        states, base = gen[None], np.zeros(1, dtype=np.int64)
+        owner = np.zeros(len(rows), dtype=np.int64)
+        for d in range(depth):
+            new = starts[rows, d + 1]
+            new[0] = True
+            parent = owner[new]
+            states, took = _eliminate(field, states[parent, :, sets[rows[new], d]], states[parent])
+            base = base[parent] + took
+            owner = np.cumsum(new) - 1
+        lo, hi = rows[0], stops[-1]
+        owner = np.repeat(owner, stops - rows)
+        last = states[owner[:, None], :, sets[lo:hi, depth + 1:]].transpose(0, 2, 1)
+        rest, took = _eliminate(field, states[owner, :, sets[lo:hi, depth]], last)
+        rank[lo:hi] = base[owner] + took + rest.any(axis=(1, 2))
+    return rank
+
+
 def _first_repair_set(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
                       delta: int, budget):
     """(repair set, distance) for the first row of `sets` that repairs, or
     None.  `sets` holds column sets of one size in scan order; the result,
     and a BudgetExceeded at the first over-budget set before it, are what a
-    scan of one set at a time would give."""
+    scan of one set at a time would give.  Only the sets whose words are
+    enumerated are row-reduced."""
     s = sets.shape[1]
-    stack = gen[:, sets].transpose(1, 0, 2)
-    rank = _reduce(field, stack)
+    rank = _ranks(field, gen, sets)
     ok = rank == 0
     dist = np.zeros(len(sets), dtype=np.int64)
     stop = len(sets)
@@ -141,12 +208,14 @@ def _first_repair_set(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
         stop = over[0] if over.size else stop
         need = need[need < stop]
     if need.size:
-        dist[need] = _min_weights(field, stack[need, :rank[need].max()])
+        stack = gen[:, sets[need]].transpose(1, 0, 2)
+        _reduce(field, stack)
+        dist[need] = _min_weights(field, stack[:, :rank[need].max()])
         ok[need] = dist[need] >= delta
     hits = np.flatnonzero(ok[:stop])
     if hits.size:
         i = hits[0]
-        return tuple(sets[i].tolist()), (int(dist[i]) if rank[i] else None)
+        return tuple(sorted(sets[i].tolist())), (int(dist[i]) if rank[i] else None)
     if stop < len(sets):
         k = int(rank[stop])
         raise BudgetExceeded(
@@ -198,9 +267,11 @@ def certify_locality(code: LinearCode, r: int, delta: int,
     Candidate sets are scanned smallest-size-first, lexicographic within a
     size; the first whose punctured distance is at least delta repairs the
     coordinate, and NotLocallyRecoverable is proved when the scan finds
-    nothing.  A set's distance comes from its rank alone when the rank is 0
-    or |S|, and otherwise from enumerating its q^rank words; `budget` caps
-    that enumeration and `search_budget` the candidates per coordinate.
+    nothing.  Ranks come from pivot steps shared by the sets of a common
+    prefix (_ranks).  A set's distance comes from its rank alone when the
+    rank is 0 or |S|; otherwise its block is row-reduced and its q^rank
+    words enumerated.  `budget` caps that enumeration and `search_budget`
+    the candidates per coordinate.
     """
     _validate_rd(r, delta)
     size_cap = r + delta - 1
@@ -215,8 +286,9 @@ def certify_locality(code: LinearCode, r: int, delta: int,
             rests = combinations([c for c in range(n) if c != t], size - 1)
             per = max(1, _BATCH_CELLS // max(1, code.k * size))
             for start in range(0, allowed, per):
-                batch = [(t, *rest) for rest in islice(rests, min(per, allowed - start))]
-                found = _first_repair_set(field, gen, np.sort(batch, axis=1), delta, budget)
+                sets = np.full((min(per, allowed - start), size), t)
+                sets[:, 1:] = list(islice(rests, len(sets)))
+                found = _first_repair_set(field, gen, sets, delta, budget)
                 if found is not None:
                     break
             if found is not None:

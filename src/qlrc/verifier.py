@@ -326,14 +326,13 @@ def _instances(spec: SweepSpec) -> tuple[list, int]:
                 if V not in all_V:
                     skipped += 1
                     continue
-                a_all = valid_a_values(H)
-                b_all = valid_b_values(V)
-                a_vals = ([a for a in spec.a_values if a in a_all]
-                          if spec.a_values is not None else list(a_all))
-                b_vals = ([b for b in spec.b_values if b in b_all]
-                          if spec.b_values is not None else list(b_all))
-                for a in a_vals:
-                    for b in b_vals:
+                a_all, b_all = valid_a_values(H), valid_b_values(V)
+                a_named = set(spec.a_values if spec.a_values is not None else a_all)
+                b_named = set(spec.b_values if spec.b_values is not None else b_all)
+                # a named a or b outside its valid range counts once per grid
+                skipped += len(a_named.difference(a_all)) + len(b_named.difference(b_all))
+                for a in sorted(a_named.intersection(a_all)):
+                    for b in sorted(b_named.intersection(b_all)):
                         if spec.mode == "all" or _claims(spec.mode, (q, H, V, a, b)):
                             out.append((q, H, V, a, b))
                         else:

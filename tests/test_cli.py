@@ -237,6 +237,27 @@ def test_theorem_sweep_counts_excluded_instances_as_skipped(capsys):
     assert "rows=0 failures=0 skipped=3" in err
 
 
+def test_sweep_repeated_a_values_print_one_row(capsys):
+    rc, out, err = run_cli(capsys, "sweep", "--mode", "all", "--q", "5", "--H", "5",
+                           "--V", "3", "--a", "0,0", "--b", "0,0", "--format", "json")
+    assert rc == 0, err
+    assert [json.loads(line)["a"] for line in out.splitlines()] == [0]
+    assert "rows=1 failures=0 skipped=0" in err
+
+
+def test_sweep_counts_named_out_of_range_a_b_as_skipped(capsys):
+    # (q, H, V) = (5, 5, 3) allows only a in {0, 1} and b = 0
+    rc, out, err = run_cli(capsys, "sweep", "--mode", "all", "--q", "5", "--H", "5",
+                           "--V", "3", "--a", "7", "--b", "0")
+    assert rc == 0, err
+    assert "rows=0 failures=0 skipped=1" in err
+    rc, out, err = run_cli(capsys, "sweep", "--mode", "all", "--q", "5", "--H", "5",
+                           "--V", "3", "--a", "0,7", "--b", "0,2", "--format", "json")
+    assert rc == 0, err
+    assert len(out.splitlines()) == 1
+    assert "rows=1 failures=0 skipped=2" in err
+
+
 @pytest.mark.parametrize("mode", ["thm3", "prop_impure", "rem_valid"])
 def test_theorem_sweeps_keep_only_b_0(capsys, mode):
     # the theorems assume b = 0; only --mode all sweeps other b values

@@ -1,6 +1,6 @@
 """Definition-level locality certification, kept as the oracle for the
-batched rank/enumeration path and the closed-form grid-column ranks in
-qlrc.lrc.
+shared-prefix ranks, the batched enumeration and the closed-form
+grid-column ranks in qlrc.lrc.
 
 The code here is what those paths replaced: one candidate repair set at a
 time, one RREF and one brute-force distance per set (a bit-packed span
@@ -9,9 +9,12 @@ and the column ranks of the row-reduced generator matrix.  Each must give
 the same certificate, byte for byte, or the same error.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import re
+import time
 from functools import cache
 from itertools import combinations
 from unittest import mock
@@ -25,6 +28,7 @@ from qlrc import (
     build_grid_record,
     certify_grid_lines,
     certify_locality,
+    cli,
     from_spanning_set,
     full_code,
     lemma_family,
@@ -208,14 +212,14 @@ def assert_exhaustive_agrees(code, r, delta, cells=None, gf2_walk=True, **kw):
 
 # -- random codes --------------------------------------------------------------
 
-_FIELDS = tuple(make_field(*split_prime_power(q)) for q in (2, 3, 4, 7, 9))
+_FIELDS = tuple(make_field(*split_prime_power(q)) for q in (2, 3, 4, 7, 8, 9))
 
 
 @st.composite
-def codes(draw, n_max=7):
+def codes(draw, n_max=7, k_max=None):
     field = draw(st.sampled_from(_FIELDS))
     n = draw(st.integers(1, n_max))
-    k = draw(st.integers(1, min(n, 4 if field.q <= 4 else 3)))
+    k = draw(st.integers(1, min(n, k_max or (4 if field.q <= 4 else 3))))
     entry = st.integers(0, field.q - 1)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
     mat = np.array(rows, dtype=np.int64)
@@ -305,10 +309,61 @@ def test_fixed_cases_match_oracle(name, cells):
     assert_exhaustive_agrees(code, r, delta, cells=cells, gf2_walk="budget" not in kw, **kw)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-def test_lemma_family_matches_oracle(m):
-    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2)
+@pytest.mark.parametrize(("m", "cells"), [(m, None) for m in range(1, 7)]
+                         + [(m, 4) for m in range(1, 5)])
+def test_lemma_family_matches_oracle(m, cells):
+    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2, cells=cells)
     assert isinstance(certificate, str)  # JSON text, not an error
+
+
+# -- shared-prefix ranks -------------------------------------------------------
+
+
+def _scan_sets(n, t, size):
+    """The candidate sets of coordinate t and one size, in scan order."""
+    rests = combinations([c for c in range(n) if c != t], size - 1)
+    return np.array([(t, *rest) for rest in rests], dtype=np.int64).reshape(-1, size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(n_max=9, k_max=6), st.integers(1, 6), st.sampled_from((1, 7, 30, 100)),
+       st.integers(1, 9))
+def test_prefix_ranks_match_row_reduction(code, size, cells, chunk):
+    # no word is enumerated, so the codes may be larger than certify's;
+    # chunks of `chunk` sets cut prefix runs apart, and a small cell cap
+    # leaves room for few prefix states per stack
+    size = min(size, code.n)
+    for t in range(code.n):
+        sets = _scan_sets(code.n, t, size)
+        expected = lrc._reduce(code.field, code.generator[:, sets].transpose(1, 0, 2))
+        with mock.patch.object(lrc, "_BATCH_CELLS", cells):
+            got = np.concatenate([lrc._ranks(code.field, code.generator, sets[i:i + chunk])
+                                  for i in range(0, len(sets), chunk)])
+        assert got.tolist() == expected.tolist()
+
+
+def test_lemma_reduces_only_the_blocks_it_enumerates(monkeypatch):
+    # lemma --m 6 scans 38,096 candidate sets; only the 24 whose words are
+    # enumerated (0 < rank < |S|) are row-reduced
+    blocks = {"_reduce": 0, "_min_weights": 0}
+    for name in blocks:
+        def counted(field, stack, name=name, fn=getattr(lrc, name)):
+            blocks[name] += len(stack)
+            return fn(field, stack)
+        monkeypatch.setattr(lrc, name, counted)
+    certify_locality(lemma_family(6).code, 3, 2)
+    assert blocks["_reduce"] <= blocks["_min_weights"] <= 24
+
+
+def test_lemma_m8_in_process():
+    out = io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["lemma", "--m", "8", "--format", "json"])
+    assert time.monotonic() - start < 5
+    assert rc == 0
+    expected = oracle_exhaustive(lemma_family(8).code, 3, 2)
+    assert json.loads(out.getvalue())["certificate"] == expected.to_json()
 
 
 # -- grid columns --------------------------------------------------------------
