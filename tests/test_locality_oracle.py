@@ -309,11 +309,17 @@ def test_fixed_cases_match_oracle(name, cells):
     assert_exhaustive_agrees(code, r, delta, cells=cells, gf2_walk="budget" not in kw, **kw)
 
 
-@pytest.mark.parametrize(("m", "cells"), [(m, None) for m in range(1, 7)]
-                         + [(m, 4) for m in range(1, 5)])
-def test_lemma_family_matches_oracle(m, cells):
-    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2, cells=cells)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_lemma_family_matches_oracle(m):
+    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2)
     assert isinstance(certificate, str)  # JSON text, not an error
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_lemma_family_matches_oracle_small_cells(m):
+    # a four-cell cap splits every batch, and with it the prefix runs
+    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2, cells=4)
+    assert isinstance(certificate, str)
 
 
 # -- shared-prefix ranks -------------------------------------------------------
