@@ -14,6 +14,8 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
+
 from .bounds import BoundInput, evaluate_all
 from .css import css_from_grid, css_record_to_json
 from .errors import BudgetError, InternalCheckError, InvalidParameter
@@ -21,7 +23,8 @@ from .gf import make_field, split_prime_power
 from .grid_codes import (build_code, instance_label, make_delta_params,
                          make_grid_params, record_to_json)
 from .linear_codes import contains
-from .lrc import certify_grid_lines, certify_locality, heavy_row_check, lemma_family
+from .lrc import (certify_dual_words, certify_grid_lines, certify_locality, coset_words,
+                  heavy_row_check, lemma_family)
 from .verifier import SweepSpec, prime_powers, render_rows_table, run_sweep
 
 PRESETS = {
@@ -312,7 +315,14 @@ def _cmd_verify_locality(args) -> int:
 def _cmd_lemma(args) -> int:
     fam = lemma_family(args.m)
     heavy = heavy_row_check(fam)
-    cert = certify_locality(fam.code, r=3, delta=2)
+    # C^perp is span(block rows) and its straddle coset.  The blocks are
+    # disjoint, so a sum of j >= 2 of them weighs 4j > 4, and heavy_row_check
+    # has weighed every coset word: the dual words of weight <= r + 1 = 4 lie
+    # among the blocks, and the coset when its lightest word weighs <= 4.
+    words = fam.block_rows
+    if heavy.min_weight <= 4:
+        words = np.vstack([words, coset_words(fam)])
+    cert = certify_dual_words(fam.code, words, r=3)
     # fam.code is the Euclidean dual of fam.dual_code, so the dual is
     # self-orthogonal exactly when the code contains it.
     self_orth = contains(fam.code, fam.dual_code)

@@ -20,6 +20,28 @@ proved, not claimed:
   of j with some x^i y^j in Delta and x_s^i != 0.  At rank J + 1, J =
   max{j : x^i y^j in Delta}, it is a Reed-Solomon code, MDS, of distance
   V - J; no matrix is formed and no word enumerated.
+* dual_words (certify_dual_words, delta = 2 only): the caller supplies
+  every dual word of weight at most r + 1 (Gopalan, Huang, Simitci &
+  Yekhanin, "On the locality of codeword symbols", IEEE Trans. IT 58,
+  2012).  The certificate is the exhaustive one, entry for entry.  A word
+  x on S is orthogonal to C|_S exactly when its zero extension lies in
+  C^perp, so C|_S holds the unit word e_i, i in S, exactly when no dual
+  word supported inside S has i in its support.  Hence C|_S has distance
+  >= 2, or is zero, exactly when every i in S lies in the support of a
+  dual word inside S.  A repair set S of t thus holds a dual word y
+  through t, and |S| >= wt(y); and the support of a lightest dual word
+  through t is a repair set, since that word covers all of it.  So the
+  scan, smallest size first, stops at the least weight w of a dual word
+  through t.  At size w a passing S holds such a y with supp y inside S
+  and wt(y) >= |S|, so S = supp y: the candidates are exactly the
+  supports of the lightest words through t.  The scan takes the
+  lexicographically least S minus t among them.  Of two sets of one size
+  the lexicographically smaller holds the least element of their
+  symmetric difference, and taking t from both leaves that difference
+  alone, so this is the lexicographically least S.  Only the chosen
+  supports have their blocks row-reduced and their words enumerated, as
+  in the scan; each has rank at most |S| - 1, since a dual word lies
+  inside it, so none is the whole space.
 """
 
 from __future__ import annotations
@@ -32,7 +54,9 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    DualityViolated,
     InjectivityViolated,
+    LengthMismatch,
     NotLocallyRecoverable,
     ParamRangeViolated,
     SearchBudgetExceeded,
@@ -47,6 +71,7 @@ from .linear_codes import (
     default_budget,
     euclidean_dual,
     from_spanning_set,
+    inner_products,
 )
 
 _SEARCH_BUDGET = 10**6
@@ -306,6 +331,61 @@ def certify_locality(code: LinearCode, r: int, delta: int,
     return LocalityCertificate(r, delta, "exhaustive", tuple(entries))
 
 
+def certify_dual_words(code: LinearCode, words, r: int) -> LocalityCertificate:
+    """Certify (r, 2)-locality from dual words (module docstring).
+
+    `words` is an (N, n) array that must hold every word of C^perp of
+    weight at most r + 1; proving that is the caller's part.  Each word is
+    checked against the generator, and a word outside C^perp raises
+    DualityViolated.  Heavier words are ignored.  Each coordinate gets the
+    lightest support through it, the lexicographically least on a tie;
+    a coordinate in none raises the scan's NotLocallyRecoverable.  The
+    distinct supports chosen are row-reduced, padded to one width with a
+    zero column, and their words enumerated in one batch.
+    """
+    _validate_rd(r, 2)
+    field, gen, n = code.field, code.generator, code.n
+    words = np.asarray(words, dtype=np.int64)
+    if words.ndim != 2 or words.shape[1] != n:
+        raise LengthMismatch(f"dual words must form an (N, {n}) array, got {words.shape}")
+    bad = np.flatnonzero(inner_products(field, words, gen).any(axis=1))
+    if bad.size:
+        raise DualityViolated(
+            f"word {bad[0]} {words[bad[0]].tolist()} is not a dual codeword: "
+            f"G w^T != 0")
+    wt = np.count_nonzero(words, axis=1)
+    light = words[(wt > 0) & (wt <= r + 1)]
+    supports = sorted({tuple(np.flatnonzero(w).tolist()) for w in light},
+                      key=lambda sup: (len(sup), sup))
+    cover = np.zeros((len(supports), n), dtype=bool)
+    for i, sup in enumerate(supports):
+        cover[i, list(sup)] = True
+    missing = np.flatnonzero(~cover.any(axis=0))
+    if missing.size:
+        raise NotLocallyRecoverable(
+            f"coordinate {missing[0]} admits no repair set of size <= {r + 1} "
+            f"with punctured distance >= 2")
+    first = cover.argmax(axis=0)  # supports are in (size, lexicographic) order
+    used, slot = np.unique(first, return_inverse=True)
+    cols = np.full((len(used), len(supports[used[-1]])), n)
+    for j, i in enumerate(used):
+        cols[j, :len(supports[i])] = supports[i]
+    stack = np.hstack([gen, np.zeros((code.k, 1), dtype=np.int64)])[:, cols]
+    stack = stack.transpose(1, 0, 2)
+    rank = _reduce(field, stack)
+    top = int(rank.max())
+    limit = default_budget()
+    if field.q ** top > limit:
+        raise BudgetExceeded(
+            f"enumeration of {field.q}^{top} = {field.q ** top} codewords "
+            f"exceeds budget {limit}")
+    dist = _min_weights(field, stack[:, :top])
+    entries = [LocalityEntry(t, supports[first[t]],
+                             int(dist[slot[t]]) if rank[slot[t]] else None)
+               for t in range(n)]
+    return LocalityCertificate(r, 2, "dual_words", tuple(entries))
+
+
 @dataclass(frozen=True)
 class LemmaFamilyCode:
     m: int
@@ -337,6 +417,17 @@ class HeavyRowResult:
     count: int
 
 
+def coset_words(fam: LemmaFamilyCode, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Words start..stop-1 of the coset straddle + span(block rows), as
+    uint8 rows: bit i of the word's index selects block row i, and the m
+    blocks are the consecutive runs of four coordinates."""
+    m = fam.m
+    stop = 1 << m if stop is None else stop
+    idx = np.arange(start, stop, dtype=np.int64)
+    sel = ((idx[:, None] >> np.arange(m, dtype=np.int64)) & 1).astype(np.uint8)
+    return np.repeat(sel, 4, axis=1) ^ fam.straddle_row.astype(np.uint8)
+
+
 def heavy_row_check(fam: LemmaFamilyCode, budget: int | None = None) -> HeavyRowResult:
     """Weights over the full coset straddle + span(block rows)."""
     m = fam.m
@@ -348,10 +439,7 @@ def heavy_row_check(fam: LemmaFamilyCode, budget: int | None = None) -> HeavyRow
     lo, hi = None, None
     block = 1 << 16
     for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        sel = (idx[:, None] >> np.arange(m, dtype=np.int64)[None, :]) & 1
-        words = (sel @ fam.block_rows + fam.straddle_row[None, :]) % 2
-        w = np.count_nonzero(words, axis=1)
+        w = np.count_nonzero(coset_words(fam, start, min(start + block, total)), axis=1)
         lo = int(w.min()) if lo is None else min(lo, int(w.min()))
         hi = int(w.max()) if hi is None else max(hi, int(w.max()))
     return HeavyRowResult(lo, hi, total)

@@ -1,6 +1,6 @@
 """Definition-level locality certification, kept as the oracle for the
-shared-prefix ranks, the batched enumeration and the closed-form
-grid-column ranks in qlrc.lrc.
+shared-prefix ranks, the batched enumeration, the dual-word certificate
+and the closed-form grid-column ranks in qlrc.lrc.
 
 The code here is what those paths replaced: one candidate repair set at a
 time, one RREF and one brute-force distance per set (a bit-packed span
@@ -16,7 +16,7 @@ import json
 import re
 import time
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -26,9 +26,11 @@ from hypothesis import strategies as st
 
 from qlrc import (
     build_grid_record,
+    certify_dual_words,
     certify_grid_lines,
     certify_locality,
     cli,
+    euclidean_dual,
     from_spanning_set,
     full_code,
     lemma_family,
@@ -39,14 +41,17 @@ from qlrc import (
     zero_code,
 )
 from qlrc.errors import (
+    BudgetExceeded,
+    DualityViolated,
     InjectivityViolated,
+    LengthMismatch,
     NotLocallyRecoverable,
     QlrcError,
     SearchBudgetExceeded,
 )
 from qlrc.gf import split_prime_power
 from qlrc.grid_codes import instance_label
-from qlrc.linear_codes import LinearCode, _rref, min_distance_bruteforce
+from qlrc.linear_codes import LinearCode, _rref, inner_products, min_distance_bruteforce
 from qlrc.lrc import LocalityCertificate, LocalityEntry, _validate_rd
 from qlrc.verifier import prime_powers
 
@@ -202,8 +207,9 @@ def outcome(certify):
     return json.dumps([cert.r, cert.delta, cert.strategy, cert.to_json()])
 
 
-def assert_exhaustive_agrees(code, r, delta, cells=None, gf2_walk=True, **kw):
-    expected = outcome(lambda: oracle_exhaustive(code, r, delta, gf2_walk=gf2_walk, **kw))
+def assert_exhaustive_agrees(code, r, delta, cells=None, gf2_walk=True, expected=None, **kw):
+    if expected is None:
+        expected = outcome(lambda: oracle_exhaustive(code, r, delta, gf2_walk=gf2_walk, **kw))
     with mock.patch.object(lrc, "_BATCH_CELLS", cells or lrc._BATCH_CELLS):
         got = outcome(lambda: certify_locality(code, r, delta, **kw))
     assert got == expected
@@ -309,16 +315,24 @@ def test_fixed_cases_match_oracle(name, cells):
     assert_exhaustive_agrees(code, r, delta, cells=cells, gf2_walk="budget" not in kw, **kw)
 
 
+@cache
+def _lemma_oracle(m):
+    """The oracle's (3, 2) certificate of the m-th lemma code, as outcome() text."""
+    return outcome(lambda: oracle_exhaustive(lemma_family(m).code, 3, 2))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_lemma_family_matches_oracle(m):
-    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2)
+    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2,
+                                           expected=_lemma_oracle(m))
     assert isinstance(certificate, str)  # JSON text, not an error
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_lemma_family_matches_oracle_small_cells(m):
     # a four-cell cap splits every batch, and with it the prefix runs
-    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2, cells=4)
+    certificate = assert_exhaustive_agrees(lemma_family(m).code, 3, 2, cells=4,
+                                           expected=_lemma_oracle(m))
     assert isinstance(certificate, str)
 
 
@@ -349,8 +363,8 @@ def test_prefix_ranks_match_row_reduction(code, size, cells, chunk):
 
 
 def test_lemma_reduces_only_the_blocks_it_enumerates(monkeypatch):
-    # lemma --m 6 scans 38,096 candidate sets; only the 24 whose words are
-    # enumerated (0 < rank < |S|) are row-reduced
+    # certify_locality on the m = 6 code scans 38,096 candidate sets; only
+    # the 24 whose words are enumerated (0 < rank < |S|) are row-reduced
     blocks = {"_reduce": 0, "_min_weights": 0}
     for name in blocks:
         def counted(field, stack, name=name, fn=getattr(lrc, name)):
@@ -361,15 +375,115 @@ def test_lemma_reduces_only_the_blocks_it_enumerates(monkeypatch):
     assert blocks["_reduce"] <= blocks["_min_weights"] <= 24
 
 
-def test_lemma_m8_in_process():
+def _run_lemma(m):
     out = io.StringIO()
     start = time.monotonic()
     with contextlib.redirect_stdout(out):
-        rc = cli.main(["lemma", "--m", "8", "--format", "json"])
-    assert time.monotonic() - start < 5
+        rc = cli.main(["lemma", "--m", str(m), "--format", "json"])
+    return rc, json.loads(out.getvalue()) if rc == 0 else None, time.monotonic() - start
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_lemma_in_process(m):
+    # at m = 1, 2 a straddle-coset word of weight 2m is the repair set of
+    # some coordinates; from m = 3 on the blocks are
+    rc, data, elapsed = _run_lemma(m)
     assert rc == 0
-    expected = oracle_exhaustive(lemma_family(8).code, 3, 2)
-    assert json.loads(out.getvalue())["certificate"] == expected.to_json()
+    assert elapsed < 5
+    assert data["certificate"] == json.loads(_lemma_oracle(m))[3]
+
+
+def test_lemma_m16_in_process():
+    rc, data, elapsed = _run_lemma(16)
+    assert rc == 0
+    assert elapsed < 1
+    assert data["certificate"] == [
+        {"coordinate": t, "repair_set": list(range(t & ~3, (t & ~3) + 4)),
+         "punctured_distance": 2} for t in range(64)]
+
+
+def test_lemma_does_not_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma ran the exhaustive scan")
+    monkeypatch.setattr(lrc, "certify_locality", refuse)
+    monkeypatch.setattr(cli, "certify_locality", refuse)
+    assert _run_lemma(6)[0] == 0
+
+
+# -- dual words ----------------------------------------------------------------
+
+
+def _orthogonal_words(code, max_weight):
+    """Every vector of weight 1..max_weight orthogonal to the generator."""
+    field, n = code.field, code.n
+    found = [np.zeros((0, n), dtype=np.int64)]
+    for w in range(1, min(max_weight, n) + 1):
+        supports = np.array(list(combinations(range(n), w)), dtype=np.int64)
+        values = np.array(list(product(range(1, field.q), repeat=w)), dtype=np.int64)
+        words = np.zeros((len(supports), len(values), n), dtype=np.int64)
+        words[np.arange(len(supports))[:, None, None], np.arange(len(values))[None, :, None],
+              supports[:, None, :]] = values[None, :, :]
+        words = words.reshape(-1, n)
+        if code.k:
+            words = words[~inner_products(field, words, code.generator).any(axis=1)]
+        found.append(words)
+    return np.concatenate(found)
+
+
+def assert_dual_words_agree(code, words, r):
+    expected = outcome(lambda: oracle_exhaustive(code, r, 2))
+    got = outcome(lambda: dataclasses.replace(certify_dual_words(code, words, r),
+                                              strategy="exhaustive"))
+    assert got == expected
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_dual_words_match_oracle(code, r, seed):
+    # the dual's generator rows add words heavier than r + 1, which are
+    # ignored; the order of the words does not matter
+    words = np.concatenate([_orthogonal_words(code, r + 1), euclidean_dual(code).generator])
+    assert_dual_words_agree(code, np.random.default_rng(seed).permutation(words), r)
+
+
+def test_dual_words_zero_coordinate():
+    # coordinate 2 is zero in C: its weight-1 dual word is its repair set
+    code = from_spanning_set(make_field(3), [np.array([1, 1, 0], dtype=np.int64)])
+    got = assert_dual_words_agree(code, _orthogonal_words(code, 2), 1)
+    assert json.loads(got)[3][2] == {"coordinate": 2, "repair_set": [2],
+                                     "punctured_distance": None}
+
+
+def test_dual_words_reject_a_word_outside_the_dual():
+    fam = lemma_family(3)
+    words = fam.block_rows.copy()
+    words[1, 4] = 0
+    with pytest.raises(DualityViolated, match=r"^word 1 \[0, 0, 0, 0, 0, 1, 1, 1, 0, 0"):
+        certify_dual_words(fam.code, words, 3)
+    with pytest.raises(LengthMismatch):
+        certify_dual_words(fam.code, fam.block_rows[:, :-1], 3)
+
+
+def test_dual_words_budget(monkeypatch):
+    # each block of the m = 3 code has rank 3, so its distance takes 2^3 words
+    monkeypatch.setenv("QLRC_BUDGET", "4")
+    fam = lemma_family(3)
+    refused = r"^enumeration of 2\^3 = 8 codewords exceeds budget 4$"
+    with pytest.raises(BudgetExceeded, match=refused):
+        certify_dual_words(fam.code, fam.block_rows, 3)
+    assert cli.main(["lemma", "--m", "3"]) == 3
+
+
+def test_lemma_exits_4_on_a_word_outside_the_dual(monkeypatch, capsys):
+    def corrupted(m):
+        fam = lemma_family(m)
+        blocks = fam.block_rows.copy()
+        blocks[0, 0] = 0
+        return dataclasses.replace(fam, block_rows=blocks)
+    monkeypatch.setattr(cli, "lemma_family", corrupted)
+    assert cli.main(["lemma", "--m", "3"]) == 4
+    assert capsys.readouterr().err.startswith("error: word 0 [0, 1, 1, 1, 0")
 
 
 # -- grid columns --------------------------------------------------------------

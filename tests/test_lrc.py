@@ -22,6 +22,7 @@ from qlrc.errors import (
     SearchBudgetExceeded,
     ZeroLocality,
 )
+from qlrc.lrc import coset_words
 
 
 def test_parameter_validation(ex1_record):
@@ -128,6 +129,26 @@ def test_heavy_rows_have_constant_weight(m):
     res = heavy_row_check(fam)
     assert (res.min_weight, res.max_weight) == (2 * m, 2 * m)
     assert res.count == 2**m
+
+
+def _heavy_row_matmul(fam):
+    """The straddle coset, one int64 product of selector bits with the
+    block rows; returns the words and (min, max, count) of their weights."""
+    idx = np.arange(1 << fam.m, dtype=np.int64)
+    sel = (idx[:, None] >> np.arange(fam.m, dtype=np.int64)[None, :]) & 1
+    words = (sel @ fam.block_rows + fam.straddle_row[None, :]) % 2
+    w = np.count_nonzero(words, axis=1)
+    return words, (int(w.min()), int(w.max()), len(words))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_heavy_rows_match_matmul(m):
+    fam = lemma_family(m)
+    words, expected = _heavy_row_matmul(fam)
+    res = heavy_row_check(fam)
+    assert (res.min_weight, res.max_weight, res.count) == expected
+    assert coset_words(fam).tolist() == words.tolist()
+    assert coset_words(fam, 1, 2).tolist() == words[1:2].tolist()
 
 
 def test_heavy_row_budget():
