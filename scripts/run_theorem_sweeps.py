@@ -3,14 +3,14 @@
 
 Covers the three bound-violation families, the impurity property, and the
 validity checks for the bounds that do hold. Exits nonzero if any instance
-fails its per-row assertions.
+fails its per-row assertions, and exits 2 on invalid parameters.
 """
 
 import argparse
 import sys
 import time
 
-from qlrc import SweepSpec, prime_powers, run_sweep
+from qlrc import InvalidParameter, SweepSpec, prime_powers, run_sweep
 
 SWEEPS = [
     ("thm3", dict(q_limit=64, V_max=9)),
@@ -35,7 +35,11 @@ def main(argv=None):
                          H_max=cfg.get("H_max"), V_max=cfg.get("V_max"),
                          budget=args.budget, jobs=args.jobs, collect=True)
         start = time.monotonic()
-        res = run_sweep(spec)
+        try:
+            res = run_sweep(spec)
+        except InvalidParameter as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         elapsed = time.monotonic() - start
         status = "ok" if res.ok else "FAILED"
         print(f"{mode:12s} rows={len(res.rows):5d} skipped={res.skipped:4d} "

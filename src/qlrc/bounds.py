@@ -31,9 +31,11 @@ VERDICT_VIOLATED = "violated"
 
 def _exact(x):
     """Collapse integral Fractions to int; reject floats."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    if isinstance(x, (int,)):
+    if isinstance(x, int):
         return x
     raise TypeError(f"bound arithmetic produced a non-exact value {x!r}")
 
@@ -111,7 +113,7 @@ def _report(bound_id, lhs, rhs, direction, detail=None) -> BoundReport:
 
 def classical_singleton_lrc(inp: BoundInput) -> BoundReport:
     """k + d + (ceil(k/r) - 1)(delta - 1) <= n + 1."""
-    lhs = inp.k + inp.d + (math.ceil(Fraction(inp.k, inp.r)) - 1) * (inp.delta - 1)
+    lhs = inp.k + inp.d + (-(-inp.k // inp.r) - 1) * (inp.delta - 1)
     return _report("singleton", lhs, inp.n + 1, "le")
 
 
@@ -128,14 +130,14 @@ def gg_bound(inp: BoundInput) -> BoundReport:
 
 def luo_css_bound(inp: BoundInput) -> BoundReport:
     """2d <= n - k - 2*ceil(k/r) + 4."""
-    rhs = inp.n - inp.k - 2 * math.ceil(Fraction(inp.k, inp.r)) + 4
+    rhs = inp.n - inp.k - 2 * -(-inp.k // inp.r) + 4
     return _report("luo", 2 * inp.d, rhs, "le")
 
 
 def q_singleton_pure(inp: BoundInput) -> BoundReport:
     """(n+k)/2 + d + (ceil((n+k)/(2r)) - 1)(delta - 1) <= n + 1."""
     nk = inp.n + inp.k
-    lhs = Fraction(nk, 2) + inp.d + (math.ceil(Fraction(nk, 2 * inp.r)) - 1) * (inp.delta - 1)
+    lhs = Fraction(nk + 2 * (inp.d + (-(-nk // (2 * inp.r)) - 1) * (inp.delta - 1)), 2)
     return _report("qsingleton", lhs, inp.n + 1, "le")
 
 
@@ -156,7 +158,7 @@ def _griesmer_objective(inp: BoundInput, ell: int) -> int:
 
 def griesmer_like(inp: BoundInput) -> BoundReport:
     """n >= max over ell of (r+1)*ell + sum of ceil(d / q^t) over even t."""
-    ell_max = math.ceil(Fraction(inp.n + inp.k, 2 * inp.r)) - 1
+    ell_max = -(-(inp.n + inp.k) // (2 * inp.r)) - 1
     best_val, best_ell = None, None
     for ell in range(0, ell_max + 1):
         val = _griesmer_objective(inp, ell)
@@ -174,7 +176,7 @@ def _plotkin_value(inp: BoundInput, ell: int) -> Fraction:
 
 def _plotkin_ell_max(inp: BoundInput) -> int:
     # each shortening step must leave a positive length and positive q-power
-    return min(math.ceil(Fraction(inp.n + inp.k, 2 * inp.r)) - 1,
+    return min(-(-(inp.n + inp.k) // (2 * inp.r)) - 1,
                (inp.n - 1) // (inp.r + 1))
 
 

@@ -13,6 +13,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -106,32 +107,29 @@ def _kv_table(pairs) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qlrc",
-        description="grid evaluation codes, CSS codes, locality, and bounds")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_instance_flags(sp) -> None:
+    sp.add_argument("--preset", choices=sorted(PRESETS))
+    sp.add_argument("--q", type=int)
+    sp.add_argument("--H", type=int)
+    sp.add_argument("--V", type=int)
+    sp.add_argument("--a", type=int)
+    sp.add_argument("--b", type=int)
+    sp.add_argument("--alpha", help="primitive element (encoding or coeffs)")
+    sp.add_argument("--modulus", help="field modulus ('x3+x+1' or '1,1,0,1')")
 
-    def add_instance_flags(sp):
-        sp.add_argument("--preset", choices=sorted(PRESETS))
-        sp.add_argument("--q", type=int)
-        sp.add_argument("--H", type=int)
-        sp.add_argument("--V", type=int)
-        sp.add_argument("--a", type=int)
-        sp.add_argument("--b", type=int)
-        sp.add_argument("--alpha", help="primitive element (encoding or coeffs)")
-        sp.add_argument("--modulus", help="field modulus ('x3+x+1' or '1,1,0,1')")
 
-    def add_format_flag(sp):
-        sp.add_argument("--format", choices=("table", "json"), default="table")
+def _add_format_flag(sp) -> None:
+    sp.add_argument("--format", choices=("table", "json"), default="table")
 
-    sp = sub.add_parser("construct", help="build a grid code and its CSS code")
-    add_instance_flags(sp)
+
+def _construct_flags(sp) -> None:
+    _add_instance_flags(sp)
     sp.add_argument("--mode", choices=("formula", "bruteforce"), default="formula")
     sp.add_argument("--budget", type=int)
-    add_format_flag(sp)
+    _add_format_flag(sp)
 
-    sp = sub.add_parser("bounds", help="evaluate bounds on explicit parameters")
+
+def _bounds_flags(sp) -> None:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
@@ -139,9 +137,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--delta", type=int, default=2)
     sp.add_argument("--bound", help="restrict to one bound id")
-    add_format_flag(sp)
+    _add_format_flag(sp)
 
-    sp = sub.add_parser("sweep", help="check theorem claims over parameter ranges")
+
+def _sweep_flags(sp) -> None:
     sp.add_argument("--mode", default="all",
                     choices=("thm3", "thm4", "thm5", "prop_impure",
                              "rem_valid", "all"))
@@ -158,22 +157,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="keep going on failures and report them at the end")
     sp.add_argument("--budget", type=int,
                     help="enumeration cap for brute-force cross-checks")
-    add_format_flag(sp)
+    _add_format_flag(sp)
 
-    sp = sub.add_parser("verify-locality", help="certify (r, delta)-locality")
-    add_instance_flags(sp)
+
+def _verify_locality_flags(sp) -> None:
+    _add_instance_flags(sp)
     sp.add_argument("--r", dest="loc_r", type=int)
     sp.add_argument("--delta", dest="loc_delta", type=int)
     sp.add_argument("--strategy", choices=("grid_lines", "exhaustive"),
                     default="grid_lines")
     sp.add_argument("--budget", type=int)
-    add_format_flag(sp)
+    _add_format_flag(sp)
 
-    sp = sub.add_parser("lemma", help="examine the [4m, 3m-1] binary family")
+
+def _lemma_flags(sp) -> None:
     sp.add_argument("--m", type=int, required=True)
-    add_format_flag(sp)
-
-    return parser
+    _add_format_flag(sp)
 
 
 def _build_record(args):
@@ -352,27 +351,60 @@ def _cmd_lemma(args) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    help: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+
+
+_COMMANDS = {
+    "construct": Command("build a grid code and its CSS code",
+                         _construct_flags, _cmd_construct),
+    "bounds": Command("evaluate bounds on explicit parameters",
+                      _bounds_flags, _cmd_bounds),
+    "sweep": Command("check theorem claims over parameter ranges",
+                     _sweep_flags, _cmd_sweep),
+    "verify-locality": Command("certify (r, delta)-locality",
+                               _verify_locality_flags, _cmd_verify_locality),
+    "lemma": Command("examine the [4m, 3m-1] binary family",
+                     _lemma_flags, _cmd_lemma),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The qlrc parser, with every subcommand or with `command` alone.
+
+    A parser for one command prints the same usage line, because the
+    subcommand metavar still lists them all.
+    """
+    parser = argparse.ArgumentParser(
+        prog="qlrc",
+        description="grid evaluation codes, CSS codes, locality, and bounds")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = tuple(_COMMANDS)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        names = (command,)
+    for name in names:
+        _COMMANDS[name].add_flags(sub.add_parser(name, help=_COMMANDS[name].help))
+    return parser
+
+
 def main(argv=None) -> int:
     # exact bounds at q >= 41 print integers past the default 4300-digit limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command named first needs only its own flags
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify-locality":
-            return _cmd_verify_locality(args)
-        if args.command == "lemma":
-            return _cmd_lemma(args)
-        raise InvalidParameter(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command].handler(args)
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,6 @@ row-reduced only when a record's `code` or `mirror_code` is first read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -100,15 +99,19 @@ def make_grid_params(H: int, V: int, field: FieldSpec) -> GridParams:
     return GridParams(H, V, q, field)
 
 
+def _half(x: int) -> str:
+    """x/2 as Fraction prints it: '2' for 4, '3/2' for 3."""
+    return f"{x}/2" if x % 2 else str(x // 2)
+
+
 def _check_ab(H: int, V: int, a: int, b: int) -> None:
+    """(H-1) % 2 <= a < h and (V-1) % 2 <= b < v, with a < h as 2a < H - 1."""
     if not (isinstance(a, int) and isinstance(b, int)):
         raise ParamRangeViolated("a and b must be integers")
-    h = Fraction(H - 1, 2)
-    v = Fraction(V - 1, 2)
-    if not ((H - 1) % 2 <= a and a < h):
-        raise ParamRangeViolated(f"need {(H - 1) % 2} <= a < {h}, got a={a}")
-    if not ((V - 1) % 2 <= b and b < v):
-        raise ParamRangeViolated(f"need {(V - 1) % 2} <= b < {v}, got b={b}")
+    if not ((H - 1) % 2 <= a and 2 * a < H - 1):
+        raise ParamRangeViolated(f"need {(H - 1) % 2} <= a < {_half(H - 1)}, got a={a}")
+    if not ((V - 1) % 2 <= b and 2 * b < V - 1):
+        raise ParamRangeViolated(f"need {(V - 1) % 2} <= b < {_half(V - 1)}, got b={b}")
 
 
 def make_delta_params(grid: GridParams, a: int, b: int) -> DeltaParams:
@@ -117,46 +120,63 @@ def make_delta_params(grid: GridParams, a: int, b: int) -> DeltaParams:
 
 
 def valid_a_values(H: int) -> list[int]:
-    h = Fraction(H - 1, 2)
-    return [a for a in range((H - 1) % 2, H) if a < h]
+    return list(range((H - 1) % 2, H // 2))  # a < h  <=>  a < H // 2
 
 
 def valid_b_values(V: int) -> list[int]:
-    v = Fraction(V - 1, 2)
-    return [b for b in range((V - 1) % 2, V) if b < v]
+    return list(range((V - 1) % 2, V // 2))
+
+
+def _staircase(H: int, V: int, b: int, top: int) -> frozenset[Monomial]:
+    """Every x^i y^j with j < ceil(v - b), and x^i y^j with i <= top for
+    ceil(v - b) <= j <= floor(v + b)."""
+    low = V // 2 - b
+    return frozenset(Monomial(i, j) for j in range((V - 1) // 2 + b + 1)
+                     for i in range(H if j < low else top + 1))
 
 
 def delta_set(H: int, V: int, a: int, b: int) -> frozenset[Monomial]:
     _check_ab(H, V, a, b)
-    h = Fraction(H - 1, 2)
-    v = Fraction(V - 1, 2)
-    out = set()
-    for j in range(V):
-        if j < v - b:
-            out.update(Monomial(i, j) for i in range(H))
-        elif v - b <= j <= v + b:
-            out.update(Monomial(i, j) for i in range(H) if i <= h + a)
-    return frozenset(out)
+    return _staircase(H, V, b, (H - 1) // 2 + a)  # i <= floor(h + a)
 
 
 def delta_perp_set(H: int, V: int, a: int, b: int) -> frozenset[Monomial]:
     _check_ab(H, V, a, b)
-    h = Fraction(H - 1, 2)
-    v = Fraction(V - 1, 2)
-    out = set()
-    for j in range(V):
-        if j < v - b:
-            out.update(Monomial(i, j) for i in range(H))
-        elif v - b <= j <= v + b:
-            out.update(Monomial(i, j) for i in range(H) if i < h - a)
-    return frozenset(out)
+    return _staircase(H, V, b, H // 2 - a - 1)  # i < ceil(h - a)
+
+
+class ClosedForms(NamedTuple):
+    size: int  # |Delta|, the dimension of C(Delta)
+    d: int  # min distance of C(Delta)
+    coset_d: int  # min weight of C(Delta) outside C(Delta*)
+    locality: tuple[int, int]
+    quantum_k: int
+    impure: bool
+
+
+def closed_forms(H: int, V: int, a: int, b: int) -> ClosedForms:
+    """Every closed form of the instance, with (a, b) checked once.
+
+    With h = (H-1)/2 and v = (V-1)/2: floor(h + a) = (H-1)//2 + a,
+    floor(v + b) = (V-1)//2 + b and ceil(v - b) = V//2 - b.
+    """
+    _check_ab(H, V, a, b)
+    top_i = (H - 1) // 2 + a
+    low = V // 2 - b
+    coset_d = (H - top_i) * (V - (V - 1) // 2 - b)
+    d = min(coset_d, V - (low - 1))  # the band term V - ceil(v - 1 - b)
+    return ClosedForms(
+        size=low * H + (1 + top_i) * (2 * b + V % 2),
+        d=d,
+        coset_d=coset_d,
+        locality=(V - low, low + 1),
+        quantum_k=(2 * a + H % 2) * (2 * b + V % 2),
+        impure=coset_d > d,
+    )
 
 
 def delta_size_formula(H: int, V: int, a: int, b: int) -> int:
-    _check_ab(H, V, a, b)
-    h = Fraction(H - 1, 2)
-    v = Fraction(V - 1, 2)
-    return math.ceil(v - b) * H + (1 + math.floor(h + a)) * (2 * b + V % 2)
+    return closed_forms(H, V, a, b).size
 
 
 def monomial_distance(mono: Monomial, H: int, V: int) -> int:
@@ -167,34 +187,23 @@ def monomial_distance(mono: Monomial, H: int, V: int) -> int:
 
 
 def min_distance_formula(H: int, V: int, a: int, b: int) -> int:
-    _check_ab(H, V, a, b)
-    h = Fraction(H - 1, 2)
-    v = Fraction(V - 1, 2)
-    corner = (H - math.floor(h + a)) * (V - math.floor(v + b))
-    band = V - math.ceil(v - 1 - b)
-    return min(corner, band)
+    return closed_forms(H, V, a, b).d
 
 
 def coset_distance_formula(H: int, V: int, a: int, b: int) -> int:
-    _check_ab(H, V, a, b)
-    h = Fraction(H - 1, 2)
-    v = Fraction(V - 1, 2)
-    return (H - math.floor(h + a)) * (V - math.floor(v + b))
+    return closed_forms(H, V, a, b).coset_d
 
 
 def locality_formula(H: int, V: int, a: int, b: int) -> tuple[int, int]:
-    _check_ab(H, V, a, b)
-    v = Fraction(V - 1, 2)
-    return (V - math.ceil(v - b), math.ceil(v - b + 1))
+    return closed_forms(H, V, a, b).locality
 
 
 def impurity_predicate(H: int, V: int, a: int, b: int) -> bool:
-    return coset_distance_formula(H, V, a, b) > min_distance_formula(H, V, a, b)
+    return closed_forms(H, V, a, b).impure
 
 
 def quantum_dimension_formula(H: int, V: int, a: int, b: int) -> int:
-    _check_ab(H, V, a, b)
-    return (2 * a + H % 2) * (2 * b + V % 2)
+    return closed_forms(H, V, a, b).quantum_k
 
 
 def _axis_points(field: FieldSpec, count: int) -> np.ndarray:
@@ -375,9 +384,9 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
             f"{where} the code is not orthogonal to the rescaled mirror code")
     plain_dual = (H % field.p == 0) and (V % field.p == 0)
 
-    d_formula = min_distance_formula(H, V, a, b)
-    coset_d = coset_distance_formula(H, V, a, b)
-    A, B = math.floor(grid.h + a), math.floor(grid.v + b)
+    forms = closed_forms(H, V, a, b)
+    coset_d = forms.coset_d
+    A, B = (H - 1) // 2 + a, (V - 1) // 2 + b  # floor(h + a), floor(v + b)
     wit = _outer(field, _vanishing_values(field, xs, A), _vanishing_values(field, ys, B))
     if int(np.count_nonzero(wit)) != coset_d:
         raise WitnessFailed(
@@ -403,10 +412,10 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
         delta=delta,
         delta_perp=perp,
         plain_dual=plain_dual,
-        d_formula=d_formula,
+        d_formula=forms.d,
         coset_d_formula=coset_d,
-        locality=locality_formula(H, V, a, b),
-        impure=impurity_predicate(H, V, a, b),
+        locality=forms.locality,
+        impure=forms.impure,
         witness=wit,
         powers=(X, Y),
     )

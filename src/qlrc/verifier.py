@@ -21,6 +21,7 @@ counts the rest as skipped.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -29,9 +30,9 @@ from typing import Callable, NamedTuple
 from .bounds import (
     BoundInput,
     VERDICT_VIOLATED,
+    classical_singleton_lrc,
     evaluate_all,
     plotkin_profile,
-    q_singleton_pure,
     thm3_slack_lower_bound,
 )
 from .errors import (
@@ -44,12 +45,7 @@ from .errors import (
 from .gf import make_field, split_prime_power
 from .grid_codes import (
     build_grid_record,
-    coset_distance_formula,
-    delta_size_formula,
-    impurity_predicate,
-    locality_formula,
-    min_distance_formula,
-    quantum_dimension_formula,
+    closed_forms,
     valid_a_values,
     valid_b_values,
 )
@@ -60,6 +56,7 @@ from .linear_codes import (
 )
 
 _ORACLE_BUDGET = 1 << 16
+_QUANTUM_BOUNDS = ("gg", "luo", "griesmer", "plotkin", "sphere_packing", "qsingleton")
 
 
 def prime_powers(limit: int, start: int = 3) -> tuple[int, ...]:
@@ -143,12 +140,11 @@ def _label(q: int, H: int, V: int, a: int, b: int) -> str:
 
 def _closed_forms(H: int, V: int, a: int, b: int) -> dict:
     """The VerdictRow fields that the closed forms give."""
-    r, delta = locality_formula(H, V, a, b)
-    return {"n": H * V, "k": quantum_dimension_formula(H, V, a, b),
-            "k_classical": delta_size_formula(H, V, a, b),
-            "d": coset_distance_formula(H, V, a, b),
-            "d_classical": min_distance_formula(H, V, a, b),
-            "r": r, "delta": delta, "impure": impurity_predicate(H, V, a, b)}
+    forms = closed_forms(H, V, a, b)
+    r, delta = forms.locality
+    return {"n": H * V, "k": forms.quantum_k, "k_classical": forms.size,
+            "d": forms.coset_d, "d_classical": forms.d,
+            "r": r, "delta": delta, "impure": forms.impure}
 
 
 def _generic_row(mode: str, q: int, H: int, V: int, a: int, b: int) -> VerdictRow:
@@ -156,14 +152,11 @@ def _generic_row(mode: str, q: int, H: int, V: int, a: int, b: int) -> VerdictRo
     n, k, k_classical, r = row.n, row.k, row.k_classical, row.r
     if 2 * k_classical - n != k:
         raise AssertionFailed(f"dimension identity broke: 2*{k_classical} - {n} != {k}")
-    row.reports = dict(evaluate_all(BoundInput(n=n, k=k, d=row.d, q=q, r=r, delta=2),
-                                    only=("gg", "luo", "griesmer", "plotkin",
-                                          "sphere_packing")))
-    row.reports["qsingleton"] = q_singleton_pure(
-        BoundInput(n=n, k=k, d=row.d, q=q, r=r, delta=row.delta))
-    row.reports["singleton"] = evaluate_all(
-        BoundInput(n=n, k=k_classical, d=row.d_classical, q=q, r=r, delta=row.delta),
-        only=("singleton",))["singleton"]
+    # gg, luo, griesmer, plotkin and sphere packing ignore delta
+    row.reports = evaluate_all(BoundInput(n=n, k=k, d=row.d, q=q, r=r, delta=row.delta),
+                               only=_QUANTUM_BOUNDS)
+    row.reports["singleton"] = classical_singleton_lrc(
+        BoundInput(n=n, k=k_classical, d=row.d_classical, q=q, r=r, delta=row.delta))
     return row
 
 
@@ -174,8 +167,8 @@ def _assert_thm3(row: VerdictRow) -> None:
     bound = thm3_slack_lower_bound(row.H, row.V, row.k, row.r)
     if rep.slack < bound:
         raise AssertionFailed(f"slack {rep.slack} below guaranteed {bound}")
-    v = Fraction(row.V - 1, 2)
-    if (row.r, row.delta) != (int(v) + 1, int(v) + 1):
+    v1 = (row.V - 1) // 2 + 1
+    if (row.r, row.delta) != (v1, v1):
         raise AssertionFailed(f"locality {(row.r, row.delta)} off the v+1 form")
 
 
@@ -343,13 +336,17 @@ def _instances(spec: SweepSpec) -> tuple[list, int]:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run all checks a SweepSpec asks for; rows ordered by (q,H,V,a,b)."""
+    if spec.jobs < 1:
+        raise InvalidParameter(f"need jobs >= 1, got jobs={spec.jobs}")
     instances, skipped = _instances(spec)
     budget = spec.budget if spec.budget is not None else default_budget(_ORACLE_BUDGET)
     tasks = [(spec.mode, q, H, V, a, b, budget, spec.collect)
              for (q, H, V, a, b) in instances]
-    if spec.jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (spec.jobs * 4))
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    # more workers than tasks or cores only adds processes to start
+    workers = min(spec.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, tasks, chunksize=chunk))
     else:
         rows = [_run_one(t) for t in tasks]

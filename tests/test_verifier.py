@@ -134,6 +134,49 @@ def test_sweep_jobs_deterministic():
     assert rows1 == rows2
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_jobs_below_one(jobs):
+    with pytest.raises(InvalidParameter, match=f"^need jobs >= 1, got jobs={jobs}$"):
+        run_sweep(SweepSpec(mode="thm4", q_values=(3, 5, 7), jobs=jobs))
+
+
+class _RecordingPool:
+    """A serial stand-in for ProcessPoolExecutor that records max_workers."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (10**6, 2, [2]),  # capped by the cores
+    (10**6, 64, [6]),  # capped by the six thm4 rows
+    (2, 64, [2]),
+    (10**6, None, []),  # an unknown core count counts as one: no pool
+    (1, 64, []),
+])
+def test_sweep_pool_size_is_capped(monkeypatch, jobs, cpus, expected):
+    import qlrc.verifier as verifier
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+    spec = SweepSpec(mode="thm4", q_values=(3, 5, 7))
+    rows = run_sweep(dataclasses.replace(spec, jobs=jobs)).rows
+    assert _RecordingPool.sizes == expected
+    assert [r.to_json() for r in rows] == [r.to_json() for r in run_sweep(spec).rows]
+
+
 def test_sweep_collect_gathers_failures(force_claim):
     force_claim("thm4")
     res = run_sweep(SweepSpec(mode="thm4", q_values=(3, 5), collect=True))
@@ -234,6 +277,23 @@ def test_theorem_sweep_script_reports_failures(monkeypatch, capsys, force_claim)
     out = capsys.readouterr()
     assert "failures=  3" in out.out and "FAILED" in out.out
     assert "  FAIL q=3 H=3 V=3 a=0 b=0: forced failure" in out.err.splitlines()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_theorem_sweep_script_rejects_jobs_below_one(capsys, jobs):
+    script = _load_theorem_sweeps()
+    assert script.main(["--jobs", jobs]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: need jobs >= 1, got jobs={jobs}\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_sweep_rejects_jobs_below_one(capsys, jobs):
+    assert cli.main(["sweep", "--q", "5", "--jobs", jobs]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: need jobs >= 1, got jobs={jobs}\n"
 
 
 # SHA-256 of `sweep --mode M --q 3,4,5,7,8,9,11,13 --format json` stdout,
