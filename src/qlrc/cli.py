@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -20,7 +21,7 @@ import numpy as np
 from .bounds import BoundInput, evaluate_all
 from .css import css_from_grid, css_record_to_json
 from .errors import BudgetError, InternalCheckError, InvalidParameter
-from .gf import make_field, split_prime_power
+from .gf import check_field_order, make_field, split_prime_power
 from .grid_codes import (build_code, instance_label, make_delta_params,
                          make_grid_params, record_to_json)
 from .linear_codes import contains
@@ -188,6 +189,7 @@ def _build_record(args):
                 "need --preset or all of --q --H --V --a --b")
         conf = {"q": args.q, "H": args.H, "V": args.V, "a": args.a, "b": args.b,
                 "alpha": None, "modulus": None}
+    check_field_order(conf["q"])
     p, m = split_prime_power(conf["q"])
     modulus = conf.get("modulus")
     if args.modulus is not None:
@@ -263,6 +265,7 @@ def _cmd_sweep(args) -> int:
     if args.q is not None:
         q_values = _parse_int_list(args.q)
     else:
+        check_field_order(args.qmax)
         q_values = prime_powers(args.qmax)
     spec = SweepSpec(
         mode=args.mode,
@@ -417,7 +420,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: it has read all it wanted, and
+        # devnull takes the rest so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AssertionFailed,
     DivisionByZero,
     InvalidParameter,
     NonPrimeCharacteristic,
@@ -34,8 +35,35 @@ def _smallest_factor(n: int) -> int:
     return n
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, smallest first."""
+    out = []
+    while n > 1:
+        f = _smallest_factor(n)
+        out.append(f)
+        while n % f == 0:
+            n //= f
+    return out
+
+
 def _is_prime(p: int) -> bool:
     return p >= 2 and _smallest_factor(p) == p
+
+
+# The largest field order qlrc builds: GF(2^20)'s tables peak at about 240 MiB.
+FIELD_ORDER_CAP = 2**20
+
+
+def check_field_order(p: int, m: int = 1) -> None:
+    """Raise InvalidParameter when p^m exceeds FIELD_ORDER_CAP (m >= 1, and
+    p >= 2 when m > 1).
+
+    Nothing is factored, and p^m is formed only for m below the cap's bit
+    length: beyond it, p >= 2 already puts p^m over the cap.
+    """
+    if m >= FIELD_ORDER_CAP.bit_length() or p**m > FIELD_ORDER_CAP:
+        q = str(p) if m == 1 else f"{p}^{m}"
+        raise InvalidParameter(f"field order {q} exceeds the cap 2^20 = {FIELD_ORDER_CAP}")
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
@@ -307,6 +335,10 @@ def _cyclic_powers(p: int, m: int, modulus: tuple[int, ...],
                    g: int) -> tuple[int, np.ndarray | None]:
     """The order of g and, if g is primitive, the encodings of g^0 .. g^(q-2).
 
+    `make_field` runs this walk once per field, on the explicit primitive
+    or on the default one `_first_primitive` chose, so the table it builds
+    also proves the order q - 1.
+
     Doubling: the digit rows of g^0 .. g^(k-1), times the matrix of
     c = g^k, give g^k .. g^(2k-1); then c is squared by the same matrix.
     The order is the first positive exponent whose power is 1, so the walk
@@ -331,14 +363,82 @@ def _cyclic_powers(p: int, m: int, modulus: tuple[int, ...],
     return n, powers
 
 
+def _first_primitive(p: int, m: int, modulus: tuple[int, ...]) -> int:
+    """The smallest encoding of a primitive element of GF(p^m).
+
+    g is primitive exactly when g^((q-1)/l) != 1 for every prime l | q-1
+    (Lidl & Niederreiter, Finite Fields), so each candidate g = 1, 2, ...
+    costs one power per prime, in exact integer arithmetic: pow(g, e, p) in
+    a prime field, square-and-multiply on packed digits otherwise.  For
+    q = 2 there is no prime and g = 1 passes.
+    """
+    q = p**m
+    exponents = [(q - 1) // ell for ell in _prime_factors(q - 1)]
+    if m == 1:
+        return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in exponents))
+
+    # An element is one integer holding its digits in s-bit slots, lowest
+    # degree first, so one integer product gives every coefficient of the
+    # polynomial product.  No slot carries: a product coefficient is below
+    # m p^2, and folding adds m - 1 more of them, each times a digit below p.
+    s = (m * m * p**3).bit_length()
+    slot = (1 << s) - 1
+    shifts = range(0, s * m, s)
+
+    def pack(digits):
+        out = 0
+        for d, shift in zip(digits, shifts):
+            out |= d << shift
+        return out
+
+    # fold[t - m] holds X^t mod the modulus, for m <= t <= 2m-2
+    rows = [tuple((-c) % p for c in modulus[:m])]
+    for _ in range(m - 2):
+        prev = rows[-1]
+        rows.append(tuple((a + prev[-1] * b) % p for a, b in zip((0,) + prev[:-1], rows[0])))
+    fold = [pack(row) for row in rows]
+
+    def mul(a, b):
+        prod = a * b
+        high, low = prod >> (s * m), prod & ((1 << (s * m)) - 1)
+        for row in fold:
+            if not high:
+                break
+            low += (high & slot) * row
+            high >>= s
+        out = 0
+        for shift in shifts:
+            out |= ((low >> shift) & slot) % p << shift
+        return out
+
+    def power(a, e):
+        out = a
+        for bit in bin(e)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, a)
+        return out
+
+    # 1 has order 1 < q - 1
+    for g in range(2, q):
+        a = pack(_digits(g, p, m))
+        if all(power(a, e) != 1 for e in exponents):
+            return g
+    raise NotPrimitive(f"no primitive element found in GF({q})")  # pragma: no cover
+
+
 def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
-    """Construct GF(p^m).
+    """Construct GF(p^m), for p^m up to FIELD_ORDER_CAP.
 
     When modulus/primitive are omitted the defaults are deterministic: the
     irreducible monic polynomial whose non-leading coefficient vector has
     the smallest integer encoding, and the primitive element with the
-    smallest integer encoding.
+    smallest integer encoding.  That element is found by the exponent test
+    of `_first_primitive`, and the power table is walked for it alone.
+    Orders above the cap raise InvalidParameter before p is factored.
     """
+    if isinstance(p, int) and p >= 2 and isinstance(m, int) and m >= 1:
+        check_field_order(p, m)
     if not isinstance(p, int) or not _is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if not isinstance(m, int) or m < 1:
@@ -367,11 +467,12 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
             raise NotPrimitive(f"element {g} has order {order}, need {q - 1}")
         return FieldSpec(p, m, modulus, g, powers)
 
-    for g in range(1, q):
-        order, powers = _cyclic_powers(p, m, modulus, g)
-        if order == q - 1:
-            return FieldSpec(p, m, modulus, g, powers)
-    raise NotPrimitive(f"no primitive element found in GF({q})")  # pragma: no cover
+    g = _first_primitive(p, m, modulus)
+    order, powers = _cyclic_powers(p, m, modulus, g)
+    if order != q - 1:
+        raise AssertionFailed(
+            f"element {g} passed the primitivity test but has order {order}, need {q - 1}")
+    return FieldSpec(p, m, modulus, g, powers)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .errors import (
     InvalidParameter,
     ParamRangeViolated,
 )
-from .gf import make_field, split_prime_power
+from .gf import check_field_order, make_field, split_prime_power
 from .grid_codes import (
     build_grid_record,
     closed_forms,
@@ -299,6 +299,7 @@ def _instances(spec: SweepSpec) -> tuple[list, int]:
     skipped = 0
     out = []
     for q in sorted(set(spec.q_values)):
+        check_field_order(q)  # before the scans below, which are linear in q
         split_prime_power(q)  # raises on invalid q
         if q < 3:
             skipped += 1

@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -93,6 +96,63 @@ def test_construct_budget_exceeded(capsys, monkeypatch):
     assert rc == 3
     assert err == ("error: (q=3,H=3,V=3,a=0,b=0) enumeration of 3^5 = 243 "
                    "codewords exceeds budget 10\n")
+
+
+def _qlrc_process(argv, **kwargs):
+    """`python -m qlrc` on this checkout's source, in a child process whose
+    stdout is block-buffered, as in a shell pipeline."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "qlrc", *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    "construct --q 1099511627776 --H 4 --V 4 --a 1 --b 1",
+    "construct --q 1000000000000000003 --H 3 --V 3 --a 0 --b 0",
+    "sweep --q 1000000000039 --H 3 --V 3",
+])
+def test_field_order_above_the_cap_exits_2(argv):
+    # each of these used to spin in modulus search, trial division or a scan up to q
+    proc = _qlrc_process(argv.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert out == ""
+    assert err == f"error: field order {argv.split()[2]} exceeds the cap 2^20 = 1048576\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--qmax", "1048577"),
+    ("verify-locality", "--q", "1048583", "--H", "3", "--V", "3", "--a", "0", "--b", "0"),
+])
+def test_field_order_above_the_cap_exits_2_in_process(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: field order {argv[2]} exceeds the cap 2^20 = 1048576\n"
+
+
+@pytest.mark.parametrize("argv,nbytes", [
+    # about 240 kB of rows, several times a pipe's buffer, so a write is
+    # still pending when the reader goes away
+    ("sweep --q 13 --format json", 100),
+    # 1.3 kB, written in one flush after the reader has gone
+    ("lemma --m 2 --format json", 0),
+])
+def test_closed_stdout_exits_0_quietly(argv, nbytes):
+    proc = _qlrc_process(argv.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        head = proc.stdout.read(nbytes)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == nbytes
+    assert err == b""
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive"])

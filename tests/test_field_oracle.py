@@ -1,16 +1,22 @@
-"""Field construction against the definition-level orbit walk.
+"""Field construction against the definition-level orbit walks.
 
-The oracle multiplies in polynomial arithmetic, one power at a time, the
-way `make_field` once searched for a primitive element.  The doubling walk
-in `qlrc.gf` must choose the same primitive, build the same power table
-and report the same order for every element that is not primitive.
+One oracle multiplies in polynomial arithmetic, one power at a time.  The
+other walks the whole power orbit of every candidate in turn with
+`_cyclic_powers`, the way `make_field` searched for its default primitive
+before the exponent test.  `make_field` must choose the same primitive and
+build the same power table as both, and report the same order for every
+element that is not primitive.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qlrc import make_field, split_prime_power
 from qlrc.errors import NotPrimitive
-from qlrc.gf import _default_modulus, _digits, _encode, _poly_mod, _poly_trim
+from qlrc.gf import (_cyclic_powers, _default_modulus, _digits, _encode, _poly_mod,
+                     _poly_trim, _prime_factors)
 from qlrc.verifier import prime_powers
 
 
@@ -103,3 +109,59 @@ def test_every_explicit_primitive_matches_orbit_walk(p, m):
             with pytest.raises(NotPrimitive) as err:
                 make_field(p, m, primitive=g)
             assert str(err.value) == f"element {g} has order {order}, need {q - 1}"
+
+
+def _candidate_walk(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """The smallest primitive encoding and its power table, walking every
+    candidate's orbit in turn."""
+    q = p**m
+    for g in range(1, q):
+        order, powers = _cyclic_powers(p, m, modulus, g)
+        if order == q - 1:
+            return g, powers
+    raise AssertionError(f"no primitive element in GF({q})")  # pragma: no cover
+
+
+_WALK_CASES = ([split_prime_power(q) for q in prime_powers(2**12, start=2)]
+               + [(3, 8), (3, 10)])
+
+
+@pytest.mark.parametrize("p,m", _WALK_CASES, ids=[f"{p}^{m}" for p, m in _WALK_CASES])
+def test_default_primitive_matches_candidate_walk(p, m):
+    f = make_field(p, m)
+    g, powers = _candidate_walk(p, m, f.modulus)
+    assert f.primitive == g
+    assert f._exp == powers.tolist()
+
+
+_EXTENSIONS = [(p, m) for p, m in map(split_prime_power, prime_powers(2**16, start=4))
+               if m >= 2]
+
+
+@pytest.mark.parametrize("p,m", _EXTENSIONS, ids=[f"{p}^{m}" for p, m in _EXTENSIONS])
+def test_default_primitive_certificate(p, m):
+    # from the field's own tables: the powers of alpha reach every nonzero
+    # element once, and every smaller nonzero encoding h = alpha^(log h)
+    # has order (q-1) / gcd(log h, q-1) < q - 1
+    f = make_field(p, m)
+    n = f.q - 1
+    assert f._exp[1] == f.primitive
+    assert sorted(f._exp) == list(range(1, f.q))
+    logs = np.array(f._log[1:f.primitive], dtype=np.int64)
+    assert (np.gcd(logs, n) > 1).all()
+
+
+def _trial_division(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+@given(st.integers(1, 2**24) | st.sampled_from([p**m - 1 for p, m in _EXTENSIONS]))
+def test_prime_factors_match_trial_division(n):
+    assert _prime_factors(n) == _trial_division(n)

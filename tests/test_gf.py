@@ -22,6 +22,7 @@ from qlrc.errors import (
     NotQuadraticExtension,
     ReducibleModulus,
 )
+from qlrc.gf import FIELD_ORDER_CAP, check_field_order
 
 _QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 _LARGE = [(65537, 1), (2, 17)]  # more than 2^16 elements
@@ -132,6 +133,24 @@ def test_construction_errors():
         make_field(7, primitive=2)
     with pytest.raises(InvalidParameter):
         make_field(3, 2, modulus=(1, 1))  # wrong degree
+
+
+@pytest.mark.parametrize("p,m,q", [(2, 21, "2^21"), (1048583, 1, "1048583"), (1025, 2, "1025^2"),
+                                   (2, 10**9, "2^1000000000"),
+                                   (10**18 + 3, 1, "1000000000000000003")])
+def test_field_order_cap(p, m, q):
+    with pytest.raises(InvalidParameter) as err:
+        make_field(p, m)
+    assert str(err.value) == f"field order {q} exceeds the cap 2^20 = 1048576"
+
+
+def test_field_order_cap_boundary():
+    assert FIELD_ORDER_CAP == 2**20
+    for p, m in [(2, 20), (1024, 2), (2**20, 1), (1048573, 1)]:
+        check_field_order(p, m)
+    for p, m in [(2**20 + 1, 1), (3, 13), (1025, 2)]:
+        with pytest.raises(InvalidParameter):
+            check_field_order(p, m)
 
 
 def test_field_equality_and_hash():
