@@ -21,7 +21,6 @@ from .bounds import (
 from .css import (
     CssRecord,
     LiftResult,
-    css_from_code,
     css_from_grid,
     css_record_to_json,
     hermitian_lift,
@@ -53,17 +52,12 @@ from .grid_codes import (
     Monomial,
     build_code,
     build_grid_record,
-    coset_distance_formula,
+    closed_forms,
     delta_perp_set,
     delta_set,
-    delta_size_formula,
-    impurity_predicate,
-    locality_formula,
     make_delta_params,
     make_grid_params,
-    min_distance_formula,
     monomial_distance,
-    quantum_dimension_formula,
     record_to_json,
     twist_vector,
     valid_a_values,
@@ -71,8 +65,6 @@ from .grid_codes import (
 )
 from .linear_codes import (
     LinearCode,
-    code_from_json,
-    code_to_json,
     contains,
     coset_min_weight_bruteforce,
     default_budget,

@@ -316,15 +316,17 @@ def _cmd_verify_locality(args) -> int:
 
 def _cmd_lemma(args) -> int:
     fam = lemma_family(args.m)
-    heavy = heavy_row_check(fam)
     # C^perp is span(block rows) and its straddle coset.  The blocks are
     # disjoint, so a sum of j >= 2 of them weighs 4j > 4, and heavy_row_check
-    # has weighed every coset word: the dual words of weight <= r + 1 = 4 lie
-    # among the blocks, and the coset when its lightest word weighs <= 4.
+    # proves from the blocks that every coset word weighs 2m: the dual words
+    # of weight <= r + 1 = 4 lie among the blocks, and the coset when
+    # 2m <= 4.  The certificate checks each word against the generator
+    # first, so a word outside the dual is reported as such.
     words = fam.block_rows
-    if heavy.min_weight <= 4:
+    if 2 * fam.m <= 4:
         words = np.vstack([words, coset_words(fam)])
     cert = certify_dual_words(fam.code, words, r=3)
+    heavy = heavy_row_check(fam)
     # fam.code is the Euclidean dual of fam.dual_code, so the dual is
     # self-orthogonal exactly when the code contains it.
     self_orth = contains(fam.code, fam.dual_code)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import AssertionFailed, InvalidParameter, NotDualContaining
 from .gf import FieldPair, quadratic_extension
-from .grid_codes import GridCodeRecord, quantum_dimension_formula
+from .grid_codes import GridCodeRecord, closed_forms
 from .linear_codes import (
     LinearCode,
     coset_min_weight_bruteforce,
@@ -42,7 +42,7 @@ def css_from_grid(rec: GridCodeRecord, distance_mode: str = "formula",
         raise InvalidParameter(f"unknown distance mode {distance_mode!r}")
     n = rec.n
     k = 2 * rec.k - n
-    k_formula = quantum_dimension_formula(rec.grid.H, rec.grid.V, rec.dp.a, rec.dp.b)
+    k_formula = closed_forms(rec.grid.H, rec.grid.V, rec.dp.a, rec.dp.b).quantum_k
     if k != k_formula:
         raise AssertionFailed(
             f"quantum dimension mismatch: 2*dim - n = {k}, formula = {k_formula}")
@@ -78,30 +78,6 @@ def css_from_grid(rec: GridCodeRecord, distance_mode: str = "formula",
         locality=rec.locality,
         distance_mode=distance_mode,
         source=source,
-    )
-
-
-def css_from_code(code: LinearCode, distance_mode: str = "bruteforce",
-                  budget: int | None = None) -> CssRecord:
-    """CSS record from a classical code that contains its Euclidean dual,
-    measured by brute force; grid codes go through css_from_grid."""
-    if distance_mode != "bruteforce":
-        raise InvalidParameter("formula mode needs grid parameters")
-    dual = euclidean_dual(code)
-    if not contains(code, dual):
-        raise NotDualContaining(
-            "code does not contain its Euclidean dual; no CSS code arises")
-    d = coset_min_weight_bruteforce(code, dual, budget)
-    d_classical = min_distance_bruteforce(code, budget)
-    return CssRecord(
-        n=code.n,
-        k=2 * code.k - code.n,
-        d=d,
-        q=code.field.q,
-        pure=(d_classical == d),
-        locality=None,
-        distance_mode="bruteforce",
-        source={"type": "code"},
     )
 
 

@@ -175,35 +175,11 @@ def closed_forms(H: int, V: int, a: int, b: int) -> ClosedForms:
     )
 
 
-def delta_size_formula(H: int, V: int, a: int, b: int) -> int:
-    return closed_forms(H, V, a, b).size
-
-
 def monomial_distance(mono: Monomial, H: int, V: int) -> int:
     i, j = mono
     if not (0 <= i <= H - 1 and 0 <= j <= V - 1):
         raise ExponentOutOfRange(f"monomial {mono} outside the {H}x{V} exponent box")
     return (H - i) * (V - j)
-
-
-def min_distance_formula(H: int, V: int, a: int, b: int) -> int:
-    return closed_forms(H, V, a, b).d
-
-
-def coset_distance_formula(H: int, V: int, a: int, b: int) -> int:
-    return closed_forms(H, V, a, b).coset_d
-
-
-def locality_formula(H: int, V: int, a: int, b: int) -> tuple[int, int]:
-    return closed_forms(H, V, a, b).locality
-
-
-def impurity_predicate(H: int, V: int, a: int, b: int) -> bool:
-    return closed_forms(H, V, a, b).impure
-
-
-def quantum_dimension_formula(H: int, V: int, a: int, b: int) -> int:
-    return closed_forms(H, V, a, b).quantum_k
 
 
 def _axis_points(field: FieldSpec, count: int) -> np.ndarray:

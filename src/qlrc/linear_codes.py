@@ -26,7 +26,7 @@ from .errors import (
     NotQuadraticExtension,
     NotSubcode,
 )
-from .gf import FieldSpec, field_from_json, field_to_json
+from .gf import FieldSpec
 
 _CELLS = 1 << 20  # cap on table cells and on coordinate comparisons per outer block
 _DEFAULT_BUDGET = 1 << 24
@@ -246,14 +246,13 @@ def inner_products(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return out
 
 
-def _check_budget(code: LinearCode, budget) -> None:
+def _check_budget(q: int, k: int, budget) -> None:
+    """Raise BudgetExceeded when q^k words exceed the budget (None: the default)."""
     if budget is None:
         budget = default_budget()
-    total = code.field.q ** code.k
-    if total > budget:
+    if q ** k > budget:
         raise BudgetExceeded(
-            f"enumeration of {code.field.q}^{code.k} = {total} codewords "
-            f"exceeds budget {budget}")
+            f"enumeration of {q}^{k} = {q ** k} codewords exceeds budget {budget}")
 
 
 def _split_min_weight(field: FieldSpec, gen: np.ndarray, n: int) -> int:
@@ -301,7 +300,7 @@ def min_distance_bruteforce(code: LinearCode, budget: int | None = None) -> int:
     """Exact d_H by enumerating every nonzero codeword."""
     if code.k == 0:
         raise InvalidParameter("the zero code has no minimum distance")
-    _check_budget(code, budget)
+    _check_budget(code.field.q, code.k, budget)
     return _split_min_weight(code.field, code.generator, code.n)
 
 
@@ -318,7 +317,7 @@ def coset_min_weight_bruteforce(code: LinearCode, sub: LinearCode,
         raise NotSubcode("second argument is not a subcode of the first")
     if sub.k == code.k:
         raise InvalidParameter("subcode equals the code; the coset is empty")
-    _check_budget(code, budget)
+    _check_budget(code.field.q, code.k, budget)
     field = code.field
     syndromes = inner_products(field, code.generator, euclidean_dual(sub).generator)
     basis, _ = _rref(field, syndromes.T)
@@ -326,29 +325,3 @@ def coset_min_weight_bruteforce(code: LinearCode, sub: LinearCode,
     if best > code.n:
         raise InvalidParameter("no codeword outside the subcode was found")
     return best
-
-
-def code_to_json(code: LinearCode) -> dict:
-    field = code.field
-    return {
-        "field": field_to_json(field),
-        "n": code.n,
-        "k": code.k,
-        "generator": [
-            [list(field.coeffs(int(v))) for v in row] for row in code.generator
-        ],
-    }
-
-
-def code_from_json(data: dict) -> LinearCode:
-    field = field_from_json(data["field"])
-    rows = [
-        np.array([field.encode(entry) for entry in row], dtype=np.int64)
-        for row in data["generator"]
-    ]
-    if not rows:
-        return zero_code(field, int(data["n"]))
-    code = from_spanning_set(field, rows)
-    if code.k != int(data["k"]) or code.n != int(data["n"]):
-        raise InvalidParameter("serialized code is inconsistent with its matrix")
-    return code

@@ -53,7 +53,7 @@ from math import comb
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
+    AssertionFailed,
     DualityViolated,
     InjectivityViolated,
     LengthMismatch,
@@ -66,6 +66,7 @@ from .gf import FieldSpec, make_field
 from .grid_codes import GridCodeRecord, _exponent_mask, _require_distinct, instance_label
 from .linear_codes import (
     LinearCode,
+    _check_budget,
     _encode_block,
     _message_block,
     default_budget,
@@ -75,6 +76,9 @@ from .linear_codes import (
 )
 
 _SEARCH_BUDGET = 10**6
+# Largest lemma family m: on a 2-core VM, in-process, lemma --m 200 takes
+# 1.4-1.7 s and --m 250 about 3 s, nearly all in building the code.
+LEMMA_M_CAP = 200
 _BATCH_CELLS = 1 << 14  # cells in one stack of blocks, prefix states or words; sets peak memory
 
 
@@ -242,10 +246,7 @@ def _first_repair_set(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
         i = hits[0]
         return tuple(sorted(sets[i].tolist())), (int(dist[i]) if rank[i] else None)
     if stop < len(sets):
-        k = int(rank[stop])
-        raise BudgetExceeded(
-            f"enumeration of {field.q}^{k} = {field.q ** k} codewords "
-            f"exceeds budget {limit}")
+        _check_budget(field.q, int(rank[stop]), limit)
     return None
 
 
@@ -374,11 +375,7 @@ def certify_dual_words(code: LinearCode, words, r: int) -> LocalityCertificate:
     stack = stack.transpose(1, 0, 2)
     rank = _reduce(field, stack)
     top = int(rank.max())
-    limit = default_budget()
-    if field.q ** top > limit:
-        raise BudgetExceeded(
-            f"enumeration of {field.q}^{top} = {field.q ** top} codewords "
-            f"exceeds budget {limit}")
+    _check_budget(field.q, top, None)
     dist = _min_weights(field, stack[:, :top])
     entries = [LocalityEntry(t, supports[first[t]],
                              int(dist[slot[t]]) if rank[slot[t]] else None)
@@ -396,14 +393,16 @@ class LemmaFamilyCode:
 
 
 def lemma_family(m: int) -> LemmaFamilyCode:
-    """The binary [4m, 3m-1] code whose dual is span(v_1..v_m, w)."""
+    """The binary [4m, 3m-1] code whose dual is span(v_1..v_m, w).
+
+    m is capped at LEMMA_M_CAP before anything is allocated: the dual
+    and its row reduction grow as m^2 cells and m^3 operations."""
     if not isinstance(m, int) or m < 1:
         raise ParamRangeViolated(f"need a positive integer m, got {m}")
+    if m > LEMMA_M_CAP:
+        raise ParamRangeViolated(f"m = {m} exceeds the cap {LEMMA_M_CAP}")
     field = make_field(2)
-    n = 4 * m
-    blocks = np.zeros((m, n), dtype=np.int64)
-    for i in range(m):
-        blocks[i, 4 * i:4 * i + 4] = 1
+    blocks = np.repeat(np.eye(m, dtype=np.int64), 4, axis=1)
     straddle = np.tile(np.array([1, 1, 0, 0], dtype=np.int64), m)
     dual = from_spanning_set(field, list(blocks) + [straddle])
     code = euclidean_dual(dual)
@@ -417,29 +416,34 @@ class HeavyRowResult:
     count: int
 
 
-def coset_words(fam: LemmaFamilyCode, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Words start..stop-1 of the coset straddle + span(block rows), as
-    uint8 rows: bit i of the word's index selects block row i, and the m
-    blocks are the consecutive runs of four coordinates."""
+def coset_words(fam: LemmaFamilyCode) -> np.ndarray:
+    """Every word of the coset straddle + span(block rows), as uint8 rows:
+    bit i of the word's index selects block row i, and the m blocks are the
+    consecutive runs of four coordinates."""
     m = fam.m
-    stop = 1 << m if stop is None else stop
-    idx = np.arange(start, stop, dtype=np.int64)
+    idx = np.arange(1 << m, dtype=np.int64)
     sel = ((idx[:, None] >> np.arange(m, dtype=np.int64)) & 1).astype(np.uint8)
     return np.repeat(sel, 4, axis=1) ^ fam.straddle_row.astype(np.uint8)
 
 
-def heavy_row_check(fam: LemmaFamilyCode, budget: int | None = None) -> HeavyRowResult:
-    """Weights over the full coset straddle + span(block rows)."""
+def heavy_row_check(fam: LemmaFamilyCode) -> HeavyRowResult:
+    """Weights over the coset straddle + span(block rows), from the blocks.
+
+    The block rows must be the m disjoint runs of four ones, and the
+    straddle a binary word of weight exactly 2 on each run; otherwise
+    AssertionFailed.  A coset word adds some of the blocks to the straddle,
+    so on each run it equals the straddle's pattern or its complement, and
+    both weigh 2 there: all 2^m words weigh 2m, with no enumeration.
+    """
     m = fam.m
-    if m > 24:
-        raise BudgetExceeded(f"2^{m} coset elements exceed the enumeration cap")
-    total = 1 << m
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"2^{m} = {total} coset elements exceed budget {budget}")
-    lo, hi = None, None
-    block = 1 << 16
-    for start in range(0, total, block):
-        w = np.count_nonzero(coset_words(fam, start, min(start + block, total)), axis=1)
-        lo = int(w.min()) if lo is None else min(lo, int(w.min()))
-        hi = int(w.max()) if hi is None else max(hi, int(w.max()))
-    return HeavyRowResult(lo, hi, total)
+    if not np.array_equal(fam.block_rows, np.repeat(np.eye(m, dtype=np.int64), 4, axis=1)):
+        raise AssertionFailed(f"the block rows are not the {m} disjoint runs of four ones")
+    straddle = fam.straddle_row
+    if straddle.shape != (4 * m,) or not np.isin(straddle, (0, 1)).all():
+        raise AssertionFailed(f"the straddle row is not a binary word of length {4 * m}")
+    weights = straddle.reshape(m, 4).sum(axis=1)
+    bad = np.flatnonzero(weights != 2)
+    if bad.size:
+        raise AssertionFailed(
+            f"the straddle row weighs {weights[bad[0]]} on run {bad[0]}, not 2")
+    return HeavyRowResult(2 * m, 2 * m, 1 << m)

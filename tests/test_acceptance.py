@@ -11,14 +11,13 @@ from fractions import Fraction
 from qlrc import (
     BoundInput,
     SweepSpec,
-    build_code,
     build_grid_record,
     certify_locality,
     check_theorem,
     cli,
+    closed_forms,
     coset_min_weight_bruteforce,
     css_from_grid,
-    delta_size_formula,
     evaluate_all,
     heavy_row_check,
     hermitian_lift,
@@ -126,7 +125,7 @@ def _grid_instances(qmax, max_words):
                     continue
                 for a in valid_a_values(H):
                     for b in valid_b_values(V):
-                        if q ** delta_size_formula(H, V, a, b) <= max_words:
+                        if q ** closed_forms(H, V, a, b).size <= max_words:
                             instances.append((q, H, V, a, b))
     return sorted(instances)
 

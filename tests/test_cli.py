@@ -1,5 +1,6 @@
 """Command line interface, exercised through cli.main."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -9,11 +10,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qlrc import BoundInput, cli, lrc, sphere_packing_like
 from qlrc.gf import field_from_json
-from qlrc.linear_codes import code_from_json, code_to_json
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,48 @@ def test_field_order_above_the_cap_exits_2(argv):
     assert proc.returncode == 2
     assert out == ""
     assert err == f"error: field order {argv.split()[2]} exceeds the cap 2^20 = 1048576\n"
+
+
+@pytest.mark.parametrize("m", [30, 200])
+def test_lemma_past_2_to_the_24_exits_0(m):
+    # the coset weights come from the blocks, so 2^m words cost nothing
+    proc = _qlrc_process(["lemma", "--m", str(m), "--format", "json"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, "")
+    data = json.loads(out)
+    assert (data["n"], data["k"], data["coset_count"]) == (4 * m, 3 * m - 1, 2 ** m)
+    assert data["coset_weight_min"] == data["coset_weight_max"] == 2 * m
+    assert len(data["certificate"]) == 4 * m
+
+
+@pytest.mark.parametrize("m", [201, 100000])
+def test_lemma_m_above_the_cap_exits_2(m):
+    # the cap is checked before the code is built, so even a huge m exits at once
+    proc = _qlrc_process(["lemma", "--m", str(m)], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out) == (2, "")
+    assert err == f"error: m = {m} exceeds the cap 200\n"
+
+
+def test_lemma_broken_family_is_exit_4(capsys, monkeypatch):
+    build = cli.lemma_family
+
+    def light_straddle(m):
+        fam = build(m)
+        return dataclasses.replace(fam, straddle_row=np.r_[0, fam.straddle_row[1:]])
+
+    monkeypatch.setattr(cli, "lemma_family", light_straddle)
+    rc, out, err = run_cli(capsys, "lemma", "--m", "3")
+    assert (rc, out) == (4, "")
+    assert err == "error: the straddle row weighs 1 on run 0, not 2\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -378,14 +421,6 @@ def test_json_roundtrip_through_cli(capsys):
     assert rc == 0
     field = field_from_json(json.loads(out)["grid"]["field"])
     assert field.q == 5
-
-
-def test_code_json_roundtrip():
-    from qlrc import build_code, make_delta_params, make_field, make_grid_params
-
-    grid = make_grid_params(5, 3, make_field(5))
-    code = build_code(grid, make_delta_params(grid, 0, 0)).code
-    assert code_from_json(code_to_json(code)) == code
 
 
 _BIG_BALL = ("bounds", "--n", "1281", "--k", "1", "--d", "341", "--q", "61",

@@ -102,14 +102,10 @@ def ref_impurity(H, V, a, b):
     return ref_coset_distance(H, V, a, b) > ref_min_distance(H, V, a, b)
 
 
-FORMULAS = [
-    (grid_codes.delta_size_formula, ref_delta_size),
-    (grid_codes.min_distance_formula, ref_min_distance),
-    (grid_codes.coset_distance_formula, ref_coset_distance),
-    (grid_codes.locality_formula, ref_locality),
-    (grid_codes.quantum_dimension_formula, ref_quantum_dimension),
-    (grid_codes.impurity_predicate, ref_impurity),
-]
+def ref_closed_forms(H, V, a, b):
+    refs = (ref_delta_size, ref_min_distance, ref_coset_distance, ref_locality,
+            ref_quantum_dimension, ref_impurity)  # in ClosedForms field order
+    return grid_codes.ClosedForms(*(ref(H, V, a, b) for ref in refs))
 
 
 def outcome(fn, *args):
@@ -139,8 +135,7 @@ def test_valid_values_match_for_every_side():
 @settings(max_examples=300, deadline=None)
 @given(instances())
 def test_closed_forms_match_fraction_forms(inst):
-    for fn, ref in FORMULAS:
-        assert fn(*inst) == ref(*inst), fn.__name__
+    assert grid_codes.closed_forms(*inst) == ref_closed_forms(*inst)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,8 +148,8 @@ def test_staircase_sets_match_fraction_sets(inst):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-2, 128), st.integers(-2, 128), st.integers(-4, 70), st.integers(-4, 70))
 def test_out_of_range_instances_fail_alike(H, V, a, b):
-    for fn, ref in FORMULAS:
-        assert outcome(fn, H, V, a, b) == outcome(ref, H, V, a, b), fn.__name__
+    assert outcome(grid_codes.closed_forms, H, V, a, b) == \
+        outcome(ref_closed_forms, H, V, a, b)
     if outcome(ref_check_ab, H, V, a, b) is not None:
         assert outcome(grid_codes.delta_set, H, V, a, b) == \
             outcome(ref_delta_set, H, V, a, b)
@@ -170,6 +165,7 @@ def test_out_of_range_instances_fail_alike(H, V, a, b):
     ((5, 5, 0.0, 0), "a and b must be integers"),
 ])
 def test_error_text_is_unchanged(inst, text):
-    for fn, ref in FORMULAS + [(grid_codes.delta_set, ref_delta_set),
-                               (grid_codes.delta_perp_set, ref_delta_perp_set)]:
+    for fn, ref in [(grid_codes.closed_forms, ref_closed_forms),
+                    (grid_codes.delta_set, ref_delta_set),
+                    (grid_codes.delta_perp_set, ref_delta_perp_set)]:
         assert outcome(fn, *inst) == outcome(ref, *inst) == (ParamRangeViolated, text)

@@ -28,19 +28,16 @@ from qlrc import (
     LinearCode,
     Monomial,
     build_code,
+    closed_forms,
     contains,
-    coset_distance_formula,
     delta_perp_set,
     delta_set,
     euclidean_dual,
     from_spanning_set,
-    impurity_predicate,
     in_row_space,
-    locality_formula,
     make_delta_params,
     make_field,
     make_grid_params,
-    min_distance_formula,
     record_to_json,
     twist_vector,
     valid_a_values,
@@ -236,17 +233,16 @@ def oracle_record(grid, dp):
                             for i in range(mirror.k)])
     assert _dual(code) == twisted
     wit = evaluate(field, witness_polynomial(grid, dp), points, H, V)
-    coset_d = coset_distance_formula(H, V, a, b)
-    assert weight(wit) == coset_d
+    forms = closed_forms(H, V, a, b)
+    assert weight(wit) == forms.coset_d
     assert in_row_space(code, wit)
     assert not in_row_space(mirror, wit)
     return OracleRecord(
         grid=grid, dp=dp, delta=delta, delta_perp=perp, code=code,
         mirror_code=mirror,
         plain_dual=(H % field.p == 0) and (V % field.p == 0),
-        d_formula=min_distance_formula(H, V, a, b), coset_d_formula=coset_d,
-        locality=locality_formula(H, V, a, b),
-        impure=impurity_predicate(H, V, a, b), witness=wit)
+        d_formula=forms.d, coset_d_formula=forms.coset_d,
+        locality=forms.locality, impure=forms.impure, witness=wit)
 
 
 def matrix_proof(grid, dp):
@@ -287,7 +283,7 @@ def matrix_proof(grid, dp):
     wit = grid_codes._outer(
         field, grid_codes._vanishing_values(field, xs, math.floor(grid.h + a)),
         grid_codes._vanishing_values(field, ys, math.floor(grid.v + b)))
-    if weight(wit) != coset_distance_formula(H, V, a, b):
+    if weight(wit) != grid_codes.closed_forms(H, V, a, b).coset_d:
         raise WitnessFailed(f"{where} witness weight {weight(wit)}")
     if not in_row_space(code, wit):
         raise WitnessFailed(f"{where} witness vector is not a codeword")

@@ -1,21 +1,18 @@
-"""CSS records from grid codes and bare codes, plus Hermitian lifts."""
+"""CSS records from grid codes, plus Hermitian lifts."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlrc import (
+    closed_forms,
     contains,
     coset_min_weight_bruteforce,
-    css_from_code,
     css_from_grid,
     css_record_to_json,
-    from_spanning_set,
     full_code,
     hermitian_dual,
     hermitian_lift,
-    quantum_dimension_formula,
     valid_a_values,
     valid_b_values,
 )
@@ -73,7 +70,7 @@ _SHAPES = [(H, V, a, b)
 @given(st.sampled_from(_SHAPES))
 def test_quantum_dimension_is_center_rectangle(shape):
     H, V, a, b = shape
-    k = quantum_dimension_formula(H, V, a, b)
+    k = closed_forms(H, V, a, b).quantum_k
     assert k == (2 * a + H % 2) * (2 * b + V % 2)
     assert k >= 1
 
@@ -82,29 +79,6 @@ def test_pure_iff_not_impure(ex1_record, rem3_record, ex1e_record):
     for rec in (ex1_record, rem3_record, ex1e_record):
         css = css_from_grid(rec, "formula")
         assert css.pure == (not rec.impure)
-
-
-def test_css_from_code_raw_path(rem3_record):
-    rec = css_from_code(rem3_record.code)
-    assert (rec.n, rec.k, rec.d) == (9, 1, 4)
-    assert rec.source == {"type": "code"}
-    assert rec.locality is None
-
-
-def test_css_from_code_requires_dual_containment(ex1_record):
-    with pytest.raises(NotDualContaining):
-        css_from_code(ex1_record.code)
-
-
-def test_css_from_code_formula_needs_grid(rem3_record):
-    with pytest.raises(InvalidParameter):
-        css_from_code(rem3_record.code, "formula")
-
-
-def test_css_from_full_space(gf3):
-    rec = css_from_code(full_code(gf3, 4))
-    assert (rec.n, rec.k) == (4, 4)
-    assert rec.d == 1
 
 
 def test_hermitian_lift_rem3(rem3_record):
@@ -147,14 +121,3 @@ def test_css_record_json(ex1_record):
                          "distance_mode", "source"}
     assert data["locality"] == [2, 2]
     assert data["source"]["type"] == "grid"
-
-
-def test_raw_css_pure_example(gf2):
-    # C = dual-containing [4,3] single-parity-check code over GF(2)
-    code = from_spanning_set(gf2, [
-        np.array([1, 1, 0, 0], dtype=np.int64),
-        np.array([0, 1, 1, 0], dtype=np.int64),
-        np.array([0, 0, 1, 1], dtype=np.int64),
-    ])
-    rec = css_from_code(code)
-    assert (rec.n, rec.k, rec.d) == (4, 2, 2)

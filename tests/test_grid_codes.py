@@ -11,19 +11,14 @@ from qlrc import (
     build_code,
     build_grid_record,
     cli,
-    coset_distance_formula,
+    closed_forms,
     delta_perp_set,
     delta_set,
-    delta_size_formula,
-    impurity_predicate,
-    locality_formula,
     make_delta_params,
     make_field,
     make_grid_params,
     min_distance_bruteforce,
-    min_distance_formula,
     monomial_distance,
-    quantum_dimension_formula,
     record_to_json,
     twist_vector,
     valid_a_values,
@@ -100,7 +95,7 @@ def test_delta_sets_rem3():
 @given(st.sampled_from(_SHAPES))
 def test_delta_size_formula_matches_enumeration(shape):
     H, V, a, b = shape
-    assert len(delta_set(H, V, a, b)) == delta_size_formula(H, V, a, b)
+    assert len(delta_set(H, V, a, b)) == closed_forms(H, V, a, b).size
 
 
 @settings(max_examples=120, deadline=None)
@@ -119,8 +114,8 @@ def test_delta_perp_is_reflection_complement(shape):
 @given(st.sampled_from(_SHAPES))
 def test_dimension_identities(shape):
     H, V, a, b = shape
-    size = delta_size_formula(H, V, a, b)
-    k = quantum_dimension_formula(H, V, a, b)
+    forms = closed_forms(H, V, a, b)
+    size, k = forms.size, forms.quantum_k
     assert 2 * size - H * V == k
     assert k == (2 * a + H % 2) * (2 * b + V % 2)
     assert len(delta_perp_set(H, V, a, b)) == H * V - size
@@ -133,9 +128,9 @@ def test_distance_formulas_from_monomials(shape):
     d = delta_set(H, V, a, b)
     dp = delta_perp_set(H, V, a, b)
     assert min(monomial_distance(m, H, V) for m in d) == \
-        min_distance_formula(H, V, a, b)
+        closed_forms(H, V, a, b).d
     assert min(monomial_distance(m, H, V) for m in d - dp) == \
-        coset_distance_formula(H, V, a, b)
+        closed_forms(H, V, a, b).coset_d
 
 
 def test_monomial_distance_bounds():
@@ -190,16 +185,16 @@ def test_gf4_instance_is_pure(gf4):
 
 
 def test_impurity_predicate_examples():
-    assert impurity_predicate(5, 3, 0, 0)
-    assert impurity_predicate(3, 3, 0, 0)
-    assert impurity_predicate(8, 8, 1, 1)
-    assert not impurity_predicate(4, 4, 1, 1)
+    assert closed_forms(5, 3, 0, 0).impure
+    assert closed_forms(3, 3, 0, 0).impure
+    assert closed_forms(8, 8, 1, 1).impure
+    assert not closed_forms(4, 4, 1, 1).impure
 
 
 def test_locality_formula_examples():
-    assert locality_formula(5, 3, 0, 0) == (2, 2)
-    assert locality_formula(8, 8, 1, 1) == (5, 4)
-    assert locality_formula(5, 5, 0, 0) == (3, 3)
+    assert closed_forms(5, 3, 0, 0).locality == (2, 2)
+    assert closed_forms(8, 8, 1, 1).locality == (5, 4)
+    assert closed_forms(5, 5, 0, 0).locality == (3, 3)
 
 
 def test_record_json_keys(ex1_record):
@@ -241,7 +236,7 @@ def test_build_code_proves_without_generator_matrices(monkeypatch, no_generator_
 
     monkeypatch.setattr(grid_codes, "inner_products", recorded)
     rec = build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
-    assert rec.k == len(rec.delta) == delta_size_formula(H, V, a, b)
+    assert rec.k == len(rec.delta) == closed_forms(H, V, a, b).size
     assert lengths and max(lengths) < rec.n  # no product runs along the n coordinates
     assert "code" not in vars(rec) and "mirror_code" not in vars(rec)
 
@@ -255,7 +250,7 @@ def test_large_grids_construct_in_bounded_time(no_generator_matrices, p, m, side
     start = time.monotonic()
     rec = build_grid_record(field, side, side, 2, 2)
     assert time.monotonic() - start < seconds
-    assert rec.k == delta_size_formula(side, side, 2, 2)
+    assert rec.k == closed_forms(side, side, 2, 2).size
     assert "code" not in vars(rec) and "mirror_code" not in vars(rec)
 
 

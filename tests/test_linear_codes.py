@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlrc import (
-    code_from_json,
-    code_to_json,
     contains,
     coset_min_weight_bruteforce,
     default_budget,
@@ -158,13 +156,6 @@ def test_default_budget_env(monkeypatch):
     monkeypatch.setenv("QLRC_BUDGET", "0")
     with pytest.raises(InvalidParameter):
         default_budget(123)
-
-
-def test_code_json_roundtrip(ex1_record, ex1e_record):
-    for rec in (ex1_record, ex1e_record):
-        back = code_from_json(code_to_json(rec.code))
-        assert back == rec.code
-        assert back.field == rec.code.field
 
 
 def test_codeword_linearity(gf7):

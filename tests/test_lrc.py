@@ -1,5 +1,7 @@
 """Locality certification and the [4m, 3m-1] binary family."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,17 +14,16 @@ from qlrc import (
     full_code,
     heavy_row_check,
     lemma_family,
-    make_field,
 )
 from qlrc.errors import (
-    BudgetExceeded,
+    AssertionFailed,
     InjectivityViolated,
     NotLocallyRecoverable,
     ParamRangeViolated,
     SearchBudgetExceeded,
     ZeroLocality,
 )
-from qlrc.lrc import coset_words
+from qlrc.lrc import LEMMA_M_CAP, coset_words
 
 
 def test_parameter_validation(ex1_record):
@@ -121,9 +122,11 @@ def test_lemma_family_rejects_bad_m():
         lemma_family(0)
     with pytest.raises(ParamRangeViolated):
         lemma_family(-3)
+    with pytest.raises(ParamRangeViolated, match=r"^m = 201 exceeds the cap 200$"):
+        lemma_family(LEMMA_M_CAP + 1)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 60])  # 60: 2^60 words, past any enumeration
 def test_heavy_rows_have_constant_weight(m):
     fam = lemma_family(m)
     res = heavy_row_check(fam)
@@ -148,22 +151,34 @@ def test_heavy_rows_match_matmul(m):
     res = heavy_row_check(fam)
     assert (res.min_weight, res.max_weight, res.count) == expected
     assert coset_words(fam).tolist() == words.tolist()
-    assert coset_words(fam, 1, 2).tolist() == words[1:2].tolist()
 
 
-def test_heavy_row_budget():
-    fam = lemma_family(6)
-    with pytest.raises(BudgetExceeded):
-        heavy_row_check(fam, budget=10)
+def _overlapping_blocks():
+    blocks = lemma_family(3).block_rows.copy()
+    blocks[1, 3] = 1  # block 1 reaches into run 0
+    return blocks
 
 
-def test_heavy_row_cap():
-    fam = lemma_family(3)
-    assert heavy_row_check(fam).count == 8
-    with pytest.raises(BudgetExceeded):
-        heavy_row_check(
-            type(fam)(25, fam.code, fam.dual_code, fam.block_rows,
-                      fam.straddle_row))
+@pytest.mark.parametrize("m, broken, message", [
+    (3, {"straddle_row": np.array([1, 0, 0, 0] + [1, 1, 0, 0] * 2)},
+     "the straddle row weighs 1 on run 0, not 2"),
+    (4, {"straddle_row": np.array([1, 1, 0, 0] * 2 + [1, 1, 1, 0, 1, 1, 0, 0])},
+     "the straddle row weighs 3 on run 2, not 2"),
+    (3, {"straddle_row": np.array([1, 1, 0, 0] * 3 + [1])},
+     "the straddle row is not a binary word of length 12"),
+    (2, {"straddle_row": np.array([1, 1, 0, 0, 2, 0, 0, 0])},
+     "the straddle row is not a binary word of length 8"),
+    (3, {"block_rows": _overlapping_blocks()},
+     "the block rows are not the 3 disjoint runs of four ones"),
+    (3, {"block_rows": lemma_family(3).block_rows[::-1]},
+     "the block rows are not the 3 disjoint runs of four ones"),
+], ids=["straddle-weight-1", "straddle-weight-3", "straddle-length", "straddle-entry-2",
+        "overlapping-blocks", "blocks-out-of-order"])
+def test_heavy_row_check_rejects_a_broken_family(m, broken, message):
+    # the coset weights are proved from the block structure, so a family
+    # that breaks it must fail the proof rather than get weights it lacks
+    with pytest.raises(AssertionFailed, match=f"^{message}$"):
+        heavy_row_check(dataclasses.replace(lemma_family(m), **broken))
 
 
 def test_zero_column_counts_as_vacuous(gf3):
