@@ -209,7 +209,8 @@ def _naming_budget_errors(rec):
     try:
         yield
     except BudgetError as exc:
-        raise type(exc)(f"{instance_label(rec.grid, rec.dp)} {exc}") from exc
+        grid, dp = rec.grid, rec.dp
+        raise type(exc)(f"{instance_label(grid.q, grid.H, grid.V, dp.a, dp.b)} {exc}") from exc
 
 
 def _cmd_construct(args) -> int:

@@ -5,6 +5,13 @@ encoding are the coefficients of the polynomial-basis representation,
 lowest degree first.  Every field gets exp/log tables of length q, so
 multiplication, inversion and powers are O(1) lookups (prime fields
 multiply directly mod p) and memory grows linearly with q.
+
+Addition is the one operation whose path depends on the encoding, and
+`vadd` has three: mod p for m = 1, XOR for p = 2, and Zech logarithms for
+odd p with m > 1, x + y = x (1 + y/x) with log(1 + alpha^k) tabulated
+(Lidl & Niederreiter, Finite Fields, ch. 10).  Negation multiplies by
+p - 1, subtraction adds the negation, and the scalar operations are the
+vector ones on scalars; `matmul` is the one matrix product over the field.
 """
 
 from __future__ import annotations
@@ -159,6 +166,7 @@ class FieldSpec:
         "_log",
         "_exp_np",
         "_log_np",
+        "_zech",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], primitive: int,
@@ -182,6 +190,13 @@ class FieldSpec:
             exp_np = np.concatenate((exp_np, exp_np, np.zeros(2 * self.q, dtype=np.int64)))
         object.__setattr__(self, "_exp_np", exp_np)
         object.__setattr__(self, "_log_np", log_np)
+        zech = None
+        if p > 2 and m > 1:
+            # zech[k] = log(1 + alpha^k): adding 1 raises the constant digit
+            # mod p with no carry, and a sum of 0 takes log 0, the sentinel
+            powers = exp_np[:self.q - 1]
+            zech = log_np[powers - powers % p + (powers + 1) % p]
+        object.__setattr__(self, "_zech", zech)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
@@ -204,32 +219,13 @@ class FieldSpec:
     # -- scalar arithmetic on integer encodings --
 
     def add(self, x: int, y: int) -> int:
-        if self.m == 1:
-            return (x + y) % self.p
-        if self.p == 2:
-            return x ^ y
-        out, pw = 0, 1
-        for _ in range(self.m):
-            out += ((x + y) % self.p) * pw
-            x //= self.p
-            y //= self.p
-            pw *= self.p
-        return out
+        return int(self.vadd(np.int64(x), np.int64(y)))
 
     def neg(self, x: int) -> int:
-        if self.m == 1:
-            return (-x) % self.p
-        if self.p == 2:
-            return x
-        out, pw = 0, 1
-        for _ in range(self.m):
-            out += ((-x) % self.p) * pw
-            x //= self.p
-            pw *= self.p
-        return out
+        return self.mul(self.p - 1, x)
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return int(self.vsub(np.int64(x), np.int64(y)))
 
     def mul(self, x: int, y: int) -> int:
         if self.m == 1:
@@ -259,38 +255,18 @@ class FieldSpec:
             return (xs + ys) % self.p
         if self.p == 2:
             return xs ^ ys
-        out = np.zeros(np.broadcast(xs, ys).shape, dtype=np.int64)
-        pw = 1
-        for k in range(self.m):
-            da = (xs // pw) % self.p
-            db = (ys // pw) % self.p
-            out += ((da + db) % self.p) * pw
-            pw *= self.p
-        return out
+        # x + y = x (1 + y/x), and log(1 + y/x) is one Zech-table lookup
+        lx, ly = self._log_np[xs], self._log_np[ys]
+        out = self._exp_np[lx + self._zech[(ly - lx) % (self.q - 1)]]
+        return np.where(xs == 0, ys, np.where(ys == 0, xs, out))
 
     def vneg(self, xs: np.ndarray) -> np.ndarray:
-        if self.m == 1:
-            return (-xs) % self.p
-        if self.p == 2:
-            return xs.copy()
-        out = np.zeros(xs.shape, dtype=np.int64)
-        pw = 1
-        for k in range(self.m):
-            out += ((-((xs // pw) % self.p)) % self.p) * pw
-            pw *= self.p
-        return out
+        return self.vscale(self.p - 1, xs)
 
     def vsub(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if self.m == 1:
             return (xs - ys) % self.p
-        if self.p == 2:
-            return xs ^ ys
-        out = np.zeros(np.broadcast(xs, ys).shape, dtype=np.int64)
-        pw = 1
-        for _ in range(self.m):
-            out += (((xs // pw) - (ys // pw)) % self.p) * pw
-            pw *= self.p
-        return out
+        return self.vadd(xs, self.vneg(ys))
 
     def vmul(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if self.m == 1:
@@ -305,6 +281,20 @@ class FieldSpec:
         if self.m == 1:
             return (c * xs) % self.p
         return self._exp_np[self._log_np[xs] + self._log[c]]
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b over the field, for (N, K) and (K, M) arrays of encodings.
+
+        A prime field takes one int64 product, exact while
+        K * (p - 1)^2 < 2^63; an extension field adds one outer product
+        per contracted index.
+        """
+        if self.m == 1:
+            return (a @ b) % self.p
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        for j in range(a.shape[1]):
+            out = self.vadd(out, self.vmul(a[:, j:j + 1], b[j:j + 1]))
+        return out
 
     def coeffs(self, value: int) -> tuple[int, ...]:
         return _digits(value, self.p, self.m)

@@ -50,7 +50,7 @@ from .errors import (
     WitnessFailed,
 )
 from .gf import FieldSpec, field_to_json
-from .linear_codes import LinearCode, from_spanning_set, inner_products
+from .linear_codes import LinearCode, from_spanning_set
 
 
 class Monomial(NamedTuple):
@@ -84,6 +84,13 @@ class DeltaParams:
     b: int
 
 
+# Largest n * (H + V), the work of build_code.  On a 2-core VM, square
+# grids (q, N, N, 2, 2) took 0.8 s at N = 256, 5.5 s at N = 512 and 57 s at
+# N = 1024; the H x (2H - 1) axis power table makes thin grids heavier, and
+# (6679, 6679, 3, 2, 0), just under the cap, took 4.5 s and 716 MiB.
+GRID_WORK_CAP = 2**27
+
+
 def make_grid_params(H: int, V: int, field: FieldSpec) -> GridParams:
     if not (isinstance(H, int) and isinstance(V, int)):
         raise ParamRangeViolated("H and V must be integers")
@@ -96,6 +103,9 @@ def make_grid_params(H: int, V: int, field: FieldSpec) -> GridParams:
         raise DivisibilityViolated(f"H-1 = {H - 1} does not divide q-1 = {q - 1}")
     if (q - 1) % (V - 1) != 0:
         raise DivisibilityViolated(f"V-1 = {V - 1} does not divide q-1 = {q - 1}")
+    if H * V * (H + V) > GRID_WORK_CAP:
+        raise ParamRangeViolated(
+            f"(q={q},H={H},V={V}) n*(H+V) = {H * V * (H + V)} exceeds the cap {GRID_WORK_CAP}")
     return GridParams(H, V, q, field)
 
 
@@ -238,9 +248,9 @@ def twist_vector(grid: GridParams) -> np.ndarray:
     field = grid.field
 
     def inv_deriv(N: int) -> np.ndarray:
-        return np.array([
-            field.inv(field.sub(field.mul(N % field.p, field.pow(int(z), N - 1)), 1))
-            for z in _axis_points(field, N)], dtype=np.int64)
+        powers = [field.pow(int(z), N - 1) for z in _axis_points(field, N)]
+        deriv = field.vsub(field.vscale(N % field.p, np.array(powers)), np.int64(1))
+        return np.array([field.inv(int(d)) for d in deriv], dtype=np.int64)
 
     return _outer(field, inv_deriv(grid.H), inv_deriv(grid.V))
 
@@ -309,7 +319,7 @@ def _twisted_orthogonal(field: FieldSpec, X: np.ndarray, Y: np.ndarray,
     every band is a prefix 0..top(j), as in Delta and Delta*.
     """
     H, V = in_delta.shape
-    M = inner_products(field, inner_products(field, X.T, w.reshape(H, V).T), Y.T)
+    M = field.matmul(field.matmul(X.T, w.reshape(H, V)), Y)
     nonzero = M != 0
     first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), M.shape[0])
     top, top_p = _band_tops(in_delta), _band_tops(in_perp)
@@ -317,9 +327,9 @@ def _twisted_orthogonal(field: FieldSpec, X: np.ndarray, Y: np.ndarray,
     return bool((top[j, None] + top_p[None, jp] < first[j[:, None] + jp[None, :]]).all())
 
 
-def instance_label(grid: GridParams, dp: DeltaParams) -> str:
+def instance_label(q: int, H: int, V: int, a: int, b: int) -> str:
     """The (q=..,H=..,V=..,a=..,b=..) prefix that names an instance in errors."""
-    return f"(q={grid.q},H={grid.H},V={grid.V},a={dp.a},b={dp.b})"
+    return f"(q={q},H={H},V={V},a={a},b={b})"
 
 
 def _require_distinct(where: str, axis: str, pts: np.ndarray) -> None:
@@ -333,7 +343,7 @@ def _require_distinct(where: str, axis: str, pts: np.ndarray) -> None:
 def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     H, V, field = grid.H, grid.V, grid.field
     a, b = dp.a, dp.b
-    where = instance_label(grid, dp)
+    where = instance_label(grid.q, H, V, a, b)
     delta = _sorted_monomials(delta_set(H, V, a, b))
     perp = _sorted_monomials(delta_perp_set(H, V, a, b))
     xs = _axis_points(field, H)
@@ -371,8 +381,8 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     # outside C(Delta*), exactly as its coefficient support is.
     cx = _root_product(field, xs[:A])
     cy = _root_product(field, ys[:B])
-    ex = inner_products(field, X[:, :A + 1], cx[None, :])[:, 0]
-    ey = inner_products(field, Y[:, :B + 1], cy[None, :])[:, 0]
+    ex = field.matmul(X[:, :A + 1], cx[:, None])[:, 0]
+    ey = field.matmul(Y[:, :B + 1], cy[:, None])[:, 0]
     if not np.array_equal(_outer(field, ex, ey), wit):
         raise WitnessFailed(f"{where} witness vector is not the evaluation of its polynomial")
     support = np.zeros((H, V), dtype=bool)

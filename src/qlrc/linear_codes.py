@@ -110,11 +110,7 @@ class LinearCode:
 
     def codeword(self, message) -> np.ndarray:
         msg = np.asarray(message, dtype=np.int64)
-        f = self.field
-        out = np.zeros(self.n, dtype=np.int64)
-        for j in range(self.k):
-            out = f.vadd(out, f.vscale(int(msg[j]), self.generator[j]))
-        return out
+        return self.field.matmul(msg[None, :], self.generator)[0]
 
 
 def _coerce_rows(field: FieldSpec, vectors) -> np.ndarray:
@@ -183,15 +179,16 @@ def hermitian_dual(code: LinearCode) -> LinearCode:
     return euclidean_dual(frobenius_map(code, q0))
 
 
-def in_row_space(code: LinearCode, vec: np.ndarray) -> bool:
-    field = code.field
-    v = np.array(vec, dtype=np.int64, copy=True)
-    if v.shape[0] != code.n:
-        raise LengthMismatch(f"vector length {v.shape[0]} != code length {code.n}")
-    for i, pc in enumerate(code.pivots):
-        if v[pc] != 0:
-            v = field.vsub(v, field.vscale(int(v[pc]), code.generator[i]))
-    return not v.any()
+def in_row_space(code: LinearCode, rows) -> bool:
+    """True when the vector, or every row of the matrix, lies in the code.
+
+    The generator is in RREF with pivot columns P, so v is a codeword
+    exactly when v = v[P] @ G.
+    """
+    v = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    if v.shape[-1] != code.n:
+        raise LengthMismatch(f"vector length {v.shape[-1]} != code length {code.n}")
+    return np.array_equal(code.field.matmul(v[:, list(code.pivots)], code.generator), v)
 
 
 def contains(outer: LinearCode, inner: LinearCode) -> bool:
@@ -199,51 +196,13 @@ def contains(outer: LinearCode, inner: LinearCode) -> bool:
         raise FieldMismatch("codes live over different fields")
     if outer.n != inner.n:
         raise LengthMismatch(f"code lengths differ: {outer.n} vs {inner.n}")
-    return all(in_row_space(outer, inner.generator[i]) for i in range(inner.k))
+    return in_row_space(outer, inner.generator)
 
 
 def _message_block(q: int, k: int, start: int, stop: int) -> np.ndarray:
     idx = np.arange(start, stop, dtype=np.int64)
     pws = q ** np.arange(k, dtype=np.int64)
     return (idx[:, None] // pws[None, :]) % q
-
-
-def _encode_block(field: FieldSpec, gen: np.ndarray, msgs: np.ndarray) -> np.ndarray:
-    if field.m == 1:
-        return (msgs @ gen) % field.p
-    out = np.zeros((msgs.shape[0], gen.shape[1]), dtype=np.int64)
-    for j in range(gen.shape[0]):
-        out = field.vadd(out, field.vmul(msgs[:, j:j + 1], gen[j:j + 1, :]))
-    return out
-
-
-def _field_row_sums(field: FieldSpec, mat: np.ndarray) -> np.ndarray:
-    """Sum of each row of mat in the field."""
-    if field.m == 1:
-        return mat.sum(axis=1) % field.p
-    if field.p == 2:
-        return np.bitwise_xor.reduce(mat, axis=1)
-    out = np.zeros(mat.shape[0], dtype=np.int64)
-    pw = 1
-    for _ in range(field.m):
-        out += (((mat // pw) % field.p).sum(axis=1) % field.p) * pw
-        pw *= field.p
-    return out
-
-
-def inner_products(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.T over the field: entry (i, j) is the dot product of a[i] and b[j].
-
-    Entries must be encodings in [0, q).  A prime field takes one int64
-    product, exact while n * (p - 1)^2 < 2^63; an extension field takes
-    one vector product per row of b.
-    """
-    if field.m == 1:
-        return (a @ b.T) % field.p
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
-    for j in range(b.shape[0]):
-        out[:, j] = _field_row_sums(field, field.vmul(a, b[j:j + 1, :]))
-    return out
 
 
 def _check_budget(q: int, k: int, budget) -> None:
@@ -270,15 +229,14 @@ def _split_min_weight(field: FieldSpec, gen: np.ndarray, n: int) -> int:
         k_in -= 1
     k_out = k - k_in
     entry = np.min_scalar_type(q - 1)
-    table = field.vneg(_encode_block(
-        field, gen[k_out:], _message_block(q, k_in, 0, q ** k_in)))
+    table = field.vneg(field.matmul(_message_block(q, k_in, 0, q ** k_in), gen[k_out:]))
     table = np.ascontiguousarray(table.T, dtype=entry)  # one row per coordinate
     block = max(1, _CELLS // (table.shape[1] * width))
     total = q ** k_out
     best = n + 1
     for start in range(0, total, block):
         stop = min(start + block, total)
-        outer = _encode_block(field, gen[:k_out], _message_block(q, k_out, start, stop))
+        outer = field.matmul(_message_block(q, k_out, start, stop), gen[:k_out])
         outer = np.ascontiguousarray(outer.T, dtype=entry)
         w = np.zeros((stop - start, table.shape[1]), dtype=np.min_scalar_type(n + 1))
         for i in range(n):
@@ -319,7 +277,7 @@ def coset_min_weight_bruteforce(code: LinearCode, sub: LinearCode,
         raise InvalidParameter("subcode equals the code; the coset is empty")
     _check_budget(code.field.q, code.k, budget)
     field = code.field
-    syndromes = inner_products(field, code.generator, euclidean_dual(sub).generator)
+    syndromes = field.matmul(code.generator, euclidean_dual(sub).generator.T)
     basis, _ = _rref(field, syndromes.T)
     best = _split_min_weight(field, np.hstack([code.generator, basis.T]), code.n)
     if best > code.n:

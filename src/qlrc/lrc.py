@@ -67,12 +67,10 @@ from .grid_codes import GridCodeRecord, _exponent_mask, _require_distinct, insta
 from .linear_codes import (
     LinearCode,
     _check_budget,
-    _encode_block,
     _message_block,
     default_budget,
     euclidean_dual,
     from_spanning_set,
-    inner_products,
 )
 
 _SEARCH_BUDGET = 10**6
@@ -147,7 +145,7 @@ def _min_weights(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     best = np.full(M, s + 1)
     for start in range(0, total, block):
         msgs = _message_block(field.q, K, start, min(start + block, total))
-        w = np.count_nonzero(_encode_block(field, gen, msgs).reshape(-1, M, s), axis=2)
+        w = np.count_nonzero(field.matmul(msgs, gen).reshape(-1, M, s), axis=2)
         w[w == 0] = s + 1  # the zero word
         best = np.minimum(best, w.min(axis=0))
     return best
@@ -267,7 +265,7 @@ def certify_grid_lines(rec: GridCodeRecord, r: int, delta: int) -> LocalityCerti
     if V > size_cap:
         raise NotLocallyRecoverable(
             f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
-    where = instance_label(rec.grid, rec.dp)
+    where = instance_label(rec.grid.q, H, V, rec.dp.a, rec.dp.b)
     X, Y = rec.powers
     _require_distinct(where, "y", Y[:, 1])
     J = max(mono.j for mono in rec.delta)
@@ -349,7 +347,7 @@ def certify_dual_words(code: LinearCode, words, r: int) -> LocalityCertificate:
     words = np.asarray(words, dtype=np.int64)
     if words.ndim != 2 or words.shape[1] != n:
         raise LengthMismatch(f"dual words must form an (N, {n}) array, got {words.shape}")
-    bad = np.flatnonzero(inner_products(field, words, gen).any(axis=1))
+    bad = np.flatnonzero(field.matmul(words, gen.T).any(axis=1))
     if bad.size:
         raise DualityViolated(
             f"word {bad[0]} {words[bad[0]].tolist()} is not a dual codeword: "

@@ -46,6 +46,7 @@ from .gf import check_field_order, make_field, split_prime_power
 from .grid_codes import (
     build_grid_record,
     closed_forms,
+    instance_label,
     valid_a_values,
     valid_b_values,
 )
@@ -131,11 +132,6 @@ class SweepResult:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _label(q: int, H: int, V: int, a: int, b: int) -> str:
-    """grid_codes.instance_label for an instance that has no record yet."""
-    return f"(q={q},H={H},V={V},a={a},b={b})"
 
 
 def _closed_forms(H: int, V: int, a: int, b: int) -> dict:
@@ -269,7 +265,7 @@ def _run_one(task) -> VerdictRow:
         if collect:  # the FAIL line names the instance
             return VerdictRow(mode=mode, q=q, H=H, V=V, a=a, b=b,
                               **_closed_forms(H, V, a, b), ok=False, message=str(exc))
-        raise type(exc)(f"{_label(q, H, V, a, b)} {exc}") from exc
+        raise type(exc)(f"{instance_label(q, H, V, a, b)} {exc}") from exc
 
 
 def check_theorem(mode: str, q: int, H: int, V: int, a: int, b: int = 0) -> VerdictRow:
@@ -281,7 +277,7 @@ def check_theorem(mode: str, q: int, H: int, V: int, a: int, b: int = 0) -> Verd
     if mode not in _THEOREMS:
         raise ParamRangeViolated(f"unknown theorem {mode!r}")
     split_prime_power(q)  # raises on invalid q
-    label = _label(q, H, V, a, b)
+    label = instance_label(q, H, V, a, b)
     if not (H >= 3 and V >= 3 and q >= 3
             and (q - 1) % (H - 1) == 0 and (q - 1) % (V - 1) == 0
             and a in valid_a_values(H) and b in valid_b_values(V)):

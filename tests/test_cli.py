@@ -154,6 +154,25 @@ def test_lemma_m_above_the_cap_exits_2(m):
     assert err == f"error: m = {m} exceeds the cap 200\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "construct --q 65536 --H 65536 --V 65536 --a 1 --b 1",
+    "verify-locality --q 1024 --H 1024 --V 1024 --a 1 --b 1",
+])
+def test_grid_above_the_work_cap_exits_2(argv):
+    # the cap is checked before any grid table is built; these used to run for
+    # minutes (side 1024) or without end (side 65536)
+    proc = _qlrc_process(argv.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out) == (2, "")
+    q = int(argv.split()[2])
+    assert err == (f"error: (q={q},H={q},V={q}) n*(H+V) = {2 * q**3} "
+                   f"exceeds the cap 134217728\n")
+
+
 def test_lemma_broken_family_is_exit_4(capsys, monkeypatch):
     build = cli.lemma_family
 

@@ -55,7 +55,7 @@ from qlrc.errors import (
     WitnessFailed,
 )
 from qlrc.gf import split_prime_power
-from qlrc.linear_codes import _rref, inner_products
+from qlrc.linear_codes import _rref
 
 # -- the definition-level construction ----------------------------------------
 
@@ -256,7 +256,7 @@ def matrix_proof(grid, dp):
     """
     H, V, field = grid.H, grid.V, grid.field
     a, b = dp.a, dp.b
-    where = grid_codes.instance_label(grid, dp)
+    where = grid_codes.instance_label(grid.q, H, V, a, b)
     delta = tuple(sorted(grid_codes.delta_set(H, V, a, b), key=lambda m: (m.j, m.i)))
     perp = tuple(sorted(grid_codes.delta_perp_set(H, V, a, b), key=lambda m: (m.j, m.i)))
     xs = grid_codes._axis_points(field, H)
@@ -277,7 +277,7 @@ def matrix_proof(grid, dp):
         raise DualityViolated(f"{where} |Delta| + |Delta*| != n")
     w = grid_codes.twist_vector(grid)
     twisted = field.vmul(w[None, :], mirror.generator)
-    if not w.all() or inner_products(field, code.generator, twisted).any():
+    if not w.all() or field.matmul(code.generator, twisted.T).any():
         raise DualityViolated(f"{where} G diag(w) G*^T != 0")
 
     wit = grid_codes._outer(
@@ -364,7 +364,7 @@ def _outcome(prove, grid, dp):
     try:
         prove(grid, dp)
     except InternalCheckError as exc:
-        assert str(exc).startswith(grid_codes.instance_label(grid, dp))
+        assert str(exc).startswith(grid_codes.instance_label(grid.q, grid.H, grid.V, dp.a, dp.b))
         return type(exc)
     return None
 

@@ -28,7 +28,7 @@ from qlrc import (
 )
 from qlrc import linear_codes
 from qlrc.gf import split_prime_power
-from qlrc.linear_codes import _message_block, contains, inner_products
+from qlrc.linear_codes import _message_block, contains
 
 # -- the definition-level enumeration -----------------------------------------
 
@@ -70,7 +70,7 @@ def coset_min_weight_blocks(code, sub):
     for start in range(0, total, _BLOCK):
         stop = min(start + _BLOCK, total)
         words = _encode_block(code, _message_block(field.q, code.k, start, stop))
-        outside = inner_products(field, words, parity).any(axis=1)
+        outside = field.matmul(words, parity.T).any(axis=1)
         if outside.any():
             best = min(best, int(np.count_nonzero(words[outside], axis=1).min()))
             if best == 1:

@@ -165,3 +165,104 @@ def _trial_division(n: int) -> list[int]:
 @given(st.integers(1, 2**24) | st.sampled_from([p**m - 1 for p, m in _EXTENSIONS]))
 def test_prime_factors_match_trial_division(n):
     assert _prime_factors(n) == _trial_division(n)
+
+
+# -- addition against its definition: coefficient vectors added mod p ----------
+
+
+def digit_add(field, x: int, y: int, sign: int = 1) -> int:
+    """x + sign * y, one base-p coefficient at a time."""
+    return field.encode([(a + sign * b) % field.p
+                         for a, b in zip(field.coeffs(x), field.coeffs(y))])
+
+
+def _digit_sums(field, xs, ys, sign: int = 1) -> np.ndarray:
+    """digit_add entrywise over the broadcast of xs and ys."""
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64))
+    return np.array([digit_add(field, int(x), int(y), sign) for x, y in zip(xs.flat, ys.flat)],
+                    dtype=np.int64).reshape(xs.shape)
+
+
+def digit_matmul(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with every sum taken by digit_add."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            for t in range(a.shape[1]):
+                out[i, j] = digit_add(field, int(out[i, j]), field.mul(int(a[i, t]), int(b[t, j])))
+    return out
+
+
+_SMALL = [split_prime_power(q) for q in prime_powers(81, start=2)] + [(5, 3)]
+
+
+@pytest.mark.parametrize("p,m", _SMALL, ids=[f"{p}^{m}" for p, m in _SMALL])
+def test_addition_matches_digits_on_every_pair(p, m):
+    f = make_field(p, m)
+    xs = np.arange(f.q, dtype=np.int64)
+    add, sub = _digit_sums(f, xs[:, None], xs), _digit_sums(f, xs[:, None], xs, -1)
+    neg = _digit_sums(f, 0, xs, -1)
+    assert np.array_equal(f.vadd(xs[:, None], xs), add)
+    assert np.array_equal(f.vsub(xs[:, None], xs), sub)
+    assert np.array_equal(f.vneg(xs), neg)
+    assert [f.neg(x) for x in range(f.q)] == neg.tolist()
+    assert [[f.add(x, y) for y in range(f.q)] for x in range(f.q)] == add.tolist()
+    assert [[f.sub(x, y) for y in range(f.q)] for x in range(f.q)] == sub.tolist()
+
+
+_LARGE = [(3, 8), (3, 12)]
+
+
+@pytest.mark.parametrize("p,m", _LARGE, ids=[f"{p}^{m}" for p, m in _LARGE])
+def test_addition_matches_digits_on_a_sample(p, m):
+    f = make_field(p, m)
+    rng = np.random.default_rng(p**m)
+    xs = rng.integers(0, f.q, 600)
+    ys = rng.integers(0, f.q, 600)
+    ys[:100] = _digit_sums(f, 0, xs[:100], -1)  # x + y = 0, the Zech sentinel
+    xs[100:150] = 0
+    ys[150:200] = 0
+    ys[200:250] = xs[200:250]
+    xs[250:300] = 1  # log x = 0: 1 + (p - 1) = 0 lands on the sentinel exactly
+    ys[250:300] = rng.choice([p - 1, 1, p, f.q - 1], 50)
+    assert np.array_equal(f.vadd(xs, ys), _digit_sums(f, xs, ys))
+    assert np.array_equal(f.vsub(xs, ys), _digit_sums(f, xs, ys, -1))
+    assert np.array_equal(f.vneg(xs), _digit_sums(f, 0, xs, -1))
+    for x, y in zip(xs[::20].tolist(), ys[::20].tolist()):
+        assert f.add(x, y) == digit_add(f, x, y)
+        assert f.sub(x, y) == digit_add(f, x, y, -1)
+        assert f.neg(x) == digit_add(f, 0, x, -1)
+
+
+_SHAPES_FIELDS = [(7, 1), (2, 4), (3, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("p,m", _SHAPES_FIELDS, ids=[f"{p}^{m}" for p, m in _SHAPES_FIELDS])
+def test_addition_broadcasts(p, m):
+    f = make_field(p, m)
+    rng = np.random.default_rng(f.q)
+    col, row = rng.integers(0, f.q, (5, 1)), rng.integers(0, f.q, (1, 4))
+    x, y = np.int64(f.q - 1), np.int64(p - 1)
+    for a, b in ((x, y), (x, np.int64(0)), (col, row), (row, col), (col, x), (y, row),
+                 (row[0], x), (np.zeros((0, 3), dtype=np.int64), row[:, :3])):
+        for op, sign in ((f.vadd, 1), (f.vsub, -1)):
+            out = op(a, b)
+            assert np.shape(out) == np.broadcast_shapes(np.shape(a), np.shape(b))
+            assert np.array_equal(out, _digit_sums(f, a, b, sign))
+        assert np.array_equal(f.vneg(np.asarray(a)), _digit_sums(f, 0, a, -1))
+
+
+@pytest.mark.parametrize("p,m", _SMALL + _LARGE, ids=[f"{p}^{m}" for p, m in _SMALL + _LARGE])
+def test_matmul_matches_digit_sums(p, m):
+    f = make_field(p, m)
+    rng = np.random.default_rng(f.q)
+    for n, k, cols in ((3, 4, 2), (1, 1, 5), (4, 7, 1), (2, 0, 3), (0, 3, 2)):
+        a, b = rng.integers(0, f.q, (n, k)), rng.integers(0, f.q, (k, cols))
+        if n > 1 and k > 1:
+            a[0] = 0
+            a[-1] = 1  # the sum of b's rows, whose first two cancel: x + (-x) = 0
+            b[0, 0] = 1  # with log x = 0 in column 0
+            b[1] = _digit_sums(f, 0, b[0], -1)
+        out = f.matmul(a, b)
+        assert out.shape == (n, cols)
+        assert np.array_equal(out, digit_matmul(f, a, b))

@@ -1,5 +1,6 @@
 """Grid geometry, the staircase monomial set, and code construction."""
 
+import re
 import time
 
 import pytest
@@ -33,7 +34,7 @@ from qlrc.errors import (
     ParamRangeViolated,
     WitnessFailed,
 )
-from qlrc.gf import split_prime_power
+from qlrc.gf import FieldSpec, split_prime_power
 
 _SHAPES = [(H, V, a, b)
            for H in range(3, 14)
@@ -49,6 +50,14 @@ def test_grid_param_errors(gf5, gf2):
         make_grid_params(2, 3, gf5)
     with pytest.raises(ParamRangeViolated):
         make_grid_params(3, 3, gf2)  # q must be at least 3
+
+
+def test_grid_work_cap_boundary():
+    # n * (H + V) = 3q(q + 3): 133,887,234 for q = 6679, 134,288,364 for 6689
+    assert make_grid_params(6679, 3, make_field(6679)).n == 3 * 6679
+    with pytest.raises(ParamRangeViolated, match=re.escape(
+            "(q=6689,H=6689,V=3) n*(H+V) = 134288364 exceeds the cap 134217728")):
+        make_grid_params(6689, 3, make_field(6689))
 
 
 def test_ab_validation(gf5, gf4):
@@ -228,13 +237,13 @@ def test_build_code_proves_without_generator_matrices(monkeypatch, no_generator_
                                                       inst):
     q, H, V, a, b = inst
     lengths = []
-    products = grid_codes.inner_products
+    products = FieldSpec.matmul
 
     def recorded(field, x, y):
         lengths.append(x.shape[1])
         return products(field, x, y)
 
-    monkeypatch.setattr(grid_codes, "inner_products", recorded)
+    monkeypatch.setattr(FieldSpec, "matmul", recorded)
     rec = build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
     assert rec.k == len(rec.delta) == closed_forms(H, V, a, b).size
     assert lengths and max(lengths) < rec.n  # no product runs along the n coordinates

@@ -29,7 +29,7 @@ from qlrc.errors import (
     LengthMismatch,
     NotSubcode,
 )
-from qlrc.linear_codes import inner_products
+from test_field_oracle import digit_add
 
 
 def _rows(*rows):
@@ -102,6 +102,12 @@ def test_contains_and_row_space(ex1_record, rem3_record):
     assert contains(c3, euclidean_dual(c3))
     assert contains(c1, ex1_record.mirror_code)
     assert in_row_space(c1, c1.generator[0])
+    assert in_row_space(c1, c1.generator) and in_row_space(c1, ex1_record.mirror_code.generator)
+    outside = np.vstack([c1.generator, euclidean_dual(c1).generator])
+    assert not in_row_space(c1, outside)
+    assert in_row_space(c1, np.zeros((0, c1.n), dtype=np.int64))
+    with pytest.raises(LengthMismatch, match="^vector length 3 != code length 15$"):
+        in_row_space(c1, outside[:, :3])
     assert not in_row_space(ex1_record.mirror_code, c1.generator[0]) or \
         ex1_record.mirror_code.k == c1.k
 
@@ -224,11 +230,11 @@ def test_inner_products_match_scalar_sums(data):
                         dtype=np.int64)
 
     a, b = matrix(), matrix()
-    out = inner_products(field, a, b)
+    out = field.matmul(a, b.T)
     assert out.shape == (a.shape[0], b.shape[0])
     for i in range(a.shape[0]):
         for j in range(b.shape[0]):
             acc = 0
             for t in range(n):
-                acc = field.add(acc, field.mul(int(a[i, t]), int(b[j, t])))
+                acc = digit_add(field, acc, field.mul(int(a[i, t]), int(b[j, t])))
             assert out[i, j] == acc

@@ -51,7 +51,7 @@ from qlrc.errors import (
 )
 from qlrc.gf import split_prime_power
 from qlrc.grid_codes import instance_label
-from qlrc.linear_codes import LinearCode, _rref, inner_products, min_distance_bruteforce
+from qlrc.linear_codes import LinearCode, _rref, min_distance_bruteforce
 from qlrc.lrc import LocalityCertificate, LocalityEntry, _validate_rd
 from qlrc.verifier import prime_powers
 
@@ -178,7 +178,7 @@ def oracle_grid_ranks(rec, r, delta):
     if V > size_cap:
         raise NotLocallyRecoverable(
             f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
-    where = instance_label(rec.grid, rec.dp)
+    where = instance_label(rec.grid.q, H, V, rec.dp.a, rec.dp.b)
     field, code = rec.grid.field, rec.code
     vandermonde = rec.powers[1][None, :, :V].copy()
     if lrc._reduce(field, vandermonde)[0] != V:
@@ -425,7 +425,7 @@ def _orthogonal_words(code, max_weight):
               supports[:, None, :]] = values[None, :, :]
         words = words.reshape(-1, n)
         if code.k:
-            words = words[~inner_products(field, words, code.generator).any(axis=1)]
+            words = words[~field.matmul(words, code.generator.T).any(axis=1)]
         found.append(words)
     return np.concatenate(found)
 
@@ -556,7 +556,7 @@ def column_corruptions(draw):
 @given(column_corruptions())
 def test_corruptions_fail_both_column_proofs_alike(broken):
     r, delta = broken.locality
-    where = instance_label(broken.grid, broken.dp)
+    where = instance_label(broken.grid.q, broken.grid.H, broken.grid.V, broken.dp.a, broken.dp.b)
     for certify in (certify_grid_lines, oracle_grid_ranks):
         with pytest.raises(InjectivityViolated, match="^" + re.escape(where)):
             certify(broken, r, delta)
