@@ -282,6 +282,12 @@ class FieldSpec:
             return (c * xs) % self.p
         return self._exp_np[self._log_np[xs] + self._log[c]]
 
+    def vpow(self, xs: np.ndarray, es: np.ndarray) -> np.ndarray:
+        """xs ** es elementwise, broadcast, for exponents 0 <= es < 2^40,
+        with 0^0 = 1."""
+        out = self._exp_np[self._log_np[xs] * es % (self.q - 1)]
+        return np.where(xs == 0, es == 0, out)
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b over the field, for (N, K) and (K, M) arrays of encodings.
 

@@ -9,34 +9,36 @@ the inverse derivative values of the grid vanishing polynomials
 X^H - X and Y^V - Y; the rescaling is constant exactly when p | H and
 p | V, in which case the dual and the mirror coincide as codes.
 
-build_code proves these facts from per-axis data, in O(n * (H + V))
+build_code proves these facts from per-axis data, in O(H^2 + V^2 + n)
 field operations, without forming a generator matrix:
 
 * Injectivity.  Evaluating every x^i y^j (i < H, j < V) on the grid is
   the Kronecker product of the two axis Vandermonde matrices, invertible
   when each axis has distinct points.  So dim C(Delta) = |Delta|, and a
   codeword lies in C(Delta) exactly when its coefficients lie in Delta.
-* Duality.  The twisted inner product of the rows of x^i y^j and
-  x^i' y^j' is the moment M[i + i', j + j'], where
-  M[e, f] = sum_{s,t} w_{s,t} x_s^e y_t^f is two axis transforms of the
-  full twist vector w.  If band j of Delta reaches i <= I(j) and band j'
+* Duality.  The twist w is the outer product of the axis factors
+  1 / g_N'(z_s), so the twisted inner product of the rows of x^i y^j and
+  x^i' y^j' is m_x[i + i'] * m_y[j + j'], with the axis moments
+  m_N[e] = sum_s z_s^e / g_N'(z_s), e < 2N - 1.  That is
+  [Z^(N-1)] (Z^e mod Z^N - Z) by Lagrange interpolation: 1 at e = N - 1
+  and e = 2N - 2, 0 elsewhere; build_code computes the moments rather
+  than assuming them.  If band j of Delta reaches i <= I(j) and band j'
   of Delta* reaches i' <= I*(j'), the product vanishes when
-  I(j) + I*(j') lies below the first nonzero entry of column j + j' of M.
+  m_y[j + j'] = 0 or I(j) + I*(j') lies below the first nonzero m_x[e].
   With Delta* inside Delta, w nowhere zero and |Delta| + |Delta*| = n,
   that gives C(Delta)^perp = w o C(Delta*).
 * Witness.  prod_{i<A} (x - x_i) * prod_{j<B} (y - y_j) is expanded per
   axis and must evaluate to the witness; its coefficient support must lie
   in Delta and not inside Delta*.
 
-The generator matrices of C(Delta) and C(Delta*) are built and
-row-reduced only when a record's `code` or `mirror_code` is first read.
+The generator matrices of C(Delta) and C(Delta*) are built from the axis
+points and row-reduced only when `code` or `mirror_code` is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -66,14 +68,6 @@ class GridParams:
     field: FieldSpec
 
     @property
-    def h(self) -> Fraction:
-        return Fraction(self.H - 1, 2)
-
-    @property
-    def v(self) -> Fraction:
-        return Fraction(self.V - 1, 2)
-
-    @property
     def n(self) -> int:
         return self.H * self.V
 
@@ -84,10 +78,10 @@ class DeltaParams:
     b: int
 
 
-# Largest n * (H + V), the work of build_code.  On a 2-core VM, square
-# grids (q, N, N, 2, 2) took 0.8 s at N = 256, 5.5 s at N = 512 and 57 s at
-# N = 1024; the H x (2H - 1) axis power table makes thin grids heavier, and
-# (6679, 6679, 3, 2, 0), just under the cap, took 4.5 s and 716 MiB.
+# Largest n * (H + V).  build_code's work is O(H^2 + V^2 + n); a cap on n
+# alone would not bound the moment sums, which n * (H + V) >= 3 (H^2 + V^2)
+# does ((q, q, 3) near the field cap: n ~ 3 * 2^20, H^2 ~ 2^40).  On a 2-core
+# VM, (6679, 6679, 3, 2, 0) and its transpose take 2.3 s and peak at 44 MiB.
 GRID_WORK_CAP = 2**27
 
 
@@ -195,22 +189,7 @@ def monomial_distance(mono: Monomial, H: int, V: int) -> int:
 def _axis_points(field: FieldSpec, count: int) -> np.ndarray:
     """0 and the (count-1)-th roots of unity alpha^(i*step), in that order."""
     step = (field.q - 1) // (count - 1)
-    pts = [0]
-    for i in range(1, count):
-        pts.append(field.pow(field.primitive, i * step))
-    return np.array(pts, dtype=np.int64)
-
-
-def _power_table(field: FieldSpec, pts: np.ndarray) -> np.ndarray:
-    """T[s, e] = pts[s]^e for 0 <= e <= 2*(len(pts) - 1).
-
-    Exponents below len(pts) give the evaluation rows; the rest reach the
-    sums i + i' that the duality moments need.
-    """
-    table = np.ones((len(pts), 2 * len(pts) - 1), dtype=np.int64)
-    for e in range(1, table.shape[1]):
-        table[:, e] = field.vmul(table[:, e - 1], pts)
-    return table
+    return np.concatenate(([0], field.vpow(field.primitive, step * np.arange(1, count))))
 
 
 def _outer(field: FieldSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -218,11 +197,11 @@ def _outer(field: FieldSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return field.vmul(xs[:, None], ys[None, :]).ravel()
 
 
-def _evaluation_rows(field: FieldSpec, X: np.ndarray, Y: np.ndarray,
+def _evaluation_rows(field: FieldSpec, xs: np.ndarray, ys: np.ndarray,
                      monos) -> np.ndarray:
-    """Row for X^i Y^j: the outer product of the power columns X[:, i], Y[:, j]."""
-    xi = X.T[[m.i for m in monos]]
-    yj = Y.T[[m.j for m in monos]]
+    """Row for X^i Y^j: the outer product of the axis powers xs^i and ys^j."""
+    xi = field.vpow(xs[None, :], np.array([[m.i] for m in monos]))
+    yj = field.vpow(ys[None, :], np.array([[m.j] for m in monos]))
     return field.vmul(xi[:, :, None], yj[:, None, :]).reshape(len(monos), -1)
 
 
@@ -243,23 +222,46 @@ def _root_product(field: FieldSpec, roots: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _horner(field: FieldSpec, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients, lowest degree first, at every point."""
+    out = np.zeros(len(pts), dtype=np.int64)
+    for c in coeffs[::-1]:
+        out = field.vadd(field.vmul(out, pts), c)
+    return out
+
+
+def _inv_derivs(field: FieldSpec, pts: np.ndarray, N: int) -> np.ndarray:
+    """1 / g_N'(z) = (N z^(N-1) - 1)^(q-2) at every point z; 0 where g_N'(z) = 0."""
+    deriv = field.vsub(field.vscale(N % field.p, field.vpow(pts, N - 1)), np.int64(1))
+    return field.vpow(deriv, field.q - 2)
+
+
+def _moments(field: FieldSpec, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """m[e] = sum_s weights[s] * pts[s]^e for e < 2 len(pts) - 1: blocks of
+    at most 2^18 terms (2 MiB of int64), each summed by halving."""
+    es = np.arange(2 * len(pts) - 1)
+    step = max(1, 2**18 // len(es))
+    m = np.zeros((1, len(es)), dtype=np.int64)
+    for s in range(0, len(pts), step):
+        terms = field.vmul(weights[s:s + step, None], field.vpow(pts[s:s + step, None], es))
+        m = np.concatenate((m, terms))
+        while len(m) > 1:
+            half = len(m) // 2
+            m = np.concatenate((field.vadd(m[:half], m[half:2 * half]), m[2 * half:]))
+    return m[0]
+
+
 def twist_vector(grid: GridParams) -> np.ndarray:
     """w_t = 1 / (g_H'(x_t) * g_V'(y_t)) for g_N(Z) = Z^N - Z."""
-    field = grid.field
-
-    def inv_deriv(N: int) -> np.ndarray:
-        powers = [field.pow(int(z), N - 1) for z in _axis_points(field, N)]
-        deriv = field.vsub(field.vscale(N % field.p, np.array(powers)), np.int64(1))
-        return np.array([field.inv(int(d)) for d in deriv], dtype=np.int64)
-
-    return _outer(field, inv_deriv(grid.H), inv_deriv(grid.V))
+    f = grid.field
+    return _outer(f, *(_inv_derivs(f, _axis_points(f, N), N) for N in (grid.H, grid.V)))
 
 
 @dataclass(frozen=True, eq=False)
 class GridCodeRecord:
     """A proved grid code: build_code checked its dimension, duality and
-    witness.  `code` and `mirror_code` are built and row-reduced from the
-    axis power tables the first time they are read."""
+    witness.  `code` and `mirror_code` are built from the axis points and
+    row-reduced the first time they are read."""
 
     grid: GridParams
     dp: DeltaParams
@@ -271,7 +273,7 @@ class GridCodeRecord:
     locality: tuple[int, int]
     impure: bool
     witness: np.ndarray
-    powers: tuple[np.ndarray, np.ndarray]  # _power_table of the x- and y-axis
+    points: tuple[np.ndarray, np.ndarray]  # the x- and y-axis points
 
     @property
     def n(self) -> int:
@@ -284,12 +286,12 @@ class GridCodeRecord:
     @cached_property
     def code(self) -> LinearCode:
         field = self.grid.field
-        return from_spanning_set(field, _evaluation_rows(field, *self.powers, self.delta))
+        return from_spanning_set(field, _evaluation_rows(field, *self.points, self.delta))
 
     @cached_property
     def mirror_code(self) -> LinearCode:
         field = self.grid.field
-        return from_spanning_set(field, _evaluation_rows(field, *self.powers, self.delta_perp))
+        return from_spanning_set(field, _evaluation_rows(field, *self.points, self.delta_perp))
 
 
 def _sorted_monomials(monos) -> tuple[Monomial, ...]:
@@ -308,23 +310,26 @@ def _band_tops(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=0), mask.shape[0] - 1 - np.argmax(mask[::-1], axis=0), -1)
 
 
-def _twisted_orthogonal(field: FieldSpec, X: np.ndarray, Y: np.ndarray,
-                        w: np.ndarray, in_delta: np.ndarray, in_perp: np.ndarray) -> bool:
-    """True when G diag(w) G*^T = 0 for the rows of Delta and Delta*.
+def _twisted_orthogonal(mx: np.ndarray, my: np.ndarray,
+                        in_delta: np.ndarray, in_perp: np.ndarray) -> bool:
+    """True when G diag(w) G*^T = 0 for the rows of Delta and Delta*, for
+    a twist w whose axis factors have the moments mx and my.
 
-    Entry (x^i y^j, x^i' y^j') is the moment M[i + i', j + j'], and every
+    Entry (x^i y^j, x^i' y^j') is mx[i + i'] * my[j + j'], and every
     i <= top(j), i' <= top*(j'), so the pair of bands (j, j') is orthogonal
-    when top(j) + top*(j') is below the first nonzero row of column j + j'.
-    That is a sufficient test for any exponent sets and an exact one when
-    every band is a prefix 0..top(j), as in Delta and Delta*.
+    when my[j + j'] = 0 or top(j) + top*(j') is below the first nonzero
+    entry of mx: a sufficient test for any exponent sets, and an exact one
+    when every band is a prefix 0..top(j), as in Delta and Delta*.  Pairs
+    are taken one nonzero my[f], f = j + j', at a time, in O(V) memory.
     """
-    H, V = in_delta.shape
-    M = field.matmul(field.matmul(X.T, w.reshape(H, V)), Y)
-    nonzero = M != 0
-    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), M.shape[0])
+    lead = np.append(np.flatnonzero(mx), len(mx))[0]
     top, top_p = _band_tops(in_delta), _band_tops(in_perp)
-    j, jp = np.flatnonzero(top >= 0), np.flatnonzero(top_p >= 0)
-    return bool((top[j, None] + top_p[None, jp] < first[j[:, None] + jp[None, :]]).all())
+    for f in np.flatnonzero(my):
+        j = np.arange(max(0, f - len(top) + 1), min(f, len(top) - 1) + 1)
+        sums = top[j] + top_p[f - j]
+        if (sums[(top[j] >= 0) & (top_p[f - j] >= 0)] >= lead).any():
+            return False
+    return True
 
 
 def instance_label(q: int, H: int, V: int, a: int, b: int) -> str:
@@ -350,8 +355,6 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     ys = _axis_points(field, V)
     _require_distinct(where, "x", xs)
     _require_distinct(where, "y", ys)
-    X = _power_table(field, xs)
-    Y = _power_table(field, ys)
 
     # C(Delta)^perp = w o C(Delta*): Delta* inside Delta puts the mirror
     # code inside the code; G diag(w) G*^T = 0 with w nowhere zero puts
@@ -364,26 +367,23 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     if len(delta) + len(perp) != grid.n:
         raise DualityViolated(
             f"{where} |Delta| + |Delta*| = {len(delta) + len(perp)} != n = {grid.n}")
-    w = twist_vector(grid)
-    if not w.all() or not _twisted_orthogonal(field, X, Y, w, in_delta, in_perp):
+    wx, wy = _inv_derivs(field, xs, H), _inv_derivs(field, ys, V)
+    if not (wx.all() and wy.all()) or not _twisted_orthogonal(
+            _moments(field, xs, wx), _moments(field, ys, wy), in_delta, in_perp):
         raise DualityViolated(
             f"{where} the code is not orthogonal to the rescaled mirror code")
-    plain_dual = (H % field.p == 0) and (V % field.p == 0)
 
     forms = closed_forms(H, V, a, b)
-    coset_d = forms.coset_d
     A, B = (H - 1) // 2 + a, (V - 1) // 2 + b  # floor(h + a), floor(v + b)
     wit = _outer(field, _vanishing_values(field, xs, A), _vanishing_values(field, ys, B))
-    if int(np.count_nonzero(wit)) != coset_d:
+    if int(np.count_nonzero(wit)) != forms.coset_d:
         raise WitnessFailed(
-            f"{where} witness weight {int(np.count_nonzero(wit))} != formula {coset_d}")
+            f"{where} witness weight {int(np.count_nonzero(wit))} != formula {forms.coset_d}")
     # The evaluation map is a bijection, so the witness is in C(Delta), and
     # outside C(Delta*), exactly as its coefficient support is.
     cx = _root_product(field, xs[:A])
     cy = _root_product(field, ys[:B])
-    ex = field.matmul(X[:, :A + 1], cx[:, None])[:, 0]
-    ey = field.matmul(Y[:, :B + 1], cy[:, None])[:, 0]
-    if not np.array_equal(_outer(field, ex, ey), wit):
+    if not np.array_equal(_outer(field, _horner(field, cx, xs), _horner(field, cy, ys)), wit):
         raise WitnessFailed(f"{where} witness vector is not the evaluation of its polynomial")
     support = np.zeros((H, V), dtype=bool)
     support[:A + 1, :B + 1] = (cx != 0)[:, None] & (cy != 0)[None, :]
@@ -393,18 +393,10 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
         raise WitnessFailed(f"{where} witness vector fell inside the mirror code")
 
     return GridCodeRecord(
-        grid=grid,
-        dp=dp,
-        delta=delta,
-        delta_perp=perp,
-        plain_dual=plain_dual,
-        d_formula=forms.d,
-        coset_d_formula=coset_d,
-        locality=forms.locality,
-        impure=forms.impure,
-        witness=wit,
-        powers=(X, Y),
-    )
+        grid=grid, dp=dp, delta=delta, delta_perp=perp,
+        plain_dual=(H % field.p == 0) and (V % field.p == 0),
+        d_formula=forms.d, coset_d_formula=forms.coset_d, locality=forms.locality,
+        impure=forms.impure, witness=wit, points=(xs, ys))
 
 
 def build_grid_record(field: FieldSpec, H: int, V: int,

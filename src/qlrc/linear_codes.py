@@ -164,9 +164,7 @@ def euclidean_dual(code: LinearCode) -> LinearCode:
 def frobenius_map(code: LinearCode, power: int) -> LinearCode:
     """Entrywise x -> x^power; an automorphism image when power = p^t."""
     field = code.field
-    table = np.array([field.pow(x, power) for x in range(field.q)],
-                     dtype=np.int64)
-    R, pivots = _rref(field, table[code.generator])
+    R, pivots = _rref(field, field.vpow(code.generator, power))
     return LinearCode(field, code.n, R, pivots)
 
 

@@ -266,10 +266,11 @@ def certify_grid_lines(rec: GridCodeRecord, r: int, delta: int) -> LocalityCerti
         raise NotLocallyRecoverable(
             f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
     where = instance_label(rec.grid.q, H, V, rec.dp.a, rec.dp.b)
-    X, Y = rec.powers
-    _require_distinct(where, "y", Y[:, 1])
+    xs, ys = rec.points
+    _require_distinct(where, "y", ys)
     J = max(mono.j for mono in rec.delta)
-    rank = ((X[:, :H] != 0) @ _exponent_mask(H, V, rec.delta)).sum(axis=1)
+    mask = _exponent_mask(H, V, rec.delta)
+    rank = np.where(xs != 0, mask.any(axis=0).sum(), mask[0].sum())  # 0^i = 0 for i > 0
     bad = np.flatnonzero(rank != J + 1)
     if bad.size:
         raise InjectivityViolated(

@@ -11,10 +11,14 @@ axes: two n-column RREFs, one orthogonality product G diag(w) G*^T and
 two row-space reductions of the witness.  Records must agree with both
 entry for entry, and on corrupted inputs the matrix proof and build_code
 must raise the same error class.
+
+`moment_matrix_orthogonal` is the duality test build_code ran before it
+used the rank-one twist: H x (2H - 1) and V x (2V - 1) axis power tables
+and the full (2H - 1) x (2V - 1) moment matrix of the twist vector.  The
+axis-moment test must agree with it on valid and corrupted instances.
 """
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +60,7 @@ from qlrc.errors import (
 )
 from qlrc.gf import split_prime_power
 from qlrc.linear_codes import _rref
+from qlrc.verifier import prime_powers
 
 # -- the definition-level construction ----------------------------------------
 
@@ -123,8 +128,8 @@ def _expand_root_product(field, roots):
 def witness_polynomial(grid, dp):
     """F(X, Y) = prod_{i < floor(h+a)} (X - x_i) * prod_{j < floor(v+b)} (Y - y_j)."""
     field = grid.field
-    fa = math.floor(grid.h + dp.a)
-    fb = math.floor(grid.v + dp.b)
+    fa = (grid.H - 1) // 2 + dp.a
+    fb = (grid.V - 1) // 2 + dp.b
     xs = _axis_points(field, grid.H)[:fa]
     ys = _axis_points(field, grid.V)[:fb]
     cx = _expand_root_product(field, xs)
@@ -248,9 +253,10 @@ def oracle_record(grid, dp):
 def matrix_proof(grid, dp):
     """build_code's checks as generator-matrix computations.
 
-    The monomial sets, the axis points, the twist and the vanishing values
-    come from the grid_codes functions, looked up at call time, so a test
-    that corrupts one of them corrupts this proof and build_code alike.  Returns the
+    The monomial sets, the axis points, the twist (through the axis
+    factors `_inv_derivs`) and the vanishing values come from the
+    grid_codes functions, looked up at call time, so a test that corrupts
+    one of them corrupts this proof and build_code alike.  Returns the
     code, the mirror code and the witness; a failed check raises the error
     build_code raises for it.
     """
@@ -261,13 +267,11 @@ def matrix_proof(grid, dp):
     perp = tuple(sorted(grid_codes.delta_perp_set(H, V, a, b), key=lambda m: (m.j, m.i)))
     xs = grid_codes._axis_points(field, H)
     ys = grid_codes._axis_points(field, V)
-    X = grid_codes._power_table(field, xs)
-    Y = grid_codes._power_table(field, ys)
 
-    code = from_spanning_set(field, grid_codes._evaluation_rows(field, X, Y, delta))
+    code = from_spanning_set(field, grid_codes._evaluation_rows(field, xs, ys, delta))
     if code.k != len(delta):
         raise InjectivityViolated(f"{where} dim {code.k} != |Delta| {len(delta)}")
-    mirror = from_spanning_set(field, grid_codes._evaluation_rows(field, X, Y, perp))
+    mirror = from_spanning_set(field, grid_codes._evaluation_rows(field, xs, ys, perp))
     if mirror.k != len(perp):
         raise InjectivityViolated(f"{where} dim {mirror.k} != |Delta*| {len(perp)}")
 
@@ -281,8 +285,8 @@ def matrix_proof(grid, dp):
         raise DualityViolated(f"{where} G diag(w) G*^T != 0")
 
     wit = grid_codes._outer(
-        field, grid_codes._vanishing_values(field, xs, math.floor(grid.h + a)),
-        grid_codes._vanishing_values(field, ys, math.floor(grid.v + b)))
+        field, grid_codes._vanishing_values(field, xs, (H - 1) // 2 + a),
+        grid_codes._vanishing_values(field, ys, (V - 1) // 2 + b))
     if weight(wit) != grid_codes.closed_forms(H, V, a, b).coset_d:
         raise WitnessFailed(f"{where} witness weight {weight(wit)}")
     if not in_row_space(code, wit):
@@ -376,13 +380,17 @@ def corruptions(draw):
     field = grid.field
     kind = draw(st.sampled_from(("twist", "vanishing", "axis", "mirror")))
     if kind == "twist":
-        t = draw(st.integers(0, grid.n - 1))
+        # one entry of one axis factor of the twist; when H = V both axes
+        # take the edit, which breaks the duality as well
+        N = draw(st.sampled_from((grid.H, grid.V)))
+        s = draw(st.integers(0, N - 1))
         unit = draw(st.integers(2, field.q - 1))  # encoding 1 is the field's one
 
         def change(args, w):
-            w[t] = field.mul(int(w[t]), unit)
+            if args[2] == N:
+                w[s] = field.mul(int(w[s]), unit)
 
-        return grid, dp, "twist_vector", _edited(change), DualityViolated
+        return grid, dp, "_inv_derivs", _edited(change), DualityViolated
     if kind == "vanishing":
         N = draw(st.sampled_from((grid.H, grid.V)))
         s = draw(st.integers(0, N - 1))
@@ -402,15 +410,7 @@ def corruptions(draw):
                 pts[dst] = pts[src]
 
         return grid, dp, "_axis_points", _edited(change), InjectivityViolated
-    # One mirror band one monomial deeper, paid for by the top of the last
-    # full band: Delta* stays inside Delta, keeps its size and its prefix
-    # bands, and only the orthogonality can fail.
-    perp = delta_perp_set(grid.H, grid.V, dp.a, dp.b)
-    tops = {j: max(m.i for m in perp if m.j == j) for j in {m.j for m in perp}}
-    j = draw(st.sampled_from(sorted(j for j, top in tops.items() if top < grid.H - 1)))
-    full = max(j for j, top in tops.items() if top == grid.H - 1)
-
-    moved, added = Monomial(grid.H - 1, full), Monomial(tops[j] + 1, j)
+    moved, added = _deeper_mirror_band(draw, grid, dp)
 
     def patch(original):
         def deeper(*args):
@@ -419,6 +419,18 @@ def corruptions(draw):
         return deeper
 
     return grid, dp, "delta_perp_set", patch, DualityViolated
+
+
+def _deeper_mirror_band(draw, grid, dp):
+    """One mirror band one monomial deeper, paid for by the top of the last
+    full band: Delta* stays inside Delta, keeps its size and its prefix
+    bands, and only the orthogonality can fail.  Returns the monomial moved
+    out of Delta* and the one added."""
+    perp = delta_perp_set(grid.H, grid.V, dp.a, dp.b)
+    tops = {j: max(m.i for m in perp if m.j == j) for j in {m.j for m in perp}}
+    j = draw(st.sampled_from(sorted(j for j, top in tops.items() if top < grid.H - 1)))
+    full = max(j for j, top in tops.items() if top == grid.H - 1)
+    return Monomial(grid.H - 1, full), Monomial(tops[j] + 1, j)
 
 
 @settings(max_examples=120, deadline=None)
@@ -446,6 +458,118 @@ def test_repeated_y_point_fails_the_matrix_proof_on_duality(monkeypatch):
     with pytest.raises(InjectivityViolated, match="y-axis points repeat"):
         build_code(grid, dp)
     assert _outcome(matrix_proof, grid, dp) is DualityViolated
+
+
+# -- the axis moments against the full moment matrix ---------------------------
+
+
+def power_table(field, pts):
+    """T[s, e] = pts[s]^e for 0 <= e <= 2*(len(pts) - 1), one vmul per column."""
+    table = np.ones((len(pts), 2 * len(pts) - 1), dtype=np.int64)
+    for e in range(1, table.shape[1]):
+        table[:, e] = field.vmul(table[:, e - 1], pts)
+    return table
+
+
+def moment_matrix(field, xs, ys, w):
+    """M[e, f] = sum_{s,t} w_{s,t} x_s^e y_t^f, two axis transforms of the
+    full twist vector."""
+    X, Y = power_table(field, xs), power_table(field, ys)
+    return field.matmul(field.matmul(X.T, w.reshape(len(xs), len(ys))), Y)
+
+
+def moment_matrix_orthogonal(M, in_delta, in_perp):
+    """The band pair (j, j') passes when top(j) + top*(j') is below the
+    first nonzero row of column j + j' of M."""
+    nonzero = M != 0
+    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), M.shape[0])
+    top, top_p = grid_codes._band_tops(in_delta), grid_codes._band_tops(in_perp)
+    j, jp = np.flatnonzero(top >= 0), np.flatnonzero(top_p >= 0)
+    return bool((top[j, None] + top_p[None, jp] < first[j[:, None] + jp[None, :]]).all())
+
+
+def _sides(q):
+    return [N for N in range(3, q + 1) if (q - 1) % (N - 1) == 0]
+
+
+# Every valid instance with q <= 27 and n <= 400.
+SMALL = tuple((q, H, V, a, b) for q in prime_powers(27) for H in _sides(q) for V in _sides(q)
+              if H * V <= 400 for a in valid_a_values(H) for b in valid_b_values(V))
+
+
+@st.composite
+def moment_cases(draw):
+    """Axis points, twist factors and monomial masks of a small instance:
+    as built, with one mirror band one monomial deeper, with one entry of
+    one twist factor scaled by a unit other than 1, or with both masks
+    replaced by random prefix bands.  The verdict expected of the first
+    three is True, False and False; of the last, None (unknown)."""
+    grid, dp = _grid_and_dp(*draw(st.sampled_from(SMALL)), None, None)
+    field, H, V = grid.field, grid.H, grid.V
+    xs, ys = grid_codes._axis_points(field, H), grid_codes._axis_points(field, V)
+    wx, wy = grid_codes._inv_derivs(field, xs, H), grid_codes._inv_derivs(field, ys, V)
+    perp = delta_perp_set(H, V, dp.a, dp.b)
+    kind = draw(st.sampled_from(("valid", "deeper band", "twist factor", "random bands")))
+    if kind == "deeper band":
+        moved, added = _deeper_mirror_band(draw, grid, dp)
+        perp = (perp - {moved}) | {added}
+    if kind == "twist factor":
+        w = draw(st.sampled_from((wx, wy)))
+        s = draw(st.integers(0, len(w) - 1))
+        w[s] = field.mul(int(w[s]), draw(st.integers(2, field.q - 1)))
+    in_delta = grid_codes._exponent_mask(H, V, delta_set(H, V, dp.a, dp.b))
+    in_perp = grid_codes._exponent_mask(H, V, perp)
+    if kind == "random bands":
+        tops = st.lists(st.integers(-1, H - 1), min_size=V, max_size=V)
+        in_delta, in_perp = (np.arange(H)[:, None] <= np.array(draw(tops)) for _ in range(2))
+    return field, xs, ys, wx, wy, in_delta, in_perp, {
+        "valid": True, "deeper band": False, "twist factor": False}.get(kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_cases())
+def test_axis_moments_match_the_moment_matrix(case):
+    field, xs, ys, wx, wy, in_delta, in_perp, valid = case
+    M = moment_matrix(field, xs, ys, grid_codes._outer(field, wx, wy))
+    mx, my = grid_codes._moments(field, xs, wx), grid_codes._moments(field, ys, wy)
+    assert np.array_equal(field.vmul(mx[:, None], my[None, :]), M)
+    verdict = grid_codes._twisted_orthogonal(mx, my, in_delta, in_perp)
+    assert verdict == moment_matrix_orthogonal(M, in_delta, in_perp)
+    assert valid is None or verdict == valid
+
+
+def test_every_nonzero_moment_is_checked():
+    # bands 0 and V - 1 of both masks: the pairs at f = V - 1 pass, and only
+    # the pair at f = 2V - 2, the last nonzero m_y[f], breaks orthogonality
+    field = make_field(5)
+    pts = grid_codes._axis_points(field, 5)
+    w = grid_codes._inv_derivs(field, pts, 5)
+    m = grid_codes._moments(field, pts, w)
+    mask = np.arange(5)[:, None] <= np.array([0, -1, -1, -1, 2])
+    assert not grid_codes._twisted_orthogonal(m, m, mask, mask)
+    M = moment_matrix(field, pts, pts, grid_codes._outer(field, w, w))
+    assert not moment_matrix_orthogonal(M, mask, mask)
+    mask[2, 4] = False  # the top pair now sums to 3 < H - 1
+    assert grid_codes._twisted_orthogonal(m, m, mask, mask)
+    assert moment_matrix_orthogonal(M, mask, mask)
+
+
+def _reduced_top(e, N):
+    """[Z^(N-1)] (Z^e mod Z^N - Z): Z^N reduces to Z."""
+    while e >= N:
+        e -= N - 1
+    return int(e == N - 1)
+
+
+# 729: the moments of its longest axes are summed over several blocks
+@pytest.mark.parametrize("q", (5, 7, 8, 9, 13, 16, 25, 27, 729))
+def test_axis_moments_have_the_closed_form(q):
+    field = make_field(*split_prime_power(q))
+    for N in [d + 1 for d in range(1, q) if (q - 1) % d == 0]:
+        pts = grid_codes._axis_points(field, N)
+        m = grid_codes._moments(field, pts, grid_codes._inv_derivs(field, pts, N))
+        assert m.tolist() == [_reduced_top(e, N) for e in range(2 * N - 1)]
+        assert m.tolist() == [int(e in (N - 1, 2 * N - 2)) for e in range(2 * N - 1)]
 
 
 # -- RREF: one array step per pivot against the row-by-row loop ----------------

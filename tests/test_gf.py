@@ -1,6 +1,8 @@
 """Field construction, arithmetic axioms, and serialization."""
 
+import ast
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from qlrc.errors import (
     NotQuadraticExtension,
     ReducibleModulus,
 )
-from qlrc.gf import FIELD_ORDER_CAP, check_field_order
+from qlrc.gf import FIELD_ORDER_CAP, FieldSpec, check_field_order
 
 _QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 _LARGE = [(65537, 1), (2, 17)]  # more than 2^16 elements
@@ -286,3 +288,30 @@ def test_power_identity_hypothesis(pm, data):
     e = data.draw(st.integers(0, 2 * f.q))
     if x:
         assert f.mul(f.pow(x, e), f.pow(x, f.q - 1 - (e % (f.q - 1)))) == 1
+
+
+@pytest.mark.parametrize("q", (3, 4, 5, 7, 8, 9, 25, 27))
+def test_vpow_matches_scalar_pow(q):
+    f = make_field(*split_prime_power(q))
+    xs = np.arange(q)
+    exponents = (0, 1, q - 2, q - 1, 2 * q)
+    for e in exponents:
+        assert f.vpow(xs, e).tolist() == [f.pow(x, e) for x in range(q)]
+    table = f.vpow(xs[:, None], np.array(exponents))
+    assert table.tolist() == [[f.pow(x, e) for e in exponents] for x in range(q)]
+    assert f.vpow(0, 0) == 1 and f.vpow(0, q - 1) == 0
+
+
+def test_traced_field_ops_exist():
+    # the benchmark's tracer wraps these FieldSpec methods by name; read its
+    # tuples from the source so a rename here fails a test, not a traced run
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    names = {}
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("VECTOR_OPS", "SCALAR_OPS"):
+                names[target.id] = ast.literal_eval(node.value)
+    assert set(names) == {"VECTOR_OPS", "SCALAR_OPS"}
+    for name in names["VECTOR_OPS"] + names["SCALAR_OPS"]:
+        assert callable(vars(FieldSpec).get(name)), name

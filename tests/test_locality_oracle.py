@@ -180,7 +180,8 @@ def oracle_grid_ranks(rec, r, delta):
             f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
     where = instance_label(rec.grid.q, H, V, rec.dp.a, rec.dp.b)
     field, code = rec.grid.field, rec.code
-    vandermonde = rec.powers[1][None, :, :V].copy()
+    ys = rec.points[1]
+    vandermonde = field.vpow(ys[None, :, None], np.arange(V))
     if lrc._reduce(field, vandermonde)[0] != V:
         raise InjectivityViolated(f"{where} the y-axis Vandermonde matrix is singular")
     J = max(mono.j for mono in rec.delta)
@@ -540,10 +541,10 @@ def column_corruptions(draw):
     if kind == "y point":
         dst, src = draw(st.lists(st.integers(0, rec.grid.V - 1), min_size=2, max_size=2,
                                  unique=True))
-        X, Y = rec.powers
-        Y = Y.copy()
-        Y[dst] = Y[src]
-        return dataclasses.replace(rec, powers=(X, Y))
+        xs, ys = rec.points
+        ys = ys.copy()
+        ys[dst] = ys[src]
+        return dataclasses.replace(rec, points=(xs, ys))
     j = draw(st.integers(0, J if kind == "monomial" else J - 1))
     if kind == "monomial":
         kept = [m for m in rec.delta if m != (0, j)]
