@@ -90,6 +90,7 @@ from .lrc import (
     lemma_family,
 )
 from .verifier import (
+    Sweep,
     SweepResult,
     SweepSpec,
     VerdictRow,

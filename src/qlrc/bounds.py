@@ -40,11 +40,15 @@ def _exact(x):
     raise TypeError(f"bound arithmetic produced a non-exact value {x!r}")
 
 
+def _number_json(x):
+    """An exact value as JSON: an int as itself, a Fraction as num and den."""
+    if type(x) is not int and isinstance(x, Fraction):  # isinstance goes through the ABC
+        return {"num": x.numerator, "den": x.denominator}
+    return x
+
+
 def rational_to_json(x):
-    x = _exact(x)
-    if isinstance(x, int):
-        return x
-    return {"num": x.numerator, "den": x.denominator}
+    return _number_json(_exact(x))
 
 
 @dataclass(frozen=True)
@@ -78,23 +82,19 @@ class BoundReport:
     rhs: object
     direction: str
     verdict: str
+    slack: object  # positive exactly when the bound is violated
     detail: dict
 
-    @property
-    def slack(self):
-        """Positive exactly when the bound is violated."""
-        if self.direction == "le":
-            return _exact(self.lhs - self.rhs)
-        return _exact(self.rhs - self.lhs)
-
     def to_json(self) -> dict:
+        # _report made lhs, rhs and slack exact, so each is an int or a
+        # non-integral Fraction
         return {
             "bound": self.bound_id,
-            "lhs": rational_to_json(self.lhs),
-            "rhs": rational_to_json(self.rhs),
+            "lhs": _number_json(self.lhs),
+            "rhs": _number_json(self.rhs),
             "direction": self.direction,
             "verdict": self.verdict,
-            "slack": rational_to_json(self.slack),
+            "slack": _number_json(self.slack),
             "detail": dict(self.detail),
         }
 
@@ -108,7 +108,8 @@ def _report(bound_id, lhs, rhs, direction, detail=None) -> BoundReport:
         verdict = VERDICT_HOLDS
     else:
         verdict = VERDICT_VIOLATED
-    return BoundReport(bound_id, lhs, rhs, direction, verdict, detail or {})
+    slack = _exact(lhs - rhs if direction == "le" else rhs - lhs)
+    return BoundReport(bound_id, lhs, rhs, direction, verdict, slack, detail or {})
 
 
 def classical_singleton_lrc(inp: BoundInput) -> BoundReport:

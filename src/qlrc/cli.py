@@ -12,7 +12,7 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -27,7 +27,7 @@ from .grid_codes import (build_code, instance_label, make_delta_params,
 from .linear_codes import contains
 from .lrc import (certify_dual_words, certify_grid_lines, certify_locality, coset_words,
                   heavy_row_check, lemma_family)
-from .verifier import SweepSpec, prime_powers, render_rows_table, run_sweep
+from .verifier import Sweep, SweepSpec, prime_powers, render_rows_table
 
 PRESETS = {
     "ex1": {"q": 5, "H": 5, "V": 3, "a": 0, "b": 0, "alpha": 2, "modulus": None},
@@ -281,17 +281,18 @@ def _cmd_sweep(args) -> int:
         collect=args.collect,
         jobs=args.jobs,
     )
-    result = run_sweep(spec)
-    if args.format == "json":
-        for row in result.rows:
-            print(json.dumps(row.to_json()))
-    else:
-        print(render_rows_table(result.rows))
-    print(f"rows={len(result.rows)} failures={len(result.failures)} "
-          f"skipped={result.skipped}", file=sys.stderr)
-    for inst, message in result.failures:
+    with closing(Sweep(spec)) as sweep:
+        if args.format == "json":
+            for row in sweep:
+                print(json.dumps(row.to_json()))
+        else:
+            # the column widths need every row, so the table waits for the last
+            print(render_rows_table(sweep))
+    print(f"rows={sweep.count} failures={len(sweep.failures)} "
+          f"skipped={sweep.skipped}", file=sys.stderr)
+    for inst, message in sweep.failures:
         print(f"FAIL {inst}: {message}", file=sys.stderr)
-    return 4 if result.failures else 0
+    return 4 if sweep.failures else 0
 
 
 def _cmd_verify_locality(args) -> int:

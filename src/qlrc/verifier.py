@@ -22,9 +22,12 @@ counts the rest as skipped.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Callable, NamedTuple
 
 from .bounds import (
@@ -57,6 +60,7 @@ from .linear_codes import (
 )
 
 _ORACLE_BUDGET = 1 << 16
+_CHUNK = 8  # rows per task sent to a pool worker
 _QUANTUM_BOUNDS = ("gg", "luo", "griesmer", "plotkin", "sphere_packing", "qsingleton")
 
 
@@ -287,72 +291,134 @@ def check_theorem(mode: str, q: int, H: int, V: int, a: int, b: int = 0) -> Verd
     return _run_one((mode, q, H, V, a, b, 0, False))  # budget 0: no oracle
 
 
-def _instances(spec: SweepSpec) -> tuple[list, int]:
-    if spec.mode != "all" and spec.mode not in _THEOREMS:
-        raise ParamRangeViolated(f"unknown sweep mode {spec.mode!r}")
-    if not spec.q_values:
-        raise InvalidParameter("sweep needs at least one q value")
-    skipped = 0
-    out = []
-    for q in sorted(set(spec.q_values)):
-        check_field_order(q)  # before the scans below, which are linear in q
-        split_prime_power(q)  # raises on invalid q
-        if q < 3:
-            skipped += 1
-            continue
-        all_H = [H for H in range(3, q + 1) if (q - 1) % (H - 1) == 0]
-        all_V = list(all_H)
-        if spec.H_max is not None:
-            all_H = [H for H in all_H if H <= spec.H_max]
-        if spec.V_max is not None:
-            all_V = [V for V in all_V if V <= spec.V_max]
-        Hs = list(spec.H_values) if spec.H_values is not None else all_H
-        Vs = list(spec.V_values) if spec.V_values is not None else all_V
-        for H in sorted(set(Hs)):
-            if H not in all_H:
-                skipped += 1
+class Sweep:
+    """The rows of a SweepSpec in (q, H, V, a, b) order, each yielded as soon
+    as it is checked.
+
+    Creating a Sweep runs every check that can reject the spec: jobs, mode,
+    the q list, every q's field order and factorization, and QLRC_BUDGET.
+    So a bad spec raises before the first row exists.  While the rows are
+    read, `count`, `skipped` and `failures` tally what has passed; they are
+    final once the rows are exhausted.  close() stops the sweep early and
+    cancels the pool work not yet started.
+    """
+
+    def __init__(self, spec: SweepSpec):
+        if spec.jobs < 1:
+            raise InvalidParameter(f"need jobs >= 1, got jobs={spec.jobs}")
+        if spec.mode != "all" and spec.mode not in _THEOREMS:
+            raise ParamRangeViolated(f"unknown sweep mode {spec.mode!r}")
+        if not spec.q_values:
+            raise InvalidParameter("sweep needs at least one q value")
+        self._q_values = sorted(set(spec.q_values))
+        for q in self._q_values:
+            check_field_order(q)  # before the scans in _instances, which are linear in q
+            split_prime_power(q)  # raises on invalid q
+        self._budget = spec.budget if spec.budget is not None else default_budget(_ORACLE_BUDGET)
+        self._spec = spec
+        self.count = 0
+        self.skipped = 0
+        self.failures = []
+        self._rows = self._run()
+
+    def __iter__(self):
+        return self._rows
+
+    def close(self) -> None:
+        self._rows.close()
+
+    def _instances(self):
+        """The valid in-range (q, H, V, a, b) the mode runs, in order."""
+        spec = self._spec
+        for q in self._q_values:
+            if q < 3:
+                self.skipped += 1
                 continue
-            for V in sorted(set(Vs)):
-                if V not in all_V:
-                    skipped += 1
+            all_H = [H for H in range(3, q + 1) if (q - 1) % (H - 1) == 0]
+            all_V = list(all_H)
+            if spec.H_max is not None:
+                all_H = [H for H in all_H if H <= spec.H_max]
+            if spec.V_max is not None:
+                all_V = [V for V in all_V if V <= spec.V_max]
+            Hs = list(spec.H_values) if spec.H_values is not None else all_H
+            Vs = list(spec.V_values) if spec.V_values is not None else all_V
+            for H in sorted(set(Hs)):
+                if H not in all_H:
+                    self.skipped += 1
                     continue
-                a_all, b_all = valid_a_values(H), valid_b_values(V)
-                a_named = set(spec.a_values if spec.a_values is not None else a_all)
-                b_named = set(spec.b_values if spec.b_values is not None else b_all)
-                # a named a or b outside its valid range counts once per grid
-                skipped += len(a_named.difference(a_all)) + len(b_named.difference(b_all))
-                for a in sorted(a_named.intersection(a_all)):
-                    for b in sorted(b_named.intersection(b_all)):
-                        if spec.mode == "all" or _claims(spec.mode, (q, H, V, a, b)):
-                            out.append((q, H, V, a, b))
-                        else:
-                            skipped += 1
-    out.sort()
-    return out, skipped
+                for V in sorted(set(Vs)):
+                    if V not in all_V:
+                        self.skipped += 1
+                        continue
+                    a_all, b_all = valid_a_values(H), valid_b_values(V)
+                    a_named = set(spec.a_values if spec.a_values is not None else a_all)
+                    b_named = set(spec.b_values if spec.b_values is not None else b_all)
+                    # a named a or b outside its valid range counts once per grid
+                    self.skipped += (len(a_named.difference(a_all))
+                                     + len(b_named.difference(b_all)))
+                    for a in sorted(a_named.intersection(a_all)):
+                        for b in sorted(b_named.intersection(b_all)):
+                            if spec.mode == "all" or _claims(spec.mode, (q, H, V, a, b)):
+                                yield (q, H, V, a, b)
+                            else:
+                                self.skipped += 1
+
+    def _run(self):
+        spec = self._spec
+        tasks = ((spec.mode, *inst, self._budget, spec.collect) for inst in self._instances())
+        # more workers than instances or cores only adds processes to start
+        head = list(islice(tasks, min(spec.jobs, os.cpu_count() or 1)))
+        tasks = chain(head, tasks)
+        if len(head) > 1:
+            rows = _pooled(tasks, len(head))
+        else:
+            rows = (_run_one(task) for task in tasks)
+        with closing(rows):
+            for row in rows:
+                self.count += 1
+                if not row.ok:
+                    self.failures.append(((row.q, row.H, row.V, row.a, row.b), row.message))
+                yield row
+
+
+def _run_chunk(tasks: list) -> list:
+    return [_run_one(task) for task in tasks]
+
+
+def _pooled(tasks, workers: int):
+    """_run_one over tasks in a pool of workers, yielded in task order.
+
+    Tasks go out in chunks of _CHUNK, with at most two chunks per worker
+    submitted and not yet read, so neither memory nor the wait for the first
+    row grows with the number of tasks.  Closing the generator cancels the
+    chunks that have not started.
+    """
+    chunks = iter(lambda: list(islice(tasks, _CHUNK)), [])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque(pool.submit(_run_chunk, chunk)
+                       for chunk in islice(chunks, 2 * workers))
+        try:
+            while window:
+                rows = window.popleft().result()
+                window.extend(pool.submit(_run_chunk, chunk) for chunk in islice(chunks, 1))
+                yield from rows
+        finally:
+            for future in window:
+                future.cancel()
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run all checks a SweepSpec asks for; rows ordered by (q,H,V,a,b)."""
-    if spec.jobs < 1:
-        raise InvalidParameter(f"need jobs >= 1, got jobs={spec.jobs}")
-    instances, skipped = _instances(spec)
-    budget = spec.budget if spec.budget is not None else default_budget(_ORACLE_BUDGET)
-    tasks = [(spec.mode, q, H, V, a, b, budget, spec.collect)
-             for (q, H, V, a, b) in instances]
-    # more workers than tasks or cores only adds processes to start
-    workers = min(spec.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one, tasks, chunksize=chunk))
-    else:
-        rows = [_run_one(t) for t in tasks]
-    failures = [((r.q, r.H, r.V, r.a, r.b), r.message) for r in rows if not r.ok]
-    return SweepResult(rows=rows, failures=failures, skipped=skipped)
+    sweep = Sweep(spec)
+    rows = list(sweep)
+    return SweepResult(rows=rows, failures=sweep.failures, skipped=sweep.skipped)
 
 
 def render_rows_table(rows) -> str:
-    """Aligned text table, one sweep row per line."""
+    """Aligned text table, one sweep row per line.
+
+    rows is read once, and only each row's rendered cells are kept.
+    """
     headers = ["mode", "q", "H", "V", "a", "b", "css", "r", "delta",
                "impure", "verdicts", "oracle", "ok"]
     body = []

@@ -2,8 +2,10 @@
 
 import dataclasses
 import importlib.util
+import io
 import json
 import os
+import select
 import shlex
 import subprocess
 import sys
@@ -99,12 +101,17 @@ def test_construct_budget_exceeded(capsys, monkeypatch):
                    "codewords exceeds budget 10\n")
 
 
-def _qlrc_process(argv, **kwargs):
-    """`python -m qlrc` on this checkout's source, in a child process whose
-    stdout is block-buffered, as in a shell pipeline."""
+def _child_env():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.Popen([sys.executable, "-m", "qlrc", *argv], env=env, **kwargs)
+    return env
+
+
+def _qlrc_process(argv, python_flags=(), **kwargs):
+    """`python -m qlrc` on this checkout's source, in a child process whose
+    stdout is block-buffered, as in a shell pipeline."""
+    return subprocess.Popen([sys.executable, *python_flags, "-m", "qlrc", *argv],
+                            env=_child_env(), **kwargs)
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,9 +209,13 @@ def test_field_order_above_the_cap_exits_2_in_process(capsys, argv):
     ("sweep --q 13 --format json", 100),
     # 1.3 kB, written in one flush after the reader has gone
     ("lemma --m 2 --format json", 0),
+    # the pool and the row stream must close without a warning under -X dev,
+    # and without waiting for the rest of the sweep
+    ("sweep --q 13 --format json --jobs 2", 100),
 ])
 def test_closed_stdout_exits_0_quietly(argv, nbytes):
-    proc = _qlrc_process(argv.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = _qlrc_process(argv.split(), python_flags=("-X", "dev"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         head = proc.stdout.read(nbytes)
         proc.stdout.close()
@@ -349,6 +360,109 @@ def test_sweep_error_names_its_instance(capsys, force_claim):
     rc, _, err = run_cli(capsys, "sweep", "--mode", "thm3", "--q", "5", "--collect")
     assert rc == 4
     assert "FAIL (5, 3, 3, 0, 0): forced failure" in err.splitlines()
+
+
+@pytest.mark.parametrize("argv, env, err", [
+    ("sweep --q 5,6", None, "6 is not a prime power"),
+    ("sweep --q 5,1048583", None, "field order 1048583 exceeds the cap 2^20 = 1048576"),
+    ("sweep --q 5", "abc", "QLRC_BUDGET must be an integer, got 'abc'"),
+    ("sweep --q 5 --jobs 0", None, "need jobs >= 1, got jobs=0"),
+])
+def test_sweep_exit_2_prints_no_row(capsys, monkeypatch, argv, env, err):
+    # the q = 5 rows would come first, so every check runs before any row
+    if env is not None:
+        monkeypatch.setenv("QLRC_BUDGET", env)
+    rc, out, stderr = run_cli(capsys, *argv.split(), "--format", "json")
+    assert (rc, out) == (2, "")
+    assert stderr == f"error: {err}\n"
+
+
+def test_sweep_exit_4_keeps_the_rows_before_the_failure(capsys, force_claim):
+    argv = ("sweep", "--mode", "all", "--q", "5", "--format", "json")
+    rc, clean, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    lines = clean.splitlines(keepends=True)
+    # thm4 first applies at (5, 5, 3, 0, 0)
+    failing = next(i for i, row in enumerate(map(json.loads, lines))
+                   if (row["H"], row["V"]) == (5, 3))
+    assert failing > 0
+    force_claim("thm4")
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 4
+    assert out == "".join(lines[:failing])
+    assert err == "error: (q=5,H=5,V=3,a=0,b=0) forced failure\n"
+
+
+def test_sweep_writes_its_first_row_before_the_last_instance_runs(monkeypatch):
+    import qlrc.verifier as verifier
+
+    out = io.StringIO()
+    written = []  # stdout length as each instance starts
+    generic_row = verifier._generic_row
+
+    def spy(*inst):
+        written.append(len(out.getvalue()))
+        return generic_row(*inst)
+
+    monkeypatch.setattr(verifier, "_generic_row", spy)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["sweep", "--mode", "all", "--q", "5,7", "--format", "json"]) == 0
+    assert len(written) == out.getvalue().count("\n") > 2
+    assert written[0] == 0 and written[1] > 0
+
+
+_PEAK_RSS = """\
+import sys
+from qlrc import cli
+rc = cli.main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def _peak_rss_kib(argv):
+    """The child's own peak RSS, in KiB.
+
+    Neither getrusage view isolates it: RUSAGE_CHILDREN is the largest child
+    this test process has reaped, and a child's RUSAGE_SELF keeps the peak of
+    the forked copy of this process across exec.  VmHWM counts only the
+    memory of the executed program.
+    """
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=_child_env(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.split()[-2])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_sweep_peak_memory_does_not_grow_with_its_rows():
+    one_row = _peak_rss_kib(["sweep", "--q", "3", "--format", "json"])
+    many_rows = _peak_rss_kib(["sweep", "--mode", "all", "--qmax", "32", "--format", "json"])
+    assert many_rows - one_row < 6 * 1024
+
+
+def test_sweep_at_the_field_order_cap_streams_its_first_row():
+    proc = _qlrc_process(["sweep", "--qmax", "1048576", "--format", "json"],
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        data = b""
+        while b"\n" not in data:
+            left = deadline - time.monotonic()
+            assert left > 0, "no row within 30 s"
+            if select.select([proc.stdout], [], [], left)[0]:
+                chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                assert chunk, f"stdout closed, exit {proc.wait()}"
+                data += chunk
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    row = json.loads(data.split(b"\n", 1)[0])
+    assert (row["q"], row["H"], row["V"], row["a"], row["b"]) == (3, 3, 3, 0, 0)
 
 
 def test_theorem_sweep_counts_excluded_instances_as_skipped(capsys):

@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import importlib.util
+from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qlrc import (
+    Sweep,
     SweepSpec,
     check_theorem,
     cli,
@@ -117,13 +119,27 @@ def test_sweep_skips_invalid_combinations():
     assert all(r.V == 3 for r in res.rows)
 
 
-def test_sweep_input_validation():
+def test_sweep_input_validation(monkeypatch):
+    import qlrc.verifier as verifier
+
+    def refuse(task):
+        raise AssertionError("a row ran before the spec was checked")
+
+    # every check runs when the sweep is created, before its first row
+    monkeypatch.setattr(verifier, "_run_one", refuse)
     with pytest.raises(InvalidParameter):
-        run_sweep(SweepSpec(mode="all", q_values=()))
+        Sweep(SweepSpec(mode="all", q_values=()))
     with pytest.raises(ParamRangeViolated):
-        run_sweep(SweepSpec(mode="wrong", q_values=(5,)))
+        Sweep(SweepSpec(mode="wrong", q_values=(5,)))
     with pytest.raises(InvalidParameter):
-        run_sweep(SweepSpec(mode="all", q_values=(6,)))
+        Sweep(SweepSpec(mode="all", q_values=(5, 6)))
+    with pytest.raises(InvalidParameter, match="field order 1048583"):
+        Sweep(SweepSpec(mode="all", q_values=(5, 1048583)))
+    with pytest.raises(InvalidParameter, match="jobs=0"):
+        Sweep(SweepSpec(mode="all", q_values=(5,), jobs=0))
+    monkeypatch.setenv("QLRC_BUDGET", "abc")
+    with pytest.raises(InvalidParameter, match="QLRC_BUDGET"):
+        Sweep(SweepSpec(mode="all", q_values=(5,)))
 
 
 def test_sweep_jobs_deterministic():
@@ -141,9 +157,11 @@ def test_sweep_rejects_jobs_below_one(jobs):
 
 
 class _RecordingPool:
-    """A serial stand-in for ProcessPoolExecutor that records max_workers."""
+    """A serial stand-in for ProcessPoolExecutor that records max_workers
+    and the size of each submitted chunk."""
 
     sizes = []
+    chunks = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -154,8 +172,11 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
+    def submit(self, fn, chunk):
+        self.chunks.append(len(chunk))
+        future = Future()
+        future.set_result(fn(chunk))
+        return future
 
 
 @pytest.mark.parametrize("jobs, cpus, expected", [
@@ -175,6 +196,35 @@ def test_sweep_pool_size_is_capped(monkeypatch, jobs, cpus, expected):
     rows = run_sweep(dataclasses.replace(spec, jobs=jobs)).rows
     assert _RecordingPool.sizes == expected
     assert [r.to_json() for r in rows] == [r.to_json() for r in run_sweep(spec).rows]
+
+
+def test_pooled_sweep_submits_a_bounded_window(monkeypatch):
+    import qlrc.verifier as verifier
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "chunks", [])
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    spec = SweepSpec(mode="all", q_values=(13,), jobs=2)
+    sweep = Sweep(spec)
+    assert _RecordingPool.sizes == []  # nothing runs before the first row is read
+    first = next(iter(sweep))
+    # two chunks per worker, and one more once the first chunk is read
+    assert _RecordingPool.chunks == [verifier._CHUNK] * 5
+    sweep.close()
+    assert list(sweep) == []
+    expected = run_sweep(dataclasses.replace(spec, jobs=1)).rows
+    assert len(expected) > 5 * verifier._CHUNK
+    assert first.to_json() == expected[0].to_json()
+
+
+def test_sweep_tallies_as_rows_pass():
+    sweep = Sweep(SweepSpec(mode="thm4", q_values=(2, 3, 5)))
+    rows = iter(sweep)
+    next(rows)
+    assert (sweep.count, sweep.skipped) == (1, 1)  # q = 2 is skipped
+    assert len(list(rows)) == 2
+    assert (sweep.count, sweep.skipped, sweep.failures) == (3, 8, [])
 
 
 def test_sweep_collect_gathers_failures(force_claim):
