@@ -57,9 +57,7 @@ from .grid_codes import (
     delta_set,
     make_delta_params,
     make_grid_params,
-    monomial_distance,
     record_to_json,
-    twist_vector,
     valid_a_values,
     valid_b_values,
 )
@@ -69,13 +67,9 @@ from .linear_codes import (
     coset_min_weight_bruteforce,
     default_budget,
     euclidean_dual,
-    frobenius_map,
     from_spanning_set,
-    full_code,
-    hermitian_dual,
     in_row_space,
     min_distance_bruteforce,
-    weight,
     zero_code,
 )
 from .lrc import (

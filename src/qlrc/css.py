@@ -1,4 +1,5 @@
-"""CSS parameter bookkeeping and the quadratic-extension lift.
+"""CSS parameter bookkeeping, the brute-force distance check, and the
+quadratic-extension lift.
 
 A grid code record carries the pair (code, mirror subcode); the CSS code
 built on that pair has length n, dimension 2*dim(code) - n, and distance
@@ -18,8 +19,6 @@ from .linear_codes import (
     coset_min_weight_bruteforce,
     contains,
     euclidean_dual,
-    from_spanning_set,
-    hermitian_dual,
     min_distance_bruteforce,
 )
 
@@ -59,14 +58,7 @@ def css_from_grid(rec: GridCodeRecord, distance_mode: str = "formula",
         d = rec.coset_d_formula
         d_classical = rec.d_formula
     else:
-        d = coset_min_weight_bruteforce(rec.code, rec.mirror_code, budget)
-        d_classical = min_distance_bruteforce(rec.code, budget)
-        if d != rec.coset_d_formula:
-            raise AssertionFailed(
-                f"coset distance oracle {d} != formula {rec.coset_d_formula}")
-        if d_classical != rec.d_formula:
-            raise AssertionFailed(
-                f"distance oracle {d_classical} != formula {rec.d_formula}")
+        d_classical, d = oracle_distances(rec, budget)
         source["oracle_agreement"] = {"d": True, "coset_d": True}
 
     return CssRecord(
@@ -81,6 +73,18 @@ def css_from_grid(rec: GridCodeRecord, distance_mode: str = "formula",
     )
 
 
+def oracle_distances(rec: GridCodeRecord, budget: int | None = None) -> tuple[int, int]:
+    """(d, coset_d) of the record's code by brute force, checked against
+    the closed forms; AssertionFailed when either differs."""
+    d = min_distance_bruteforce(rec.code, budget)
+    coset_d = coset_min_weight_bruteforce(rec.code, rec.mirror_code, budget)
+    if (d, coset_d) != (rec.d_formula, rec.coset_d_formula):
+        raise AssertionFailed(
+            f"oracle disagrees: d {d} vs {rec.d_formula}, "
+            f"coset {coset_d} vs {rec.coset_d_formula}")
+    return d, coset_d
+
+
 @dataclass(frozen=True)
 class LiftResult:
     lifted: LinearCode
@@ -90,23 +94,38 @@ class LiftResult:
 
 
 def hermitian_lift(code: LinearCode) -> LiftResult:
-    """Span the code over GF(q^2) and test Hermitian dual containment."""
+    """The lift to GF(q^2) of a code C over GF(q) that contains C^perp,
+    with its Hermitian dual, by extension of scalars (Ketkar, Klappenecker,
+    Kumar and Sarvepalli, IEEE Trans. IT 52, 2006).
+
+    Let e be the embedding of GF(q) in GF(q^2), G the RREF generator of C
+    and G' that of C^perp.
+
+    * e is an injective field homomorphism that fixes 0 and 1, so e(G) is
+      in RREF with G's pivots: it is the generator of the lift C', and
+      dim C' = k.  Likewise e(G') generates a code of dimension n - k.
+    * e keeps inner products, e(u).e(v) = e(u.v), so e(G') is orthogonal
+      to C'; with dimension n - k it spans the Euclidean dual of C'.
+    * The q-Frobenius x -> x^q fixes e(GF(q)), hence every entry of e(G).
+      So C' is its own Frobenius image, and its Hermitian dual is its
+      Euclidean dual.
+    * C^perp lies in C, so e(G') lies in C'.
+
+    Hence `hermitian_dual_code`, generated by e(G'), lies in `lifted`, and
+    `dual_containing` holds by proof: nothing is row-reduced over GF(q^2).
+    NotDualContaining is raised when C does not contain C^perp.
+    """
     dual = euclidean_dual(code)
     if not contains(code, dual):
         raise NotDualContaining(
             "code does not contain its Euclidean dual; the lift is not defined")
     pair = quadratic_extension(code.field)
-    rows = [pair.embed_vector(code.generator[i]) for i in range(code.k)]
-    lifted = from_spanning_set(pair.ext, rows)
-    if lifted.k != code.k:
-        raise AssertionFailed(
-            f"lift changed the dimension: {lifted.k} != {code.k}")
-    hd = hermitian_dual(lifted)
     return LiftResult(
-        lifted=lifted,
+        lifted=LinearCode(pair.ext, code.n, pair.embed_vector(code.generator), code.pivots),
         pair=pair,
-        hermitian_dual_code=hd,
-        dual_containing=contains(lifted, hd),
+        hermitian_dual_code=LinearCode(
+            pair.ext, code.n, pair.embed_vector(dual.generator), dual.pivots),
+        dual_containing=True,
     )
 
 

@@ -34,10 +34,6 @@ class DivisionByZero(InvalidParameter, ZeroDivisionError):
     pass
 
 
-class NotQuadraticExtension(InvalidParameter):
-    pass
-
-
 class EmptyInput(InvalidParameter):
     pass
 
@@ -55,10 +51,6 @@ class DivisibilityViolated(InvalidParameter):
 
 
 class ParamRangeViolated(InvalidParameter):
-    pass
-
-
-class ExponentOutOfRange(InvalidParameter):
     pass
 
 

@@ -482,39 +482,29 @@ class FieldPair:
     ext: FieldSpec
     embedding: tuple[int, ...]
 
-    def embed(self, value: int) -> int:
-        return self.embedding[value]
-
     def embed_vector(self, values: np.ndarray) -> np.ndarray:
         table = np.array(self.embedding, dtype=np.int64)
         return table[np.asarray(values, dtype=np.int64)]
 
 
 def quadratic_extension(field: FieldSpec) -> FieldPair:
-    """GF(q) -> GF(q^2) with an explicit embedding table."""
+    """GF(q) -> GF(q^2) with an explicit embedding table.
+
+    The base modulus is evaluated at every element of GF(q^2) by one
+    Horner pass, and its first root tau in encoding order is the image of
+    X: an irreducible polynomial of degree m splits in GF(p^(2m)), since m
+    divides 2m.  The base element with digits c_i then maps to
+    sum_i c_i tau^i, one matrix product over the extension.
+    """
     ext = make_field(field.p, 2 * field.m)
-    if field.m == 1:
-        emb = tuple(range(field.q))
-        return FieldPair(field, ext, emb)
-    tau = None
-    for cand in range(ext.q):
-        acc = 0
-        for c in reversed(field.modulus):
-            acc = ext.add(ext.mul(acc, cand), c % field.p)
-        if acc == 0:
-            tau = cand
-            break
-    if tau is None:  # pragma: no cover
-        raise InvalidParameter("base modulus has no root in the quadratic extension")
-    emb = []
-    for v in range(field.q):
-        acc = 0
-        tp = 1
-        for c in field.coeffs(v):
-            acc = ext.add(acc, ext.mul(c, tp))
-            tp = ext.mul(tp, tau)
-        emb.append(acc)
-    return FieldPair(field, ext, tuple(emb))
+    elements = np.arange(ext.q, dtype=np.int64)
+    values = np.zeros(ext.q, dtype=np.int64)
+    for c in reversed(field.modulus):
+        values = ext.vadd(ext.vmul(values, elements), c)
+    tau = np.flatnonzero(values == 0)[0]
+    digits = elements[:field.q, None] // field.p ** np.arange(field.m) % field.p
+    emb = ext.matmul(digits, ext.vpow(tau, np.arange(field.m))[:, None])
+    return FieldPair(field, ext, tuple(emb[:, 0].tolist()))
 
 
 def field_to_json(field: FieldSpec) -> dict:

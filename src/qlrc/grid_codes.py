@@ -46,7 +46,6 @@ import numpy as np
 from .errors import (
     DivisibilityViolated,
     DualityViolated,
-    ExponentOutOfRange,
     InjectivityViolated,
     ParamRangeViolated,
     WitnessFailed,
@@ -179,13 +178,6 @@ def closed_forms(H: int, V: int, a: int, b: int) -> ClosedForms:
     )
 
 
-def monomial_distance(mono: Monomial, H: int, V: int) -> int:
-    i, j = mono
-    if not (0 <= i <= H - 1 and 0 <= j <= V - 1):
-        raise ExponentOutOfRange(f"monomial {mono} outside the {H}x{V} exponent box")
-    return (H - i) * (V - j)
-
-
 def _axis_points(field: FieldSpec, count: int) -> np.ndarray:
     """0 and the (count-1)-th roots of unity alpha^(i*step), in that order."""
     step = (field.q - 1) // (count - 1)
@@ -249,12 +241,6 @@ def _moments(field: FieldSpec, pts: np.ndarray, weights: np.ndarray) -> np.ndarr
             half = len(m) // 2
             m = np.concatenate((field.vadd(m[:half], m[half:2 * half]), m[2 * half:]))
     return m[0]
-
-
-def twist_vector(grid: GridParams) -> np.ndarray:
-    """w_t = 1 / (g_H'(x_t) * g_V'(y_t)) for g_N(Z) = Z^N - Z."""
-    f = grid.field
-    return _outer(f, *(_inv_derivs(f, _axis_points(f, N), N) for N in (grid.H, grid.V)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,6 @@ from .errors import (
     FieldMismatch,
     InvalidParameter,
     LengthMismatch,
-    NotQuadraticExtension,
     NotSubcode,
 )
 from .gf import FieldSpec
@@ -44,10 +43,6 @@ def default_budget(fallback: int = _DEFAULT_BUDGET) -> int:
     if value < 1:
         raise InvalidParameter(f"QLRC_BUDGET must be positive, got {value}")
     return value
-
-
-def weight(v) -> int:
-    return int(np.count_nonzero(np.asarray(v)))
 
 
 def _rref(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -108,10 +103,6 @@ class LinearCode:
     def __repr__(self):
         return f"LinearCode([{self.n}, {self.k}]_{self.field.q})"
 
-    def codeword(self, message) -> np.ndarray:
-        msg = np.asarray(message, dtype=np.int64)
-        return self.field.matmul(msg[None, :], self.generator)[0]
-
 
 def _coerce_rows(field: FieldSpec, vectors) -> np.ndarray:
     rows = []
@@ -144,10 +135,6 @@ def zero_code(field: FieldSpec, n: int) -> LinearCode:
     return LinearCode(field, n, np.zeros((0, n), dtype=np.int64), ())
 
 
-def full_code(field: FieldSpec, n: int) -> LinearCode:
-    return LinearCode(field, n, np.eye(n, dtype=np.int64), tuple(range(n)))
-
-
 def euclidean_dual(code: LinearCode) -> LinearCode:
     field, n = code.field, code.n
     pivot_set = set(code.pivots)
@@ -159,22 +146,6 @@ def euclidean_dual(code: LinearCode) -> LinearCode:
     rows[:, list(code.pivots)] = field.vneg(code.generator[:, free]).T
     R, pivots = _rref(field, rows)
     return LinearCode(field, n, R, pivots)
-
-
-def frobenius_map(code: LinearCode, power: int) -> LinearCode:
-    """Entrywise x -> x^power; an automorphism image when power = p^t."""
-    field = code.field
-    R, pivots = _rref(field, field.vpow(code.generator, power))
-    return LinearCode(field, code.n, R, pivots)
-
-
-def hermitian_dual(code: LinearCode) -> LinearCode:
-    field = code.field
-    if field.m % 2 != 0:
-        raise NotQuadraticExtension(
-            f"GF({field.q}) is not a quadratic extension; Hermitian dual undefined")
-    q0 = field.p ** (field.m // 2)
-    return euclidean_dual(frobenius_map(code, q0))
 
 
 def in_row_space(code: LinearCode, rows) -> bool:

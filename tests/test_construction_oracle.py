@@ -43,17 +43,14 @@ from qlrc import (
     make_field,
     make_grid_params,
     record_to_json,
-    twist_vector,
     valid_a_values,
     valid_b_values,
-    weight,
     zero_code,
 )
 from qlrc import grid_codes
 from qlrc.cli import PRESETS
 from qlrc.errors import (
     DualityViolated,
-    ExponentOutOfRange,
     InjectivityViolated,
     InternalCheckError,
     WitnessFailed,
@@ -61,6 +58,7 @@ from qlrc.errors import (
 from qlrc.gf import split_prime_power
 from qlrc.linear_codes import _rref
 from qlrc.verifier import prime_powers
+from helpers import ExponentOutOfRange, twist_vector, weight
 
 # -- the definition-level construction ----------------------------------------
 
@@ -279,7 +277,7 @@ def matrix_proof(grid, dp):
         raise DualityViolated(f"{where} Delta* is not contained in Delta")
     if len(delta) + len(perp) != grid.n:
         raise DualityViolated(f"{where} |Delta| + |Delta*| != n")
-    w = grid_codes.twist_vector(grid)
+    w = twist_vector(grid)
     twisted = field.vmul(w[None, :], mirror.generator)
     if not w.all() or field.matmul(code.generator, twisted.T).any():
         raise DualityViolated(f"{where} G diag(w) G*^T != 0")

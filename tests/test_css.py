@@ -1,22 +1,31 @@
 """CSS records from grid codes, plus Hermitian lifts."""
 
+from functools import cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlrc import (
+    build_grid_record,
     closed_forms,
     contains,
     coset_min_weight_bruteforce,
     css_from_grid,
     css_record_to_json,
-    full_code,
-    hermitian_dual,
+    euclidean_dual,
+    from_spanning_set,
     hermitian_lift,
+    linear_codes,
+    make_field,
+    quadratic_extension,
     valid_a_values,
     valid_b_values,
 )
 from qlrc.errors import InvalidParameter, NotDualContaining
+from qlrc.gf import split_prime_power
+from helpers import full_code, hermitian_dual, hermitian_lift_by_row_reduction
 
 
 def test_ex1_css_formula_and_bruteforce(ex1_record):
@@ -112,6 +121,76 @@ def test_hermitian_dual_of_lift_is_consistent(rem3_record):
     lift = hermitian_lift(rem3_record.code)
     assert hermitian_dual(lift.lifted) == lift.hermitian_dual_code
     assert lift.lifted.k + lift.hermitian_dual_code.k == lift.lifted.n
+
+
+@cache
+def _field(q):
+    return make_field(*split_prime_power(q))
+
+
+def _assert_lift_matches_oracle(code):
+    """hermitian_lift against the row-reduced lift, and its Hermitian dual
+    against the definition; False when both refuse the code."""
+    try:
+        old = hermitian_lift_by_row_reduction(code)
+    except NotDualContaining:
+        with pytest.raises(NotDualContaining, match="^code does not contain its Euclidean dual"):
+            hermitian_lift(code)
+        return False
+    new = hermitian_lift(code)
+    assert new.pair == old.pair
+    for mine, theirs in ((new.lifted, old.lifted),
+                         (new.hermitian_dual_code, old.hermitian_dual_code)):
+        assert mine == theirs and mine.pivots == theirs.pivots
+    assert new.dual_containing and old.dual_containing
+    # <u, v^q> = 0 for every pair of rows, and the dimensions add up to n
+    ext, lifted, hd = new.pair.ext, new.lifted, new.hermitian_dual_code
+    conj = ext.vpow(hd.generator, code.field.q)
+    assert not ext.matmul(lifted.generator, conj.T).any()
+    assert lifted.k + hd.k == code.n
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.data())
+def test_hermitian_lift_matches_row_reduction(q, data):
+    field = _field(q)
+    n = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                              min_size=1, max_size=n))
+    mat = np.array(rows, dtype=np.int64)
+    mat[0, data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, q - 1))
+    code = from_spanning_set(field, list(mat))
+    _assert_lift_matches_oracle(code)
+    # (C + C^perp)^perp = C n C^perp, which lies in C + C^perp
+    spanned = from_spanning_set(field, [*code.generator, *euclidean_dual(code).generator])
+    assert _assert_lift_matches_oracle(spanned)
+
+
+@pytest.mark.parametrize("inst", [(3, 3, 3, 0, 0), (5, 5, 5, 0, 0), (4, 4, 4, 1, 1),
+                                  (8, 8, 8, 1, 1), (9, 9, 9, 1, 1), (16, 4, 4, 1, 1),
+                                  (5, 5, 3, 0, 0)], ids=str)
+def test_hermitian_lift_of_grid_codes_matches_row_reduction(inst):
+    q, H, V, a, b = inst
+    rec = build_grid_record(_field(q), H, V, a, b)
+    assert _assert_lift_matches_oracle(rec.code) == rec.plain_dual
+
+
+def test_hermitian_lift_row_reduces_nothing_over_the_extension(monkeypatch, grid55_record):
+    code = grid55_record.code
+    ext = quadratic_extension(code.field).ext
+    rref = linear_codes._rref
+
+    def base_only(field, mat):
+        if field == ext:
+            raise AssertionError("a matrix over GF(q^2) was row-reduced")
+        return rref(field, mat)
+
+    monkeypatch.setattr(linear_codes, "_rref", base_only)
+    lift = hermitian_lift(code)
+    assert lift.dual_containing and lift.lifted.k == code.k == 13
+    with pytest.raises(AssertionError, match="GF\\(q\\^2\\)"):
+        hermitian_lift_by_row_reduction(code)
 
 
 def test_css_record_json(ex1_record):

@@ -21,7 +21,6 @@ from qlrc import (
     coset_min_weight_bruteforce,
     euclidean_dual,
     from_spanning_set,
-    full_code,
     make_field,
     min_distance_bruteforce,
     zero_code,
@@ -29,6 +28,7 @@ from qlrc import (
 from qlrc import linear_codes
 from qlrc.gf import split_prime_power
 from qlrc.linear_codes import _message_block, contains
+from helpers import full_code
 
 # -- the definition-level enumeration -----------------------------------------
 

@@ -1,0 +1,43 @@
+"""The package exports only what the package, its scripts or its README use.
+
+Code that only tests read belongs in `tests/helpers.py`, not in `src/`.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qlrc"
+
+
+def _exported() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _referenced() -> set[str]:
+    """Every name the package modules read, and every name the scripts
+    import or read; a definition is not a reference."""
+    names = set()
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    for path in sorted(PACKAGE.glob("*.py")) + scripts:
+        if path == PACKAGE / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias) and path in scripts:
+                names.add(node.name)
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    referenced = _referenced()
+    readme = (ROOT / "README.md").read_text()
+    unused = [name for name in _exported()
+              if name not in referenced and not re.search(rf"\b{name}\b", readme)]
+    assert unused == [], f"exported, but read only by tests: {unused}"

@@ -21,10 +21,11 @@ from qlrc.errors import (
     InvalidParameter,
     NonPrimeCharacteristic,
     NotPrimitive,
-    NotQuadraticExtension,
     ReducibleModulus,
 )
 from qlrc.gf import FIELD_ORDER_CAP, FieldSpec, check_field_order
+from qlrc.verifier import prime_powers
+from helpers import NotQuadraticExtension, embedding_by_root_search, hermitian_dual
 
 _QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 _LARGE = [(65537, 1), (2, 17)]  # more than 2^16 elements
@@ -238,29 +239,32 @@ def test_large_field_arithmetic_hypothesis(pm, data):
 def test_quadratic_extension_is_a_homomorphism(p, m):
     f = make_field(p, m)
     pair = quadratic_extension(f)
-    ext = pair.ext
+    ext, e = pair.ext, pair.embedding
     assert ext.q == f.q**2
-    seen = set()
+    assert len(set(e)) == f.q
     for x in range(f.q):
-        ex = pair.embed(x)
-        assert ex not in seen
-        seen.add(ex)
         for y in range(f.q):
-            assert pair.embed(f.add(x, y)) == ext.add(pair.embed(x), pair.embed(y))
-            assert pair.embed(f.mul(x, y)) == ext.mul(pair.embed(x), pair.embed(y))
-    assert pair.embed(0) == 0
-    assert pair.embed(1) == 1
+            assert e[f.add(x, y)] == ext.add(e[x], e[y])
+            assert e[f.mul(x, y)] == ext.mul(e[x], e[y])
+    assert e[0] == 0
+    assert e[1] == 1
+
+
+@pytest.mark.parametrize("q", prime_powers(128, start=2))
+def test_quadratic_extension_matches_root_search(q):
+    pair = quadratic_extension(make_field(*split_prime_power(q)))
+    assert pair.embedding == embedding_by_root_search(pair.base, pair.ext)
 
 
 def test_embed_vector(gf3):
     pair = quadratic_extension(gf3)
     vec = np.array([0, 1, 2, 1], dtype=np.int64)
     out = pair.embed_vector(vec)
-    assert list(out) == [pair.embed(int(v)) for v in vec]
+    assert list(out) == [pair.embedding[v] for v in vec]
 
 
 def test_hermitian_dual_requires_even_degree(gf5):
-    from qlrc import from_spanning_set, hermitian_dual
+    from qlrc import from_spanning_set
 
     code = from_spanning_set(gf5, [np.array([1, 1], dtype=np.int64)])
     with pytest.raises(NotQuadraticExtension):

@@ -23,9 +23,7 @@ from qlrc import (
     make_field,
     make_grid_params,
     min_distance_bruteforce,
-    monomial_distance,
     record_to_json,
-    twist_vector,
     valid_a_values,
     valid_b_values,
 )
@@ -33,12 +31,12 @@ from qlrc import grid_codes
 from qlrc.errors import (
     DivisibilityViolated,
     DualityViolated,
-    ExponentOutOfRange,
     InjectivityViolated,
     ParamRangeViolated,
     WitnessFailed,
 )
 from qlrc.gf import FieldSpec, split_prime_power
+from helpers import ExponentOutOfRange, monomial_distance, twist_vector
 
 _SHAPES = [(H, V, a, b)
            for H in range(3, 14)

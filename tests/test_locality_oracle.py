@@ -32,7 +32,6 @@ from qlrc import (
     cli,
     euclidean_dual,
     from_spanning_set,
-    full_code,
     lemma_family,
     lrc,
     make_field,
@@ -54,6 +53,7 @@ from qlrc.grid_codes import instance_label
 from qlrc.linear_codes import LinearCode, _rref, min_distance_bruteforce
 from qlrc.lrc import LocalityCertificate, LocalityEntry, _validate_rd
 from qlrc.verifier import prime_powers
+from helpers import full_code
 
 # -- the definition-level scan -------------------------------------------------
 

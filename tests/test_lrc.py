@@ -11,7 +11,6 @@ from qlrc import (
     contains,
     euclidean_dual,
     from_spanning_set,
-    full_code,
     heavy_row_check,
     lemma_family,
 )
@@ -24,6 +23,7 @@ from qlrc.errors import (
     ZeroLocality,
 )
 from qlrc.lrc import LEMMA_M_CAP, coset_words
+from helpers import full_code
 
 
 def test_parameter_validation(ex1_record):

@@ -25,12 +25,41 @@ from qlrc.errors import (
     ParamRangeViolated,
 )
 from qlrc.verifier import render_rows_table
+from helpers import prime_powers_by_division
 
 
 def test_prime_powers():
     assert prime_powers(13) == (3, 4, 5, 7, 8, 9, 11, 13)
     assert prime_powers(9, start=2) == (2, 3, 4, 5, 7, 8, 9)
     assert prime_powers(2) == ()
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 5])
+def test_prime_power_sieve_matches_division(start):
+    # the division oracle up to 3000 holds every shorter list as a prefix
+    full = prime_powers_by_division(3000, start)
+    for limit in range(-2, 3001):
+        assert prime_powers(limit, start) == tuple(q for q in full if q <= limit)
+
+
+def test_sweep_checks_its_q_list_by_one_sieve(monkeypatch):
+    import qlrc.verifier as verifier
+
+    calls = []
+    factor = verifier.split_prime_power
+
+    def counted(q):
+        calls.append(q)
+        return factor(q)
+
+    monkeypatch.setattr(verifier, "split_prime_power", counted)
+    sweep = Sweep(SweepSpec(q_values=prime_powers(2**20)))
+    sweep.close()
+    assert calls == []
+    # a q outside the sieve is factored, and raises as before
+    with pytest.raises(InvalidParameter, match="^10 is not a prime power$"):
+        Sweep(SweepSpec(q_values=(4, 9, 10, 2**20)))
+    assert calls == [10]
 
 
 def test_check_thm3_ex2():
@@ -243,17 +272,29 @@ def test_collected_failure_row_keeps_the_closed_forms(monkeypatch):
     spec = SweepSpec(mode="all", q_values=(5, 7, 8), collect=True)
     clean = run_sweep(spec).rows
 
-    def boom(row, budget):
+    def boom(rec, budget):
         raise AssertionFailed("forced failure")
 
-    monkeypatch.setattr(verifier, "_oracle_check", boom)
-    failed = run_sweep(spec).rows
+    # a budget no row exceeds sends every row to the oracle
+    monkeypatch.setattr(verifier, "oracle_distances", boom)
+    failed = run_sweep(dataclasses.replace(spec, budget=10**100)).rows
     fields = ("q", "H", "V", "a", "b", "n", "k", "k_classical", "d",
               "d_classical", "r", "delta", "impure")
     assert len(failed) == len(clean) > 10
     for bad, good in zip(failed, clean):
         assert not bad.ok and good.ok
         assert [getattr(bad, f) for f in fields] == [getattr(good, f) for f in fields]
+
+
+def test_disagreeing_oracle_exits_4_naming_both_distances(monkeypatch, capsys):
+    from qlrc import css
+
+    monkeypatch.setattr(css, "min_distance_bruteforce", lambda code, budget=None: 2)
+    text = "oracle disagrees: d 2 vs 3, coset 4 vs 4"
+    assert cli.main(["construct", "--preset", "rem3", "--mode", "bruteforce"]) == 4
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert cli.main(["sweep", "--q", "3"]) == 4
+    assert capsys.readouterr().err == f"error: (q=3,H=3,V=3,a=0,b=0) {text}\n"
 
 
 def test_sweep_oracle_budget_control():
