@@ -49,12 +49,10 @@ from .grid_codes import (
     DeltaParams,
     GridCodeRecord,
     GridParams,
-    Monomial,
     build_code,
     build_grid_record,
     closed_forms,
-    delta_perp_set,
-    delta_set,
+    delta_tops,
     make_delta_params,
     make_grid_params,
     record_to_json,

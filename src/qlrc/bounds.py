@@ -169,10 +169,16 @@ def griesmer_like(inp: BoundInput) -> BoundReport:
                    {"ell": best_ell, "ell_max": ell_max})
 
 
-def _plotkin_value(inp: BoundInput, ell: int) -> Fraction:
+def _plotkin_ratio(inp: BoundInput, ell: int) -> tuple[int, int]:
+    """v(ell) = q^(e-2) (q^2 - 1) (n - (r+1) ell) / (q^e - 1) as an integer
+    (numerator, denominator), with e = n + k - 2r ell >= 1."""
+    q = inp.q
     e = inp.n + inp.k - 2 * inp.r * ell
-    num = Fraction(inp.q) ** (e - 2) * (inp.q**2 - 1) * (inp.n - (inp.r + 1) * ell)
-    return num / (inp.q**e - 1)
+    num = (q * q - 1) * (inp.n - (inp.r + 1) * ell)
+    den = q**e - 1
+    if e >= 2:
+        return num * q ** (e - 2), den
+    return num, den * q  # e == 1: q^(e-2) = 1/q
 
 
 def _plotkin_ell_max(inp: BoundInput) -> int:
@@ -182,7 +188,7 @@ def _plotkin_ell_max(inp: BoundInput) -> int:
 
 
 def plotkin_profile(inp: BoundInput) -> list[tuple[int, Fraction]]:
-    return [(ell, _plotkin_value(inp, ell))
+    return [(ell, Fraction(*_plotkin_ratio(inp, ell)))
             for ell in range(0, _plotkin_ell_max(inp) + 1)]
 
 
@@ -204,16 +210,9 @@ def plotkin_like(inp: BoundInput) -> BoundReport:
     while q**e_star <= n:
         e_star += 1
     start = min((n + k - e_star) // (2 * r), ell_max)
-    unit = q * q - 1
     best = None
     for ell in range(start, ell_max + 1):
-        e = n + k - 2 * r * ell
-        num = unit * (n - (r + 1) * ell)
-        den = q**e - 1
-        if e >= 2:
-            num *= q ** (e - 2)
-        else:  # e == 1: q^(e-2) = 1/q
-            den *= q
+        num, den = _plotkin_ratio(inp, ell)
         if best is None or num * best[1] < best[0] * den:
             best = (num, den, ell)
     num, den, best_ell = best

@@ -14,6 +14,7 @@ import re
 import sys
 from contextlib import closing, contextmanager
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,12 +23,11 @@ from .bounds import BoundInput, evaluate_all
 from .css import css_from_grid, css_record_to_json
 from .errors import BudgetError, InternalCheckError, InvalidParameter
 from .gf import check_field_order, make_field, split_prime_power
-from .grid_codes import (build_code, instance_label, make_delta_params,
-                         make_grid_params, record_to_json)
+from .grid_codes import build_grid_record, instance_label, record_to_json
 from .linear_codes import contains
 from .lrc import (certify_dual_words, certify_grid_lines, certify_locality, coset_words,
                   heavy_row_check, lemma_family)
-from .verifier import Sweep, SweepSpec, prime_powers, render_rows_table
+from .verifier import Sweep, SweepSpec, prime_powers
 
 PRESETS = {
     "ex1": {"q": 5, "H": 5, "V": 3, "a": 0, "b": 0, "alpha": 2, "modulus": None},
@@ -106,6 +106,30 @@ def _print_json(obj) -> None:
 def _kv_table(pairs) -> str:
     width = max(len(k) for k, _ in pairs)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
+
+
+def _print_table(rows) -> None:
+    """Print rows of cells, each column padded to its widest cell.  rows
+    is read once; the widths need every row, so nothing prints before the
+    last one is read."""
+    rows = list(rows)
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+
+
+_SWEEP_HEADERS = ("mode", "q", "H", "V", "a", "b", "css", "r", "delta",
+                  "impure", "verdicts", "oracle", "ok")
+
+
+def _sweep_cells(row) -> tuple[str, ...]:
+    """One sweep row's table cells.  A row's oracle dict always agrees:
+    css.oracle_distances raises on any disagreement."""
+    verdicts = " ".join(f"{bid}={rep.verdict}" for bid, rep in sorted(row.reports.items()))
+    return (row.mode, str(row.q), str(row.H), str(row.V), str(row.a), str(row.b),
+            f"[[{row.n}, {row.k}, {row.d}]]_{row.q}", str(row.r), str(row.delta),
+            str(row.impure).lower(), verdicts or "-", "-" if row.oracle is None else "agree",
+            "ok" if row.ok else "FAIL")
 
 
 def _add_instance_flags(sp) -> None:
@@ -198,9 +222,7 @@ def _build_record(args):
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha, p)
     field = make_field(p, m, modulus=modulus, primitive=alpha)
-    grid = make_grid_params(conf["H"], conf["V"], field)
-    dp = make_delta_params(grid, conf["a"], conf["b"])
-    return build_code(grid, dp)
+    return build_grid_record(field, conf["H"], conf["V"], conf["a"], conf["b"])
 
 
 @contextmanager
@@ -256,9 +278,7 @@ def _cmd_bounds(args) -> int:
             detail = f"ell={rep.detail['ell']}"
         rows.append((rep.bound_id, _rat_str(rep.lhs), _rat_str(rep.rhs),
                      rep.verdict, _rat_str(rep.slack), detail))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    _print_table(rows)
     return 0
 
 
@@ -286,8 +306,7 @@ def _cmd_sweep(args) -> int:
             for row in sweep:
                 print(json.dumps(row.to_json()))
         else:
-            # the column widths need every row, so the table waits for the last
-            print(render_rows_table(sweep))
+            _print_table(chain([_SWEEP_HEADERS], map(_sweep_cells, sweep)))
     print(f"rows={sweep.count} failures={len(sweep.failures)} "
           f"skipped={sweep.skipped}", file=sys.stderr)
     for inst, message in sweep.failures:

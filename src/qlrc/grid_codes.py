@@ -3,7 +3,8 @@
 The grid is {0} union the (H-1)-th roots of unity on the x-axis crossed
 with the analogous y-axis set, ordered so that point (i, j) sits at
 position i*V + j.  A staircase monomial set Delta(H, V, a, b) spans the
-code; its mirror set Delta_perp spans a distinguished subcode.  The
+code; its mirror set Delta_perp spans a distinguished subcode.  Each set
+is kept as its band tops: band y^j holds x^0 .. x^top(j).  The
 Euclidean dual of the code is the mirror code rescaled coordinatewise by
 the inverse derivative values of the grid vanishing polynomials
 X^H - X and Y^V - Y; the rescaling is constant exactly when p | H and
@@ -27,6 +28,16 @@ field operations, without forming a generator matrix:
   m_y[j + j'] = 0 or I(j) + I*(j') lies below the first nonzero m_x[e].
   With Delta* inside Delta, w nowhere zero and |Delta| + |Delta*| = n,
   that gives C(Delta)^perp = w o C(Delta*).
+* Distance.  d(C(Delta)) is the least (H - top(j)) (V - j) over the
+  nonempty bands j, where band j of Delta holds x^0 .. x^top(j).  Lower
+  bound: by the footprint bound (Geil & Hoholdt, IEEE Trans. IT 46,
+  2000), a nonzero codeword whose leading monomial is x^i y^j weighs at
+  least (H - i)(V - j), and that monomial lies in Delta, so i <= top(j).
+  Upper bound: when x^i y^j is in Delta, prod_{s<i} (x - x_s) *
+  prod_{t<j} (y - y_t) has its support in Delta, a downset, and is
+  nonzero at exactly the (H - i)(V - j) points with x not among the x_s
+  and y not among the y_t.  build_code requires the closed form to equal
+  this minimum.
 * Witness.  prod_{i<A} (x - x_i) * prod_{j<B} (y - y_j) is expanded per
   axis and must evaluate to the witness; its coefficient support must lie
   in Delta and not inside Delta*.
@@ -44,6 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    AssertionFailed,
     DivisibilityViolated,
     DualityViolated,
     InjectivityViolated,
@@ -52,11 +64,6 @@ from .errors import (
 )
 from .gf import FieldSpec, field_to_json
 from .linear_codes import LinearCode, from_spanning_set
-
-
-class Monomial(NamedTuple):
-    i: int
-    j: int
 
 
 @dataclass(frozen=True)
@@ -130,22 +137,24 @@ def valid_b_values(V: int) -> list[int]:
     return list(range((V - 1) % 2, V // 2))
 
 
-def _staircase(H: int, V: int, b: int, top: int) -> frozenset[Monomial]:
-    """Every x^i y^j with j < ceil(v - b), and x^i y^j with i <= top for
-    ceil(v - b) <= j <= floor(v + b)."""
-    low = V // 2 - b
-    return frozenset(Monomial(i, j) for j in range((V - 1) // 2 + b + 1)
-                     for i in range(H if j < low else top + 1))
-
-
-def delta_set(H: int, V: int, a: int, b: int) -> frozenset[Monomial]:
+def delta_tops(H: int, V: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The band tops of Delta and Delta*: band y^j holds x^0 .. x^top(j),
+    with top(j) = -1 for an empty band.  Bands j < ceil(v - b) are full,
+    and bands up to floor(v + b) reach floor(h + a) in Delta and
+    ceil(h - a) - 1 in Delta*."""
     _check_ab(H, V, a, b)
-    return _staircase(H, V, b, (H - 1) // 2 + a)  # i <= floor(h + a)
+    j = np.arange(V)
+    full = j < V // 2 - b
+    band = j <= (V - 1) // 2 + b
+    return (np.where(full, H - 1, np.where(band, (H - 1) // 2 + a, -1)),
+            np.where(full, H - 1, np.where(band, H // 2 - a - 1, -1)))
 
 
-def delta_perp_set(H: int, V: int, a: int, b: int) -> frozenset[Monomial]:
-    _check_ab(H, V, a, b)
-    return _staircase(H, V, b, H // 2 - a - 1)  # i < ceil(h - a)
+def _exponents(tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of every x^i y^j with i <= tops[j], ordered by j, then i."""
+    sizes = tops + 1
+    j = np.repeat(np.arange(len(tops)), sizes)
+    return np.arange(len(j)) - np.repeat(np.cumsum(sizes) - sizes, sizes), j
 
 
 class ClosedForms(NamedTuple):
@@ -190,11 +199,13 @@ def _outer(field: FieldSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _evaluation_rows(field: FieldSpec, xs: np.ndarray, ys: np.ndarray,
-                     monos) -> np.ndarray:
-    """Row for X^i Y^j: the outer product of the axis powers xs^i and ys^j."""
-    xi = field.vpow(xs[None, :], np.array([[m.i] for m in monos]))
-    yj = field.vpow(ys[None, :], np.array([[m.j] for m in monos]))
-    return field.vmul(xi[:, :, None], yj[:, None, :]).reshape(len(monos), -1)
+                     tops: np.ndarray) -> np.ndarray:
+    """Row for X^i Y^j, i <= tops[j]: the outer product of the axis powers
+    xs^i and ys^j."""
+    i, j = _exponents(tops)
+    xi = field.vpow(xs[None, :], i[:, None])
+    yj = field.vpow(ys[None, :], j[:, None])
+    return field.vmul(xi[:, :, None], yj[:, None, :]).reshape(len(i), -1)
 
 
 def _vanishing_values(field: FieldSpec, pts: np.ndarray, count: int) -> np.ndarray:
@@ -251,8 +262,8 @@ class GridCodeRecord:
 
     grid: GridParams
     dp: DeltaParams
-    delta: tuple[Monomial, ...]
-    delta_perp: tuple[Monomial, ...]
+    tops: np.ndarray  # band tops of Delta (delta_tops)
+    tops_perp: np.ndarray  # band tops of Delta*
     plain_dual: bool
     d_formula: int
     coset_d_formula: int
@@ -267,49 +278,31 @@ class GridCodeRecord:
 
     @property
     def k(self) -> int:
-        return len(self.delta)
+        return int((self.tops + 1).sum())
 
     @cached_property
     def code(self) -> LinearCode:
         field = self.grid.field
-        return from_spanning_set(field, _evaluation_rows(field, *self.points, self.delta))
+        return from_spanning_set(field, _evaluation_rows(field, *self.points, self.tops))
 
     @cached_property
     def mirror_code(self) -> LinearCode:
         field = self.grid.field
-        return from_spanning_set(field, _evaluation_rows(field, *self.points, self.delta_perp))
-
-
-def _sorted_monomials(monos) -> tuple[Monomial, ...]:
-    return tuple(sorted(monos, key=lambda m: (m.j, m.i)))
-
-
-def _exponent_mask(H: int, V: int, monos) -> np.ndarray:
-    """mask[i, j] is True exactly when x^i y^j is in monos."""
-    mask = np.zeros((H, V), dtype=bool)
-    mask[[m.i for m in monos], [m.j for m in monos]] = True
-    return mask
-
-
-def _band_tops(mask: np.ndarray) -> np.ndarray:
-    """The largest i with mask[i, j], per column j; -1 for an empty column."""
-    return np.where(mask.any(axis=0), mask.shape[0] - 1 - np.argmax(mask[::-1], axis=0), -1)
+        return from_spanning_set(field, _evaluation_rows(field, *self.points, self.tops_perp))
 
 
 def _twisted_orthogonal(mx: np.ndarray, my: np.ndarray,
-                        in_delta: np.ndarray, in_perp: np.ndarray) -> bool:
-    """True when G diag(w) G*^T = 0 for the rows of Delta and Delta*, for
-    a twist w whose axis factors have the moments mx and my.
+                        top: np.ndarray, top_p: np.ndarray) -> bool:
+    """True when G diag(w) G*^T = 0 for the rows of the band tops top and
+    top_p, for a twist w whose axis factors have the moments mx and my.
 
-    Entry (x^i y^j, x^i' y^j') is mx[i + i'] * my[j + j'], and every
-    i <= top(j), i' <= top*(j'), so the pair of bands (j, j') is orthogonal
-    when my[j + j'] = 0 or top(j) + top*(j') is below the first nonzero
-    entry of mx: a sufficient test for any exponent sets, and an exact one
-    when every band is a prefix 0..top(j), as in Delta and Delta*.  Pairs
-    are taken one nonzero my[f], f = j + j', at a time, in O(V) memory.
+    Entry (x^i y^j, x^i' y^j') is mx[i + i'] * my[j + j'], and band j holds
+    every i <= top(j), band j' of the mirror every i' <= top*(j'), so the
+    pair of bands (j, j') is orthogonal exactly when my[j + j'] = 0 or
+    top(j) + top*(j') is below the first nonzero entry of mx.  Pairs are
+    taken one nonzero my[f], f = j + j', at a time, in O(V) memory.
     """
     lead = np.append(np.flatnonzero(mx), len(mx))[0]
-    top, top_p = _band_tops(in_delta), _band_tops(in_perp)
     for f in np.flatnonzero(my):
         j = np.arange(max(0, f - len(top) + 1), min(f, len(top) - 1) + 1)
         sums = top[j] + top_p[f - j]
@@ -335,8 +328,7 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     H, V, field = grid.H, grid.V, grid.field
     a, b = dp.a, dp.b
     where = instance_label(grid.q, H, V, a, b)
-    delta = _sorted_monomials(delta_set(H, V, a, b))
-    perp = _sorted_monomials(delta_perp_set(H, V, a, b))
+    tops, tops_perp = delta_tops(H, V, a, b)
     xs = _axis_points(field, H)
     ys = _axis_points(field, V)
     _require_distinct(where, "x", xs)
@@ -346,20 +338,22 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     # code inside the code; G diag(w) G*^T = 0 with w nowhere zero puts
     # w o C(Delta*) inside the dual, and |Delta| + |Delta*| = n makes the
     # two dimensions equal.
-    in_delta = _exponent_mask(H, V, delta)
-    in_perp = _exponent_mask(H, V, perp)
-    if (in_perp & ~in_delta).any():
+    if not (tops_perp <= tops).all():
         raise DualityViolated(f"{where} Delta* is not contained in Delta")
-    if len(delta) + len(perp) != grid.n:
-        raise DualityViolated(
-            f"{where} |Delta| + |Delta*| = {len(delta) + len(perp)} != n = {grid.n}")
+    size = int((tops + 1).sum() + (tops_perp + 1).sum())
+    if size != grid.n:
+        raise DualityViolated(f"{where} |Delta| + |Delta*| = {size} != n = {grid.n}")
     wx, wy = _inv_derivs(field, xs, H), _inv_derivs(field, ys, V)
     if not (wx.all() and wy.all()) or not _twisted_orthogonal(
-            _moments(field, xs, wx), _moments(field, ys, wy), in_delta, in_perp):
+            _moments(field, xs, wx), _moments(field, ys, wy), tops, tops_perp):
         raise DualityViolated(
             f"{where} the code is not orthogonal to the rescaled mirror code")
 
     forms = closed_forms(H, V, a, b)
+    bands = np.flatnonzero(tops >= 0)
+    d = int(((H - tops[bands]) * (V - bands)).min())
+    if d != forms.d:
+        raise AssertionFailed(f"{where} band corners give d = {d}, not the closed form {forms.d}")
     A, B = (H - 1) // 2 + a, (V - 1) // 2 + b  # floor(h + a), floor(v + b)
     wit = _outer(field, _vanishing_values(field, xs, A), _vanishing_values(field, ys, B))
     if int(np.count_nonzero(wit)) != forms.coset_d:
@@ -373,13 +367,14 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
         raise WitnessFailed(f"{where} witness vector is not the evaluation of its polynomial")
     support = np.zeros((H, V), dtype=bool)
     support[:A + 1, :B + 1] = (cx != 0)[:, None] & (cy != 0)[None, :]
-    if (support & ~in_delta).any():
+    i = np.arange(H)[:, None]  # x^i y^j lies outside band j when i > top(j)
+    if (support & (i > tops)).any():
         raise WitnessFailed(f"{where} witness vector is not a codeword")
-    if not (support & ~in_perp).any():
+    if not (support & (i > tops_perp)).any():
         raise WitnessFailed(f"{where} witness vector fell inside the mirror code")
 
     return GridCodeRecord(
-        grid=grid, dp=dp, delta=delta, delta_perp=perp,
+        grid=grid, dp=dp, tops=tops, tops_perp=tops_perp,
         plain_dual=(H % field.p == 0) and (V % field.p == 0),
         d_formula=forms.d, coset_d_formula=forms.coset_d, locality=forms.locality,
         impure=forms.impure, witness=wit, points=(xs, ys))
@@ -400,7 +395,7 @@ def record_to_json(rec: GridCodeRecord) -> dict:
         "a": rec.dp.a,
         "b": rec.dp.b,
         "field": field_to_json(rec.grid.field),
-        "delta": [[m.i, m.j] for m in rec.delta],
+        "delta": np.column_stack(_exponents(rec.tops)).tolist(),
         "n": rec.n,
         "k": rec.k,
         "d_formula": rec.d_formula,

@@ -17,9 +17,11 @@ proved, not claimed:
 * grid_lines (certify_grid_lines): on the column x = x_s of the grid,
   sum c_ij x^i y^j is the polynomial sum_j (sum_i c_ij x_s^i) y^j at the V
   y-axis points.  With distinct y points the column's rank is the number
-  of j with some x^i y^j in Delta and x_s^i != 0.  At rank J + 1, J =
-  max{j : x^i y^j in Delta}, it is a Reed-Solomon code, MDS, of distance
-  V - J; no matrix is formed and no word enumerated.
+  of j with some x^i y^j in Delta and x_s^i != 0.  Every band of Delta
+  holds x^0, which is nonzero on every column, so that is the number of
+  nonempty bands.  At rank J + 1, J the last nonempty band, it is a
+  Reed-Solomon code, MDS, of distance V - J; no matrix is formed and no
+  word enumerated.
 * dual_words (certify_dual_words, delta = 2 only): the caller supplies
   every dual word of weight at most r + 1 (Gopalan, Huang, Simitci &
   Yekhanin, "On the locality of codeword symbols", IEEE Trans. IT 58,
@@ -63,7 +65,7 @@ from .errors import (
     ZeroLocality,
 )
 from .gf import FieldSpec, make_field
-from .grid_codes import GridCodeRecord, _exponent_mask, _require_distinct, instance_label
+from .grid_codes import GridCodeRecord, _require_distinct, instance_label
 from .linear_codes import (
     LinearCode,
     _check_budget,
@@ -257,8 +259,8 @@ def _validate_rd(r: int, delta: int) -> None:
 
 def certify_grid_lines(rec: GridCodeRecord, r: int, delta: int) -> LocalityCertificate:
     """Certify rec's C(Delta) with the grid columns as repair sets, from
-    Delta and the axis points alone (module docstring); repeated y points
-    or a column rank other than J + 1 raise InjectivityViolated."""
+    Delta's band tops and the y points alone (module docstring); repeated
+    y points or a column rank other than J + 1 raise InjectivityViolated."""
     _validate_rd(r, delta)
     size_cap = r + delta - 1
     H, V = rec.grid.H, rec.grid.V
@@ -266,15 +268,12 @@ def certify_grid_lines(rec: GridCodeRecord, r: int, delta: int) -> LocalityCerti
         raise NotLocallyRecoverable(
             f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
     where = instance_label(rec.grid.q, H, V, rec.dp.a, rec.dp.b)
-    xs, ys = rec.points
-    _require_distinct(where, "y", ys)
-    J = max(mono.j for mono in rec.delta)
-    mask = _exponent_mask(H, V, rec.delta)
-    rank = np.where(xs != 0, mask.any(axis=0).sum(), mask[0].sum())  # 0^i = 0 for i > 0
-    bad = np.flatnonzero(rank != J + 1)
-    if bad.size:
+    _require_distinct(where, "y", rec.points[1])
+    bands = np.flatnonzero(rec.tops >= 0)
+    J = int(bands[-1])
+    if len(bands) != J + 1:  # len(bands) is the rank of every column
         raise InjectivityViolated(
-            f"{where} grid column {bad[0]} has rank {rank[bad[0]]}, not J+1 = {J + 1}")
+            f"{where} grid column 0 has rank {len(bands)}, not J+1 = {J + 1}")
     if V - J < delta:
         raise NotLocallyRecoverable(
             f"column through coordinate 0 has punctured distance {V - J} < {delta}")

@@ -409,32 +409,3 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     sweep = Sweep(spec)
     rows = list(sweep)
     return SweepResult(rows=rows, failures=sweep.failures, skipped=sweep.skipped)
-
-
-def render_rows_table(rows) -> str:
-    """Aligned text table, one sweep row per line.
-
-    rows is read once, and only each row's rendered cells are kept.
-    """
-    headers = ["mode", "q", "H", "V", "a", "b", "css", "r", "delta",
-               "impure", "verdicts", "oracle", "ok"]
-    body = []
-    for row in rows:
-        verdicts = " ".join(
-            f"{bid}={rep.verdict}" for bid, rep in sorted(row.reports.items()))
-        if row.oracle is None:
-            oracle = "-"
-        else:
-            oracle = "agree" if row.oracle["agree"] else "DISAGREE"
-        body.append([
-            row.mode, str(row.q), str(row.H), str(row.V), str(row.a),
-            str(row.b), f"[[{row.n}, {row.k}, {row.d}]]_{row.q}",
-            str(row.r), str(row.delta), str(row.impure).lower(),
-            verdicts or "-", oracle, "ok" if row.ok else "FAIL",
-        ])
-    widths = [max(len(h), *(len(b[i]) for b in body)) if body else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for b in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(b, widths)).rstrip())
-    return "\n".join(lines)

@@ -68,15 +68,15 @@ def grid55_record(gf5):
 
 
 @pytest.fixture(scope="session")
-def without_top_band():
-    """A record's copy whose Delta lost x^0 y^J, J its top y-degree.
+def with_band_hole():
+    """A record's copy whose Delta lost band 0, below its last band J.
 
-    Column 0 sits at x = 0, where only the monomials x^0 y^j survive, so
-    that column's rank drops to J.
+    Every column's rank drops to the J nonempty bands, one short of J + 1.
     """
     def drop(rec):
-        J = max(mono.j for mono in rec.delta)
-        return dataclasses.replace(rec, delta=tuple(m for m in rec.delta if m != (0, J)))
+        tops = rec.tops.copy()
+        tops[0] = -1
+        return dataclasses.replace(rec, tops=tops)
 
     return drop
 

@@ -12,9 +12,12 @@ computation that a proof in `src/` replaced, kept as its oracle:
   `verifier.prime_powers` sieves.
 * `monomial_distance` is the footprint (H - i)(V - j) of one monomial, and
   `twist_vector` the grid twist as one vector.
+* `monomials` spells band tops out as the set of `Monomial`s they hold.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +34,16 @@ class NotQuadraticExtension(InvalidParameter):
 
 class ExponentOutOfRange(InvalidParameter):
     pass
+
+
+class Monomial(NamedTuple):
+    i: int
+    j: int
+
+
+def monomials(tops) -> frozenset[Monomial]:
+    """Every x^i y^j with i <= tops[j]."""
+    return frozenset(Monomial(i, j) for j, top in enumerate(tops) for i in range(top + 1))
 
 
 def weight(v) -> int:

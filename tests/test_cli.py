@@ -263,9 +263,9 @@ def test_verify_locality_grid_lines_enumerates_nothing(capsys, monkeypatch, inst
 
 
 def test_verify_locality_grid_column_rank_failure_is_exit_4(capsys, monkeypatch,
-                                                          without_top_band):
-    build = cli.build_code
-    monkeypatch.setattr(cli, "build_code", lambda grid, dp: without_top_band(build(grid, dp)))
+                                                          with_band_hole):
+    build = cli.build_grid_record
+    monkeypatch.setattr(cli, "build_grid_record", lambda *args: with_band_hole(build(*args)))
     rc, _, err = run_cli(capsys, "verify-locality", "--preset", "ex1")
     assert rc == 4
     assert err == "error: (q=5,H=5,V=3,a=0,b=0) grid column 0 has rank 1, not J+1 = 2\n"

@@ -30,12 +30,9 @@ from qlrc import (
     DeltaParams,
     GridParams,
     LinearCode,
-    Monomial,
     build_code,
     closed_forms,
     contains,
-    delta_perp_set,
-    delta_set,
     euclidean_dual,
     from_spanning_set,
     in_row_space,
@@ -58,7 +55,8 @@ from qlrc.errors import (
 from qlrc.gf import split_prime_power
 from qlrc.linear_codes import _rref
 from qlrc.verifier import prime_powers
-from helpers import ExponentOutOfRange, twist_vector, weight
+from helpers import ExponentOutOfRange, Monomial, monomials, twist_vector, weight
+from test_closed_form_oracle import ref_delta_perp_set, ref_delta_set
 
 # -- the definition-level construction ----------------------------------------
 
@@ -191,12 +189,13 @@ def _dual(code):
 
 
 class OracleRecord(NamedTuple):
-    """The fields of a GridCodeRecord, with k taken from the RREF rank."""
+    """The fields of a GridCodeRecord, with k taken from the RREF rank and
+    the band tops read off the monomial tuple delta."""
 
     grid: GridParams
     dp: DeltaParams
     delta: tuple
-    delta_perp: tuple
+    tops: np.ndarray
     code: LinearCode
     mirror_code: LinearCode
     plain_dual: bool
@@ -219,8 +218,9 @@ def oracle_record(grid, dp):
     """The record by definition; every self-check is an assertion."""
     H, V, field = grid.H, grid.V, grid.field
     a, b = dp.a, dp.b
-    delta = tuple(sorted(delta_set(H, V, a, b), key=lambda m: (m.j, m.i)))
-    perp = tuple(sorted(delta_perp_set(H, V, a, b), key=lambda m: (m.j, m.i)))
+    delta, perp = (tuple(sorted(map(Monomial._make, ref(H, V, a, b)), key=lambda m: (m.j, m.i)))
+                   for ref in (ref_delta_set, ref_delta_perp_set))
+    tops = np.array([max((m.i for m in delta if m.j == j), default=-1) for j in range(V)])
     points = build_grid(grid)
 
     def ev_rows(monos):
@@ -241,7 +241,7 @@ def oracle_record(grid, dp):
     assert in_row_space(code, wit)
     assert not in_row_space(mirror, wit)
     return OracleRecord(
-        grid=grid, dp=dp, delta=delta, delta_perp=perp, code=code,
+        grid=grid, dp=dp, delta=delta, tops=tops, code=code,
         mirror_code=mirror,
         plain_dual=(H % field.p == 0) and (V % field.p == 0),
         d_formula=forms.d, coset_d_formula=forms.coset_d,
@@ -251,7 +251,7 @@ def oracle_record(grid, dp):
 def matrix_proof(grid, dp):
     """build_code's checks as generator-matrix computations.
 
-    The monomial sets, the axis points, the twist (through the axis
+    The band tops, the axis points, the twist (through the axis
     factors `_inv_derivs`) and the vanishing values come from the
     grid_codes functions, looked up at call time, so a test that corrupts
     one of them corrupts this proof and build_code alike.  Returns the
@@ -261,19 +261,19 @@ def matrix_proof(grid, dp):
     H, V, field = grid.H, grid.V, grid.field
     a, b = dp.a, dp.b
     where = grid_codes.instance_label(grid.q, H, V, a, b)
-    delta = tuple(sorted(grid_codes.delta_set(H, V, a, b), key=lambda m: (m.j, m.i)))
-    perp = tuple(sorted(grid_codes.delta_perp_set(H, V, a, b), key=lambda m: (m.j, m.i)))
+    tops, tops_perp = grid_codes.delta_tops(H, V, a, b)
+    delta, perp = monomials(tops), monomials(tops_perp)
     xs = grid_codes._axis_points(field, H)
     ys = grid_codes._axis_points(field, V)
 
-    code = from_spanning_set(field, grid_codes._evaluation_rows(field, xs, ys, delta))
+    code = from_spanning_set(field, grid_codes._evaluation_rows(field, xs, ys, tops))
     if code.k != len(delta):
         raise InjectivityViolated(f"{where} dim {code.k} != |Delta| {len(delta)}")
-    mirror = from_spanning_set(field, grid_codes._evaluation_rows(field, xs, ys, perp))
+    mirror = from_spanning_set(field, grid_codes._evaluation_rows(field, xs, ys, tops_perp))
     if mirror.k != len(perp):
         raise InjectivityViolated(f"{where} dim {mirror.k} != |Delta*| {len(perp)}")
 
-    if not set(perp) <= set(delta):
+    if not perp <= delta:
         raise DualityViolated(f"{where} Delta* is not contained in Delta")
     if len(delta) + len(perp) != grid.n:
         raise DualityViolated(f"{where} |Delta| + |Delta*| != n")
@@ -337,6 +337,7 @@ def test_build_code_matches_definition(inst):
     assert np.array_equal(twist_vector(grid), twist_by_point(grid))
     assert new.plain_dual == old.plain_dual
     assert record_to_json(new) == record_to_json(old)
+    assert record_to_json(new)["delta"] == [list(m) for m in old.delta]
 
     code, mirror, wit = matrix_proof(grid, dp)
     assert np.array_equal(new.code.generator, code.generator)
@@ -408,27 +409,27 @@ def corruptions(draw):
                 pts[dst] = pts[src]
 
         return grid, dp, "_axis_points", _edited(change), InjectivityViolated
-    moved, added = _deeper_mirror_band(draw, grid, dp)
+    tops_perp = _deeper_mirror_band(draw, grid, dp)
 
     def patch(original):
         def deeper(*args):
-            return (original(*args) - {moved}) | {added}
+            return original(*args)[0], tops_perp
 
         return deeper
 
-    return grid, dp, "delta_perp_set", patch, DualityViolated
+    return grid, dp, "delta_tops", patch, DualityViolated
 
 
 def _deeper_mirror_band(draw, grid, dp):
-    """One mirror band one monomial deeper, paid for by the top of the last
-    full band: Delta* stays inside Delta, keeps its size and its prefix
-    bands, and only the orthogonality can fail.  Returns the monomial moved
-    out of Delta* and the one added."""
-    perp = delta_perp_set(grid.H, grid.V, dp.a, dp.b)
-    tops = {j: max(m.i for m in perp if m.j == j) for j in {m.j for m in perp}}
-    j = draw(st.sampled_from(sorted(j for j, top in tops.items() if top < grid.H - 1)))
-    full = max(j for j, top in tops.items() if top == grid.H - 1)
-    return Monomial(grid.H - 1, full), Monomial(tops[j] + 1, j)
+    """The band tops of Delta* with one nonempty band one monomial deeper,
+    paid for by the top of the last full band: Delta* stays inside Delta,
+    keeps its size and its prefix bands, and only the orthogonality can
+    fail."""
+    tops = grid_codes.delta_tops(grid.H, grid.V, dp.a, dp.b)[1].copy()
+    j = draw(st.sampled_from(np.flatnonzero((tops >= 0) & (tops < grid.H - 1)).tolist()))
+    tops[j] += 1
+    tops[np.flatnonzero(tops == grid.H - 1)[-1]] -= 1
+    return tops
 
 
 @settings(max_examples=120, deadline=None)
@@ -476,12 +477,11 @@ def moment_matrix(field, xs, ys, w):
     return field.matmul(field.matmul(X.T, w.reshape(len(xs), len(ys))), Y)
 
 
-def moment_matrix_orthogonal(M, in_delta, in_perp):
+def moment_matrix_orthogonal(M, top, top_p):
     """The band pair (j, j') passes when top(j) + top*(j') is below the
     first nonzero row of column j + j' of M."""
     nonzero = M != 0
     first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), M.shape[0])
-    top, top_p = grid_codes._band_tops(in_delta), grid_codes._band_tops(in_perp)
     j, jp = np.flatnonzero(top >= 0), np.flatnonzero(top_p >= 0)
     return bool((top[j, None] + top_p[None, jp] < first[j[:, None] + jp[None, :]]).all())
 
@@ -497,59 +497,56 @@ SMALL = tuple((q, H, V, a, b) for q in prime_powers(27) for H in _sides(q) for V
 
 @st.composite
 def moment_cases(draw):
-    """Axis points, twist factors and monomial masks of a small instance:
-    as built, with one mirror band one monomial deeper, with one entry of
-    one twist factor scaled by a unit other than 1, or with both masks
-    replaced by random prefix bands.  The verdict expected of the first
+    """Axis points, twist factors and band tops of a small instance: as
+    built, with one mirror band one monomial deeper, with one entry of one
+    twist factor scaled by a unit other than 1, or with both tops replaced
+    by random ones.  The verdict expected of the first
     three is True, False and False; of the last, None (unknown)."""
     grid, dp = _grid_and_dp(*draw(st.sampled_from(SMALL)), None, None)
     field, H, V = grid.field, grid.H, grid.V
     xs, ys = grid_codes._axis_points(field, H), grid_codes._axis_points(field, V)
     wx, wy = grid_codes._inv_derivs(field, xs, H), grid_codes._inv_derivs(field, ys, V)
-    perp = delta_perp_set(H, V, dp.a, dp.b)
+    tops, tops_perp = grid_codes.delta_tops(H, V, dp.a, dp.b)
     kind = draw(st.sampled_from(("valid", "deeper band", "twist factor", "random bands")))
     if kind == "deeper band":
-        moved, added = _deeper_mirror_band(draw, grid, dp)
-        perp = (perp - {moved}) | {added}
+        tops_perp = _deeper_mirror_band(draw, grid, dp)
     if kind == "twist factor":
         w = draw(st.sampled_from((wx, wy)))
         s = draw(st.integers(0, len(w) - 1))
         w[s] = field.mul(int(w[s]), draw(st.integers(2, field.q - 1)))
-    in_delta = grid_codes._exponent_mask(H, V, delta_set(H, V, dp.a, dp.b))
-    in_perp = grid_codes._exponent_mask(H, V, perp)
     if kind == "random bands":
-        tops = st.lists(st.integers(-1, H - 1), min_size=V, max_size=V)
-        in_delta, in_perp = (np.arange(H)[:, None] <= np.array(draw(tops)) for _ in range(2))
-    return field, xs, ys, wx, wy, in_delta, in_perp, {
+        bands = st.lists(st.integers(-1, H - 1), min_size=V, max_size=V)
+        tops, tops_perp = (np.array(draw(bands)) for _ in range(2))
+    return field, xs, ys, wx, wy, tops, tops_perp, {
         "valid": True, "deeper band": False, "twist factor": False}.get(kind)
 
 
 @settings(max_examples=200, deadline=None)
 @given(moment_cases())
 def test_axis_moments_match_the_moment_matrix(case):
-    field, xs, ys, wx, wy, in_delta, in_perp, valid = case
+    field, xs, ys, wx, wy, tops, tops_perp, valid = case
     M = moment_matrix(field, xs, ys, grid_codes._outer(field, wx, wy))
     mx, my = grid_codes._moments(field, xs, wx), grid_codes._moments(field, ys, wy)
     assert np.array_equal(field.vmul(mx[:, None], my[None, :]), M)
-    verdict = grid_codes._twisted_orthogonal(mx, my, in_delta, in_perp)
-    assert verdict == moment_matrix_orthogonal(M, in_delta, in_perp)
+    verdict = grid_codes._twisted_orthogonal(mx, my, tops, tops_perp)
+    assert verdict == moment_matrix_orthogonal(M, tops, tops_perp)
     assert valid is None or verdict == valid
 
 
 def test_every_nonzero_moment_is_checked():
-    # bands 0 and V - 1 of both masks: the pairs at f = V - 1 pass, and only
+    # bands 0 and V - 1 of both tops: the pairs at f = V - 1 pass, and only
     # the pair at f = 2V - 2, the last nonzero m_y[f], breaks orthogonality
     field = make_field(5)
     pts = grid_codes._axis_points(field, 5)
     w = grid_codes._inv_derivs(field, pts, 5)
     m = grid_codes._moments(field, pts, w)
-    mask = np.arange(5)[:, None] <= np.array([0, -1, -1, -1, 2])
-    assert not grid_codes._twisted_orthogonal(m, m, mask, mask)
+    tops = np.array([0, -1, -1, -1, 2])
+    assert not grid_codes._twisted_orthogonal(m, m, tops, tops)
     M = moment_matrix(field, pts, pts, grid_codes._outer(field, w, w))
-    assert not moment_matrix_orthogonal(M, mask, mask)
-    mask[2, 4] = False  # the top pair now sums to 3 < H - 1
-    assert grid_codes._twisted_orthogonal(m, m, mask, mask)
-    assert moment_matrix_orthogonal(M, mask, mask)
+    assert not moment_matrix_orthogonal(M, tops, tops)
+    tops[4] = 1  # the top pair now sums to 3 < H - 1
+    assert grid_codes._twisted_orthogonal(m, m, tops, tops)
+    assert moment_matrix_orthogonal(M, tops, tops)
 
 
 def _reduced_top(e, N):

@@ -1,24 +1,24 @@
-"""Grid geometry, the staircase monomial set, and code construction."""
+"""Grid geometry, the staircase band tops, and code construction."""
 
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlrc import (
-    Monomial,
     build_code,
     build_grid_record,
     cli,
     closed_forms,
-    delta_perp_set,
-    delta_set,
+    delta_tops,
     make_delta_params,
     make_field,
     make_grid_params,
@@ -29,6 +29,7 @@ from qlrc import (
 )
 from qlrc import grid_codes
 from qlrc.errors import (
+    AssertionFailed,
     DivisibilityViolated,
     DualityViolated,
     InjectivityViolated,
@@ -36,7 +37,11 @@ from qlrc.errors import (
     WitnessFailed,
 )
 from qlrc.gf import FieldSpec, split_prime_power
-from helpers import ExponentOutOfRange, monomial_distance, twist_vector
+from helpers import ExponentOutOfRange, Monomial, monomial_distance, monomials, twist_vector
+
+def delta_sets(H, V, a, b):
+    return tuple(map(monomials, delta_tops(H, V, a, b)))
+
 
 _SHAPES = [(H, V, a, b)
            for H in range(3, 14)
@@ -85,20 +90,20 @@ def test_valid_ranges():
 
 
 def test_delta_sets_ex1():
-    d = delta_set(5, 3, 0, 0)
+    tops, tops_perp = delta_tops(5, 3, 0, 0)
+    assert tops.tolist() == [4, 2, -1] and tops_perp.tolist() == [4, 1, -1]
+    d, dp = delta_sets(5, 3, 0, 0)
     assert sorted((m.i, m.j) for m in d) == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (4, 0)]
-    dp = delta_perp_set(5, 3, 0, 0)
     assert sorted((m.i, m.j) for m in dp) == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0), (4, 0)]
     assert dp < d
 
 
 def test_delta_sets_rem3():
-    d = delta_set(3, 3, 0, 0)
+    d, dp = delta_sets(3, 3, 0, 0)
     assert sorted((m.i, m.j) for m in d) == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
-    dp = delta_perp_set(3, 3, 0, 0)
     assert sorted((m.i, m.j) for m in dp) == [(0, 0), (0, 1), (1, 0), (2, 0)]
 
 
@@ -106,15 +111,14 @@ def test_delta_sets_rem3():
 @given(st.sampled_from(_SHAPES))
 def test_delta_size_formula_matches_enumeration(shape):
     H, V, a, b = shape
-    assert len(delta_set(H, V, a, b)) == closed_forms(H, V, a, b).size
+    assert len(delta_sets(H, V, a, b)[0]) == closed_forms(H, V, a, b).size
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(_SHAPES))
 def test_delta_perp_is_reflection_complement(shape):
     H, V, a, b = shape
-    d = delta_set(H, V, a, b)
-    dp = delta_perp_set(H, V, a, b)
+    d, dp = delta_sets(H, V, a, b)
     for i in range(H):
         for j in range(V):
             reflected_out = Monomial(H - 1 - i, V - 1 - j) not in d
@@ -129,15 +133,14 @@ def test_dimension_identities(shape):
     size, k = forms.size, forms.quantum_k
     assert 2 * size - H * V == k
     assert k == (2 * a + H % 2) * (2 * b + V % 2)
-    assert len(delta_perp_set(H, V, a, b)) == H * V - size
+    assert len(delta_sets(H, V, a, b)[1]) == H * V - size
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(_SHAPES))
 def test_distance_formulas_from_monomials(shape):
     H, V, a, b = shape
-    d = delta_set(H, V, a, b)
-    dp = delta_perp_set(H, V, a, b)
+    d, dp = delta_sets(H, V, a, b)
     assert min(monomial_distance(m, H, V) for m in d) == \
         closed_forms(H, V, a, b).d
     assert min(monomial_distance(m, H, V) for m in d - dp) == \
@@ -151,6 +154,14 @@ def test_monomial_distance_bounds():
         monomial_distance(Monomial(5, 0), 5, 3)
     with pytest.raises(ExponentOutOfRange):
         monomial_distance(Monomial(0, -1), 5, 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.sampled_from(_SHAPES).map(lambda shape: delta_tops(*shape)[shape[0] % 2]),
+                 st.lists(st.integers(-1, 6), min_size=1, max_size=8).map(np.array)))
+def test_exponents_are_the_band_monomials_in_band_order(tops):
+    i, j = grid_codes._exponents(tops)
+    assert list(zip(i.tolist(), j.tolist())) == sorted(monomials(tops), key=lambda m: (m.j, m.i))
 
 
 def test_twist_vector_ex1(gf5):
@@ -173,7 +184,7 @@ def test_ex1_record_numbers(ex1_record):
     assert rec.coset_d_formula == 6
     assert rec.locality == (2, 2)
     assert rec.impure
-    assert len(rec.delta) == 8
+    assert len(monomials(rec.tops)) == 8
 
 
 def test_ex1e_record_numbers(ex1e_record):
@@ -244,7 +255,7 @@ def test_build_code_proves_without_generator_matrices(monkeypatch, no_generator_
 
     monkeypatch.setattr(FieldSpec, "matmul", refuse)
     rec = build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
-    assert rec.k == len(rec.delta) == closed_forms(H, V, a, b).size
+    assert rec.k == len(monomials(rec.tops)) == closed_forms(H, V, a, b).size
     assert "code" not in vars(rec) and "mirror_code" not in vars(rec)
 
 
@@ -259,6 +270,21 @@ def test_large_grids_construct_in_bounded_time(no_generator_matrices, p, m, side
     assert time.monotonic() - start < seconds
     assert rec.k == closed_forms(side, side, 2, 2).size
     assert "code" not in vars(rec) and "mirror_code" not in vars(rec)
+
+
+def test_record_retains_under_4_mib():
+    # the record holds band tops, the axis points and the witness (1.2 MiB
+    # of int64 at n = 160,801), not one object per monomial
+    field = make_field(401)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec = build_grid_record(field, 401, 401, 3, 3)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rec.k == closed_forms(401, 401, 3, 3).size
+    assert retained < 4 * 2**20
 
 
 def test_thin_grid_record_peaks_below_100_mib():
@@ -341,3 +367,13 @@ def test_repeated_axis_point_fails_injectivity(monkeypatch, capsys):
 
     _corrupt(monkeypatch, "_axis_points", change)
     _assert_construct_fails(capsys, InjectivityViolated, "x-axis points repeat")
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=["d+1", "d-1"])
+def test_closed_form_d_off_the_band_corners_fails(monkeypatch, capsys, shift):
+    # ex1's least band corner is (H - 2)(V - 1) = 3 at band 1
+    forms = grid_codes.closed_forms
+    monkeypatch.setattr(grid_codes, "closed_forms",
+                        lambda *args: forms(*args)._replace(d=forms(*args).d + shift))
+    _assert_construct_fails(capsys, AssertionFailed, re.escape(
+        f"band corners give d = 3, not the closed form {3 + shift}"))

@@ -53,7 +53,7 @@ from qlrc.grid_codes import instance_label
 from qlrc.linear_codes import LinearCode, _rref, min_distance_bruteforce
 from qlrc.lrc import LocalityCertificate, LocalityEntry, _validate_rd
 from qlrc.verifier import prime_powers
-from helpers import full_code
+from helpers import full_code, monomials
 
 # -- the definition-level scan -------------------------------------------------
 
@@ -184,7 +184,7 @@ def oracle_grid_ranks(rec, r, delta):
     vandermonde = field.vpow(ys[None, :, None], np.arange(V))
     if lrc._reduce(field, vandermonde)[0] != V:
         raise InjectivityViolated(f"{where} the y-axis Vandermonde matrix is singular")
-    J = max(mono.j for mono in rec.delta)
+    J = max(mono.j for mono in monomials(rec.tops))
     columns = np.arange(H * V).reshape(H, V)
     rank = lrc._reduce(field, code.generator[:, columns].transpose(1, 0, 2))
     bad = np.flatnonzero(rank != J + 1)
@@ -515,17 +515,17 @@ _GRID_INSTANCES = _grid_instances()
 
 @pytest.mark.parametrize("inst", _GRID_INSTANCES,
                          ids=lambda inst: ",".join(map(str, inst)))
-def test_grid_lines_match_column_enumeration(inst, without_top_band):
+def test_grid_lines_match_column_enumeration(inst, with_band_hole):
     rec = _record(*inst)
     r, delta = rec.locality
-    J = max(mono.j for mono in rec.delta)
+    J = max(mono.j for mono in monomials(rec.tops))
     # the closed-form locality, and one delta past the column distance V - J
     for r, delta in ((r, delta), (max(1, J), rec.grid.V - J + 1)):
         expected = outcome(lambda: oracle_grid_lines(rec, r, delta))
         got = outcome(lambda: certify_grid_lines(rec, r, delta))
         assert got == expected
         assert outcome(lambda: oracle_grid_ranks(rec, r, delta)) == expected
-    broken = without_top_band(rec)
+    broken = with_band_hole(rec)
     r, delta = rec.locality
     assert (outcome(lambda: certify_grid_lines(broken, r, delta))
             == outcome(lambda: oracle_grid_ranks(broken, r, delta)))
@@ -533,24 +533,20 @@ def test_grid_lines_match_column_enumeration(inst, without_top_band):
 
 @st.composite
 def column_corruptions(draw):
-    """A grid record with one monomial x^0 y^j, one band j < J, or one
-    y-axis point taken away."""
+    """A grid record with one band j < J emptied, or one y-axis point
+    taken away."""
     rec = _record(*draw(st.sampled_from(_GRID_INSTANCES)))
-    J = max(mono.j for mono in rec.delta)
-    kind = draw(st.sampled_from(("monomial", "band", "y point")))
-    if kind == "y point":
+    J = max(mono.j for mono in monomials(rec.tops))
+    if draw(st.booleans()):
         dst, src = draw(st.lists(st.integers(0, rec.grid.V - 1), min_size=2, max_size=2,
                                  unique=True))
         xs, ys = rec.points
         ys = ys.copy()
         ys[dst] = ys[src]
         return dataclasses.replace(rec, points=(xs, ys))
-    j = draw(st.integers(0, J if kind == "monomial" else J - 1))
-    if kind == "monomial":
-        kept = [m for m in rec.delta if m != (0, j)]
-    else:
-        kept = [m for m in rec.delta if m.j != j]
-    return dataclasses.replace(rec, delta=tuple(kept))
+    tops = rec.tops.copy()
+    tops[draw(st.integers(0, J - 1))] = -1
+    return dataclasses.replace(rec, tops=tops)
 
 
 @settings(max_examples=150, deadline=None)

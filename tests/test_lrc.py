@@ -190,8 +190,8 @@ def test_zero_column_counts_as_vacuous(gf3):
     assert entry.punctured_distance is None
 
 
-def test_grid_lines_column_rank_must_be_J_plus_1(ex1_record, without_top_band):
-    broken = without_top_band(ex1_record)
+def test_grid_lines_column_rank_must_be_J_plus_1(ex1_record, with_band_hole):
+    broken = with_band_hole(ex1_record)
     with pytest.raises(InjectivityViolated, match=(
             r"^\(q=5,H=5,V=3,a=0,b=0\) grid column 0 has rank 1, not J\+1 = 2$")):
         certify_grid_lines(broken, 2, 2)

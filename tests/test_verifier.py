@@ -24,7 +24,6 @@ from qlrc.errors import (
     InvalidParameter,
     ParamRangeViolated,
 )
-from qlrc.verifier import render_rows_table
 from helpers import prime_powers_by_division
 
 
@@ -312,12 +311,16 @@ def test_sweep_caps():
     assert all(r.H <= 4 for r in res_h.rows)
 
 
-def test_render_rows_table():
+def test_render_rows_table(capsys):
+    def render(rows):
+        cli._print_table([cli._SWEEP_HEADERS, *map(cli._sweep_cells, rows)])
+        return capsys.readouterr().out
+
     res = run_sweep(SweepSpec(mode="thm4", q_values=(5,)))
-    text = render_rows_table(res.rows)
+    text = render(res.rows)
     assert "[[15, 1, 6]]_5" in text
     assert text.splitlines()[0].startswith("mode")
-    assert render_rows_table([]).startswith("mode")
+    assert render([]).startswith("mode")
 
 
 def test_row_json_shape():
