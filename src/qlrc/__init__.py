@@ -68,6 +68,7 @@ from .linear_codes import (
     from_spanning_set,
     in_row_space,
     min_distance_bruteforce,
+    min_weights_bruteforce,
     zero_code,
 )
 from .lrc import (

@@ -16,10 +16,9 @@ from .gf import FieldPair, quadratic_extension
 from .grid_codes import GridCodeRecord, closed_forms
 from .linear_codes import (
     LinearCode,
-    coset_min_weight_bruteforce,
     contains,
     euclidean_dual,
-    min_distance_bruteforce,
+    min_weights_bruteforce,
 )
 
 
@@ -74,10 +73,9 @@ def css_from_grid(rec: GridCodeRecord, distance_mode: str = "formula",
 
 
 def oracle_distances(rec: GridCodeRecord, budget: int | None = None) -> tuple[int, int]:
-    """(d, coset_d) of the record's code by brute force, checked against
-    the closed forms; AssertionFailed when either differs."""
-    d = min_distance_bruteforce(rec.code, budget)
-    coset_d = coset_min_weight_bruteforce(rec.code, rec.mirror_code, budget)
+    """(d, coset_d) of the record's code from one brute-force enumeration,
+    checked against the closed forms; AssertionFailed when either differs."""
+    d, coset_d = min_weights_bruteforce(rec.code, rec.mirror_code, budget)
     if (d, coset_d) != (rec.d_formula, rec.coset_d_formula):
         raise AssertionFailed(
             f"oracle disagrees: d {d} vs {rec.d_formula}, "

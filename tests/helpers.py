@@ -13,6 +13,10 @@ computation that a proof in `src/` replaced, kept as its oracle:
 * `monomial_distance` is the footprint (H - i)(V - j) of one monomial, and
   `twist_vector` the grid twist as one vector.
 * `monomials` spells band tops out as the set of `Monomial`s they hold.
+* `split_min_weight` enumerates every codeword as a pair u + v, where
+  `linear_codes` enumerates by information sets and stops at a lower
+  bound; `split_min_distance` and `split_coset_min_weight` are its two
+  oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from qlrc import LiftResult, LinearCode, contains, euclidean_dual, from_spanning
 from qlrc import grid_codes, quadratic_extension
 from qlrc.errors import InvalidParameter, NotDualContaining
 from qlrc.gf import split_prime_power
-from qlrc.linear_codes import _rref
+from qlrc.linear_codes import _message_block, _rref
 
 
 class NotQuadraticExtension(InvalidParameter):
@@ -138,3 +142,60 @@ def twist_vector(grid) -> np.ndarray:
     f = grid.field
     return grid_codes._outer(f, *(
         grid_codes._inv_derivs(f, grid_codes._axis_points(f, N), N) for N in (grid.H, grid.V)))
+
+
+SPLIT_CELLS = 1 << 20  # split_min_weight's default cap on table cells and comparisons per block
+
+
+def split_min_weight(field, gen: np.ndarray, n: int, cells: int = SPLIT_CELLS) -> int:
+    """Min weight of the first n coordinates of m @ gen over messages m != 0.
+
+    Columns of gen past n hold a syndrome; when there are any, only words
+    with a nonzero syndrome count.  Each word is a pair u + v, u from the
+    outer rows gen[:k_out] and v from the inner rows gen[k_out:]; the
+    table holds every -v, and u + v is zero in a column exactly when u
+    equals the table entry there.
+    """
+    q, k, width = field.q, gen.shape[0], gen.shape[1]
+    k_in = k // 2
+    while k_in and q ** k_in * width > cells:
+        k_in -= 1
+    k_out = k - k_in
+    entry = np.min_scalar_type(q - 1)
+    table = field.vneg(field.matmul(_message_block(q, k_in, 0, q ** k_in), gen[k_out:]))
+    table = np.ascontiguousarray(table.T, dtype=entry)  # one row per coordinate
+    block = max(1, cells // (table.shape[1] * width))
+    total = q ** k_out
+    best = n + 1
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        outer = field.matmul(_message_block(q, k_out, start, stop), gen[:k_out])
+        outer = np.ascontiguousarray(outer.T, dtype=entry)
+        w = np.zeros((stop - start, table.shape[1]), dtype=np.min_scalar_type(n + 1))
+        for i in range(n):
+            w += outer[i][:, None] != table[i][None, :]
+        if width > n:
+            inside = np.ones(w.shape, dtype=bool)
+            for i in range(n, width):
+                inside &= outer[i][:, None] == table[i][None, :]
+            w[inside] = n + 1
+        elif start == 0:
+            w[0, 0] = n + 1  # the zero word
+        best = min(best, int(w.min()))
+        if best == 1:
+            break
+    return best
+
+
+def split_min_distance(code: LinearCode, cells: int = SPLIT_CELLS) -> int:
+    return split_min_weight(code.field, code.generator, code.n, cells)
+
+
+def split_coset_min_weight(code: LinearCode, sub: LinearCode, cells: int = SPLIT_CELLS) -> int:
+    """Min weight over codewords of `code` outside `sub`: a column basis of
+    the syndromes m @ G @ P^T against the parity rows P of `sub` is
+    appended to G."""
+    field = code.field
+    syndromes = field.matmul(code.generator, euclidean_dual(sub).generator.T)
+    basis, _ = _rref(field, syndromes.T)
+    return split_min_weight(field, np.hstack([code.generator, basis.T]), code.n, cells)

@@ -31,6 +31,7 @@ from qlrc import (
     valid_a_values,
     valid_b_values,
 )
+from qlrc.css import oracle_distances
 from qlrc.linear_codes import contains, euclidean_dual
 
 
@@ -168,6 +169,29 @@ def test_oracle_reach_q16():
     _assert_oracles_match_formulas(instances, 2 ** 24)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"oracle reach took {elapsed:.1f}s"
+
+
+def test_oracle_reach_past_2_24():
+    """One-pass oracle agreement with both closed forms on instances of
+    5^13 to 7^15 words, past the default budget of 2^24: each coset
+    distance, 9 at (5,5,5,0,0) among them, is checked by enumeration."""
+    start = time.monotonic()
+    instances = [(5, 5, 5, a, b) for a in valid_a_values(5) for b in valid_b_values(5)]
+    instances += [(7, 3, 7, 0, b) for b in valid_b_values(7)]
+    instances += [(7, 7, 3, a, 0) for a in valid_a_values(7)]
+    instances += [(7, 4, 4, 1, 1)]
+    instances += [(9, 3, 5, 0, b) for b in valid_b_values(5)]
+    ks = []
+    for q, H, V, a, b in instances:
+        rec = build_grid_record(make_field(*_split(q)), H, V, a, b)
+        assert q ** rec.k > 2 ** 24
+        ks.append(rec.k)
+        assert oracle_distances(rec, budget=q ** rec.k) == (rec.d_formula, rec.coset_d_formula)
+        if (q, H, V, a, b) == (5, 5, 5, 0, 0):
+            assert rec.coset_d_formula == 9
+    assert (min(ks), max(ks)) == (8, 17)
+    elapsed = time.monotonic() - start
+    assert elapsed < 30.0, f"oracle reach past 2^24 took {elapsed:.1f}s"
 
 
 def _split(q):

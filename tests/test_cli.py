@@ -101,6 +101,15 @@ def test_construct_budget_exceeded(capsys, monkeypatch):
                    "codewords exceeds budget 10\n")
 
 
+def test_construct_budget_refusal_names_the_instance(capsys):
+    rc, out, err = run_cli(capsys, "construct", "--q", "4", "--H", "4", "--V", "4",
+                           "--a", "1", "--b", "1", "--mode", "bruteforce",
+                           "--budget", "1000")
+    assert (rc, out) == (3, "")
+    assert err == ("error: (q=4,H=4,V=4,a=1,b=1) enumeration of 4^10 = 1048576 "
+                   "codewords exceeds budget 1000\n")
+
+
 def _child_env():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("PYTHONUNBUFFERED", None)

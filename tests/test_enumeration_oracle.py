@@ -1,14 +1,16 @@
-"""Definition-level enumeration, kept as the oracle for the brute-force
+"""Definition-level enumerations, kept as the oracles for the brute-force
 distance oracles.
 
-min_distance_bruteforce and coset_min_weight_bruteforce split each
-codeword into a pair u + v, tabulate every -v once and count the
-coordinates where u differs from the table.  The code here is the loop
-they replaced: encode every message with field arithmetic, block by
-block, count nonzero entries, and test coset membership by the syndrome
-of the whole word.  Both must give the same minimum on every code.
+min_distance_bruteforce, coset_min_weight_bruteforce and
+min_weights_bruteforce enumerate messages by information sets and stop
+at a lower bound.  Two plain enumerations check them: split-half, which
+they replaced (`split_min_weight` in helpers.py), and the loop below,
+which encodes every message with field arithmetic, block by block,
+counts nonzero entries and tests coset membership by the syndrome of the
+whole word.  All must give the same minima on every code.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,12 +25,13 @@ from qlrc import (
     from_spanning_set,
     make_field,
     min_distance_bruteforce,
+    min_weights_bruteforce,
     zero_code,
 )
 from qlrc import linear_codes
 from qlrc.gf import split_prime_power
 from qlrc.linear_codes import _message_block, contains
-from helpers import full_code
+from helpers import full_code, split_coset_min_weight, split_min_distance
 
 # -- the definition-level enumeration -----------------------------------------
 
@@ -46,36 +49,26 @@ def _encode_block(code, msgs):
     return out
 
 
-def min_distance_blocks(code):
-    """Exact d_H by encoding every nonzero message."""
-    total = code.field.q ** code.k
-    best = code.n + 1
-    for start in range(1, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        words = _encode_block(code, _message_block(code.field.q, code.k, start, stop))
-        best = min(best, int(np.count_nonzero(words, axis=1).min()))
-        if best == 1:
-            break
-    return best
-
-
-def coset_min_weight_blocks(code, sub):
-    """Exact min weight over codewords of code whose syndrome against sub
-    is nonzero."""
+def min_weights_blocks(code, sub):
+    """(d, coset d): the least weight of a nonzero codeword and of one
+    whose syndrome against sub is nonzero, by encoding every nonzero
+    message once."""
     assert contains(code, sub) and sub.k < code.k
     field = code.field
     total = field.q ** code.k
     parity = euclidean_dual(sub).generator
-    best = code.n + 1
-    for start in range(0, total, _BLOCK):
+    best_d = best_coset = code.n + 1
+    for start in range(1, total, _BLOCK):
         stop = min(start + _BLOCK, total)
         words = _encode_block(code, _message_block(field.q, code.k, start, stop))
+        weights = np.count_nonzero(words, axis=1)
+        best_d = min(best_d, int(weights.min()))
         outside = field.matmul(words, parity.T).any(axis=1)
         if outside.any():
-            best = min(best, int(np.count_nonzero(words[outside], axis=1).min()))
-            if best == 1:
-                break
-    return best
+            best_coset = min(best_coset, int(weights[outside].min()))
+        if best_coset == 1:
+            break
+    return best_d, best_coset
 
 
 # -- random codes -------------------------------------------------------------
@@ -86,7 +79,7 @@ _WORDS = 1 << 12  # q^k per drawn code, so the definition loop stays quick
 
 @st.composite
 def codes_with_subcodes(draw):
-    """A code, a proper subcode of it and a cell cap for the split."""
+    """A code, a proper subcode of it and a cell cap for the chunks."""
     field = draw(st.sampled_from(_FIELDS))
     q = field.q
     n = draw(st.integers(1, 9))
@@ -147,40 +140,59 @@ def codes_with_subcodes(draw):
 @settings(max_examples=300, deadline=None)
 @given(codes_with_subcodes())
 def test_split_enumeration_matches_block_loop(case):
+    """The information-set search finds the block loop's minima under
+    every chunk cap, from the two oracles and from the one pass."""
     code, sub, cells = case
     with mock.patch.object(linear_codes, "_CELLS", cells):
         d = min_distance_bruteforce(code)
         coset = coset_min_weight_bruteforce(code, sub)
-    assert d == min_distance_blocks(code)
-    assert coset == coset_min_weight_blocks(code, sub)
+        pair = min_weights_bruteforce(code, sub)
+    assert (d, coset) == pair == min_weights_blocks(code, sub)
     if sub.k == 0:
         assert coset == d
 
 
+@settings(max_examples=300, deadline=None)
+@given(codes_with_subcodes())
+def test_information_sets_match_split_half(case):
+    """The one pass agrees with split-half, under the drawn cap, and with
+    the block loop."""
+    code, sub, cells = case
+    split = (split_min_distance(code, cells), split_coset_min_weight(code, sub, cells))
+    assert min_weights_bruteforce(code, sub) == split == min_weights_blocks(code, sub)
+
+
 def test_cases_reach_every_shape():
-    """The strategy above draws odd k, k = 1, the full space, both kinds
-    of subcode, cosets heavier than the code's distance and caps small
-    enough that the table is the zero word."""
+    """The strategy above draws odd k, k = 1, k = n, both kinds of
+    subcode, cosets heavier than the code's distance, three or more
+    information sets, a last one of rank below k, chunks of one message
+    and split-half caps small enough that its table is the zero word."""
     seen = set()
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(codes_with_subcodes())
     def collect(case):
         code, sub, cells = case
+        d, coset = min_weights_blocks(code, sub)
+        ranks = [r for _, r in linear_codes._information_sets(
+            code.field, code.generator, code.n, code.pivots)]
         seen.update({
             ("odd k", code.k % 2 == 1),
             ("k = 1", code.k == 1),
-            ("full space", code.k == code.n),
+            ("k = n", code.k == code.n),
             ("zero subcode", sub.k == 0),
             ("codimension 1", sub.k > 0 and code.k - sub.k == 1),
-            ("coset weight above d", coset_min_weight_blocks(code, sub)
-             > min_distance_blocks(code)),
+            ("coset weight above d", coset > d),
+            ("three or more information sets", len(ranks) >= 3),
+            ("last information set of rank < k", ranks[-1] < code.k),
+            ("one message per chunk", cells < 2 * (code.n - sub.k + 1)),
             ("k_in = 0", code.field.q * code.n > cells),
         })
 
     collect()
-    names = ("odd k", "k = 1", "full space", "zero subcode", "codimension 1",
-             "coset weight above d", "k_in = 0")
+    names = ("odd k", "k = 1", "k = n", "zero subcode", "codimension 1",
+             "coset weight above d", "three or more information sets",
+             "last information set of rank < k", "one message per chunk", "k_in = 0")
     assert {(name, True) for name in names} <= seen
 
 
@@ -190,15 +202,32 @@ def test_wide_entries_and_long_words():
     code = from_spanning_set(f, [np.array([1, 0, 3, 256, 7], dtype=np.int64),
                                  np.array([0, 1, 200, 5, 9], dtype=np.int64)])
     sub = from_spanning_set(f, [code.generator[1]])
-    assert min_distance_bruteforce(code) == min_distance_blocks(code)
-    assert coset_min_weight_bruteforce(code, sub) == coset_min_weight_blocks(code, sub)
+    assert min_weights_bruteforce(code, sub) == min_weights_blocks(code, sub)
 
     g3 = make_field(3)
     long = from_spanning_set(g3, [np.ones(300, dtype=np.int64),
                                   np.r_[np.zeros(150), np.ones(150)].astype(np.int64)])
-    assert min_distance_bruteforce(long) == min_distance_blocks(long) == 150
-    assert (coset_min_weight_bruteforce(long, zero_code(g3, 300))
-            == coset_min_weight_blocks(long, zero_code(g3, 300)) == 150)
+    z = zero_code(g3, 300)
+    assert min_distance_bruteforce(long) == 150
+    assert min_weights_bruteforce(long, z) == min_weights_blocks(long, z) == (150, 150)
+
+
+def test_chunks_bound_the_traced_peak():
+    """The [28,15]_7 code of (7,4,7,1,0) searches rounds of up to
+    C(15,5)·6^4 = 3,891,888 messages, 467 MB as one int64 array of words.
+    In chunks of at most _CELLS message and word cells, the traced peak
+    stays below eight int64 arrays of _CELLS cells: a chunk's words, the
+    term being added and the temporaries of one field operation."""
+    rec = build_grid_record(make_field(7), 4, 7, 1, 0)
+    assert (rec.n, rec.k) == (28, 15)
+    tracemalloc.start()
+    try:
+        pair = min_weights_bruteforce(rec.code, rec.mirror_code, budget=7 ** 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair == (rec.d_formula, rec.coset_d_formula) == (5, 8)
+    assert peak < 8 * 8 * linear_codes._CELLS, peak
 
 
 # -- every criterion-5 grid instance ------------------------------------------
@@ -218,6 +247,7 @@ def test_grid_instances_match_block_loop(inst):
     """Includes GF(4) [16,10], the (4,4,4,1,1) instance."""
     q, H, V, a, b = inst
     rec = build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
-    assert min_distance_bruteforce(rec.code) == min_distance_blocks(rec.code)
-    assert (coset_min_weight_bruteforce(rec.code, rec.mirror_code)
-            == coset_min_weight_blocks(rec.code, rec.mirror_code))
+    pair = min_weights_blocks(rec.code, rec.mirror_code)
+    assert min_weights_bruteforce(rec.code, rec.mirror_code) == pair
+    assert min_distance_bruteforce(rec.code) == pair[0]
+    assert coset_min_weight_bruteforce(rec.code, rec.mirror_code) == pair[1]

@@ -16,6 +16,7 @@ from qlrc import (
     in_row_space,
     make_field,
     min_distance_bruteforce,
+    min_weights_bruteforce,
     zero_code,
 )
 from qlrc.errors import (
@@ -121,32 +122,54 @@ def test_min_distance_values(gf3, ex1_record, rem3_record):
     assert min_distance_bruteforce(rem3_record.code) == 3
     rep = from_spanning_set(gf3, _rows([1, 1, 1, 1]))
     assert min_distance_bruteforce(rep) == 4
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="^the zero code has no minimum distance$"):
         min_distance_bruteforce(zero_code(gf3, 4))
 
 
 def test_min_distance_budget(ex1_record):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded,
+                       match="^enumeration of 5\\^8 = 390625 codewords exceeds budget 10$"):
         min_distance_bruteforce(ex1_record.code, budget=10)
 
 
 def test_coset_min_weight_values(ex1_record, rem3_record):
     assert coset_min_weight_bruteforce(ex1_record.code, ex1_record.mirror_code) == 6
     assert coset_min_weight_bruteforce(rem3_record.code, rem3_record.mirror_code) == 4
+    assert min_weights_bruteforce(ex1_record.code, ex1_record.mirror_code) == (3, 6)
+    assert min_weights_bruteforce(rem3_record.code, rem3_record.mirror_code) == (3, 4)
 
 
 def test_coset_against_zero_subcode_is_min_distance(rem3_record):
     z = zero_code(rem3_record.code.field, rem3_record.code.n)
     assert (coset_min_weight_bruteforce(rem3_record.code, z)
             == min_distance_bruteforce(rem3_record.code))
+    assert min_weights_bruteforce(rem3_record.code, z) == (3, 3)
 
 
 def test_coset_errors(gf3, rem3_record):
     stray = from_spanning_set(gf3, _rows([1] + [0] * 8))
-    with pytest.raises(NotSubcode):
-        coset_min_weight_bruteforce(rem3_record.code, stray)
-    with pytest.raises(InvalidParameter):
-        coset_min_weight_bruteforce(rem3_record.code, rem3_record.code)
+    code = rem3_record.code
+    for oracle in (coset_min_weight_bruteforce, min_weights_bruteforce):
+        with pytest.raises(NotSubcode, match="^second argument is not a subcode of the first$"):
+            oracle(code, stray)
+        with pytest.raises(InvalidParameter,
+                           match="^subcode equals the code; the coset is empty$"):
+            oracle(code, code)
+        with pytest.raises(BudgetExceeded, match="exceeds budget 10$"):
+            oracle(code, rem3_record.mirror_code, budget=10)
+
+
+def test_one_pass_raises_in_the_order_of_the_two_oracles(gf3, rem3_record):
+    """min_weights_bruteforce checks what min_distance_bruteforce checks,
+    then what coset_min_weight_bruteforce checks."""
+    zero = zero_code(gf3, 9)
+    with pytest.raises(InvalidParameter, match="^the zero code has no minimum distance$"):
+        min_weights_bruteforce(zero, zero)
+    stray = from_spanning_set(gf3, _rows([1] + [0] * 8))
+    with pytest.raises(BudgetExceeded):
+        min_weights_bruteforce(rem3_record.code, stray, budget=10)
+    with pytest.raises(BudgetExceeded):
+        min_weights_bruteforce(rem3_record.code, rem3_record.code, budget=10)
 
 
 def test_default_budget_env(monkeypatch):

@@ -288,7 +288,7 @@ def test_collected_failure_row_keeps_the_closed_forms(monkeypatch):
 def test_disagreeing_oracle_exits_4_naming_both_distances(monkeypatch, capsys):
     from qlrc import css
 
-    monkeypatch.setattr(css, "min_distance_bruteforce", lambda code, budget=None: 2)
+    monkeypatch.setattr(css, "min_weights_bruteforce", lambda code, sub, budget=None: (2, 4))
     text = "oracle disagrees: d 2 vs 3, coset 4 vs 4"
     assert cli.main(["construct", "--preset", "rem3", "--mode", "bruteforce"]) == 4
     assert capsys.readouterr().err == f"error: {text}\n"
