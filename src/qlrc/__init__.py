@@ -62,7 +62,6 @@ from .grid_codes import (
 from .linear_codes import (
     LinearCode,
     contains,
-    coset_min_weight_bruteforce,
     default_budget,
     euclidean_dual,
     from_spanning_set,

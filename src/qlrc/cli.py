@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import BoundInput, evaluate_all
 from .css import css_from_grid, css_record_to_json
-from .errors import BudgetError, InternalCheckError, InvalidParameter
+from .errors import BudgetError, InternalCheckError, InvalidParameter, QlrcError
 from .gf import check_field_order, make_field, split_prime_power
 from .grid_codes import build_grid_record, instance_label, record_to_json
 from .linear_codes import contains
@@ -191,7 +191,6 @@ def _verify_locality_flags(sp) -> None:
     sp.add_argument("--delta", dest="loc_delta", type=int)
     sp.add_argument("--strategy", choices=("grid_lines", "exhaustive"),
                     default="grid_lines")
-    sp.add_argument("--budget", type=int)
     _add_format_flag(sp)
 
 
@@ -200,7 +199,11 @@ def _lemma_flags(sp) -> None:
     _add_format_flag(sp)
 
 
-def _build_record(args):
+@contextmanager
+def _instance(args):
+    """Yield the grid record the flags name.  A QlrcError raised from the
+    record's construction on, inside the block too, starts with the
+    instance, unless it already names one; flag and field errors do not."""
     explicit = [args.q, args.H, args.V, args.a, args.b]
     if args.preset is not None:
         if any(v is not None for v in explicit):
@@ -222,24 +225,19 @@ def _build_record(args):
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha, p)
     field = make_field(p, m, modulus=modulus, primitive=alpha)
-    return build_grid_record(field, conf["H"], conf["V"], conf["a"], conf["b"])
-
-
-@contextmanager
-def _naming_budget_errors(rec):
-    """Budget errors start with the instance, as construction errors do."""
+    instance = [conf[key] for key in "qHVab"]
     try:
-        yield
-    except BudgetError as exc:
-        grid, dp = rec.grid, rec.dp
-        raise type(exc)(f"{instance_label(grid.q, grid.H, grid.V, dp.a, dp.b)} {exc}") from exc
+        yield build_grid_record(field, *instance[1:])
+    except QlrcError as exc:
+        if str(exc).startswith("(q="):
+            raise
+        raise type(exc)(f"{instance_label(*instance)} {exc}") from exc
 
 
 def _cmd_construct(args) -> int:
     if args.mode == "formula" and args.budget is not None:
         raise InvalidParameter("--budget only applies to --mode bruteforce")
-    rec = _build_record(args)
-    with _naming_budget_errors(rec):
+    with _instance(args) as rec:
         css = css_from_grid(rec, distance_mode=args.mode, budget=args.budget)
     if args.format == "json":
         _print_json({"grid": record_to_json(rec), "css": css_record_to_json(css)})
@@ -315,14 +313,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_locality(args) -> int:
-    rec = _build_record(args)
-    r = args.loc_r if args.loc_r is not None else rec.locality[0]
-    delta = args.loc_delta if args.loc_delta is not None else rec.locality[1]
-    if args.strategy == "grid_lines":
-        cert = certify_grid_lines(rec, r, delta)
-    else:
-        with _naming_budget_errors(rec):
-            cert = certify_locality(rec.code, r, delta, budget=args.budget)
+    with _instance(args) as rec:
+        r = args.loc_r if args.loc_r is not None else rec.locality[0]
+        delta = args.loc_delta if args.loc_delta is not None else rec.locality[1]
+        if args.strategy == "grid_lines":
+            cert = certify_grid_lines(rec, r, delta)
+        else:
+            cert = certify_locality(rec.code, r, delta)
     if args.format == "json":
         _print_json(cert.to_json())
         return 0

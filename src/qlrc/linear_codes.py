@@ -206,12 +206,6 @@ def contains(outer: LinearCode, inner: LinearCode) -> bool:
     return in_row_space(outer, inner.generator)
 
 
-def _message_block(q: int, k: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    pws = q ** np.arange(k, dtype=np.int64)
-    return (idx[:, None] // pws[None, :]) % q
-
-
 def _check_budget(q: int, k: int, budget) -> None:
     """Raise BudgetExceeded when q^k words exceed the budget (None: the default)."""
     if budget is None:
@@ -343,16 +337,10 @@ def min_distance_bruteforce(code: LinearCode, budget: int | None = None) -> int:
     return _min_weights(code.field, code.generator, code.n, code.pivots)[0]
 
 
-def coset_min_weight_bruteforce(code: LinearCode, sub: LinearCode,
-                                budget: int | None = None) -> int:
-    """Exact min Hamming weight over codewords of `code` outside `sub`."""
-    return _coset_min_weights(code, sub, budget)[1]
-
-
 def min_weights_bruteforce(code: LinearCode, sub: LinearCode,
                            budget: int | None = None) -> tuple[int, int]:
-    """(min_distance_bruteforce(code), coset_min_weight_bruteforce(code,
-    sub)) from one enumeration, with the errors of those two calls in that
-    order."""
+    """(min_distance_bruteforce(code), the least weight of a word of `code`
+    outside `sub`) from one enumeration.  The zero code and the budget are
+    checked first, then that `sub` is a proper subcode."""
     _check_code(code, budget)
     return _coset_min_weights(code, sub, budget)

@@ -6,14 +6,23 @@ r + delta - 1 containing it whose punctured (projected) code C|_S has
 minimum distance at least delta.  Every distance in a certificate is
 proved, not claimed:
 
-* exhaustive (certify_locality): candidate sets are scanned in
-  lexicographic runs that share all but their last two columns.  Each
-  distinct prefix costs one pivot step on the generator G, and each set
-  one step on its last two columns, which gives its rank.  Rank 0 makes
-  C|_S the zero code, which repairs trivially; rank |S| makes it the
-  whole space, of distance 1; only a set of any other rank has its block
-  G[:, S] row-reduced and the q^rank words of its reduced rows
-  enumerated, and its distance is their least positive weight.
+* exhaustive (certify_locality): C|_S is the row space of G_S, the
+  columns S of the generator G.  For T inside S the words m G_S with
+  m G_T = 0 are those of C|_S that vanish on T, a space of dimension
+  rank G_S - rank G_T (the difference of the two left kernels).  So a
+  nonzero word vanishes on T exactly when rank G_T < rank G_S (MacWilliams
+  & Sloane, ch. 1), and d(C|_S) = |S| - max{|T| : rank G_T < rank G_S}.
+  Rank only drops as columns are removed, so d(C|_S) >= delta exactly
+  when every T of |S| - delta + 1 columns keeps the rank of S:
+  C(|S|, delta - 1) ranks decide a set, and no word is enumerated.  Any
+  rank - 1 columns drop the rank, so d(C|_S) <= |S| - rank + 1, and only
+  sets with 0 < rank <= |S| - delta + 1 are tested; rank 0 is the zero
+  code, which repairs trivially.  The scan is lexicographic, so sets
+  sharing all but their last two columns come in runs: each distinct
+  prefix costs one pivot step on G and each set one on its last two
+  columns, which gives its rank.  A subset's rank comes from pivot steps
+  on its own k x |T| block.  The set a coordinate takes has its exact
+  distance found, as the largest delta whose test it passes.
 * grid_lines (certify_grid_lines): on the column x = x_s of the grid,
   sum c_ij x^i y^j is the polynomial sum_j (sum_i c_ij x_s^i) y^j at the V
   y-axis points.  With distinct y points the column's rank is the number
@@ -40,10 +49,10 @@ proved, not claimed:
   lexicographically least S minus t among them.  Of two sets of one size
   the lexicographically smaller holds the least element of their
   symmetric difference, and taking t from both leaves that difference
-  alone, so this is the lexicographically least S.  Only the chosen
-  supports have their blocks row-reduced and their words enumerated, as
-  in the scan; each has rank at most |S| - 1, since a dual word lies
-  inside it, so none is the whole space.
+  alone, so this is the lexicographically least S.  Each chosen support
+  has its exact distance found from the ranks of its subsets, as the set
+  a scan takes does; each has rank at most |S| - 1, since a dual word
+  lies inside it, so none is the whole space.
 """
 
 from __future__ import annotations
@@ -66,20 +75,13 @@ from .errors import (
 )
 from .gf import FieldSpec, make_field
 from .grid_codes import GridCodeRecord, _require_distinct, instance_label
-from .linear_codes import (
-    LinearCode,
-    _check_budget,
-    _message_block,
-    default_budget,
-    euclidean_dual,
-    from_spanning_set,
-)
+from .linear_codes import LinearCode, euclidean_dual, from_spanning_set
 
 _SEARCH_BUDGET = 10**6
 # Largest lemma family m: on a 2-core VM, in-process, lemma --m 200 takes
 # 1.4-1.7 s and --m 250 about 3 s, nearly all in building the code.
 LEMMA_M_CAP = 200
-_BATCH_CELLS = 1 << 14  # cells in one stack of blocks, prefix states or words; sets peak memory
+_BATCH_CELLS = 1 << 14  # cells in one stack of blocks or prefix states; sets peak memory
 
 
 @dataclass(frozen=True)
@@ -105,52 +107,6 @@ class LocalityCertificate:
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.entries]
-
-
-def _reduce(field: FieldSpec, stack: np.ndarray) -> np.ndarray:
-    """Row-reduce, in place, every k x s matrix of an (N, k, s) stack.
-
-    Returns each matrix's rank; its independent rows end up first and the
-    rest zero.  Step c pivots every matrix with a nonzero entry in column c
-    at or past its rank, and each row under the pivot becomes
-    pivot * row - row[c] * pivot_row, which keeps the row space and needs
-    no inverse.  Rows past the rank are zero left of column c, so a step
-    touches only columns c onward.
-    """
-    k, s = stack.shape[1:]
-    rows = np.arange(k)
-    rank = np.zeros(stack.shape[0], dtype=np.int64)
-    for c in range(s):
-        live = (stack[:, :, c] != 0) & (rows >= rank[:, None])
-        sets = np.flatnonzero(live.any(axis=1))
-        if not sets.size:
-            continue
-        top, piv = rank[sets], live[sets].argmax(axis=1)
-        stack[sets, top, c:], stack[sets, piv, c:] = stack[sets, piv, c:], stack[sets, top, c:]
-        sub = stack[sets, :, c:]
-        pivot_row = sub[np.arange(sets.size), top][:, None, :]
-        elim = field.vsub(field.vmul(pivot_row[:, :, :1], sub),
-                          field.vmul(sub[:, :, :1], pivot_row))
-        stack[sets, :, c:] = np.where((rows > top[:, None])[:, :, None], elim, sub)
-        rank[sets] += 1
-    return rank
-
-
-def _min_weights(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    """Least positive weight in the row space of each K x s matrix of an
-    (M, K, s) stack, enumerating all q^K messages for every matrix at
-    once; rows past a matrix's rank are zero and only repeat its words."""
-    M, K, s = rows.shape
-    gen = rows.transpose(1, 0, 2).reshape(K, M * s)
-    total = field.q ** K
-    block = max(1, _BATCH_CELLS // (M * s))
-    best = np.full(M, s + 1)
-    for start in range(0, total, block):
-        msgs = _message_block(field.q, K, start, min(start + block, total))
-        w = np.count_nonzero(field.matmul(msgs, gen).reshape(-1, M, s), axis=2)
-        w[w == 0] = s + 1  # the zero word
-        best = np.minimum(best, w.min(axis=0))
-    return best
 
 
 def _eliminate(field: FieldSpec, pivots: np.ndarray, block: np.ndarray):
@@ -217,37 +173,75 @@ def _ranks(field: FieldSpec, gen: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _first_repair_set(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
-                      delta: int, budget):
-    """(repair set, distance) for the first row of `sets` that repairs, or
-    None.  `sets` holds column sets of one size in scan order; the result,
-    and a BudgetExceeded at the first over-budget set before it, are what a
-    scan of one set at a time would give.  Only the sets whose words are
-    enumerated are row-reduced."""
+def _block_ranks(field: FieldSpec, gen: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Rank of gen[:, T] for every row T of an (N, t) array of column sets.
+
+    Each k x t block takes t - 1 pivot steps, each on its first column,
+    which it then drops; the rank is their pivot count, plus 1 if the last
+    column is then nonzero.  A stack holds at most _BATCH_CELLS cells, or
+    one block.
+    """
+    N, t = sets.shape
+    k = gen.shape[0]
+    rank = np.zeros(N, dtype=np.int64)
+    if not k:
+        return rank
+    per = max(1, _BATCH_CELLS // (k * t))
+    for lo in range(0, N, per):
+        block = gen[:, sets[lo:lo + per]].transpose(1, 0, 2)
+        for _ in range(t - 1):
+            block, took = _eliminate(field, block[:, :, 0], block[:, :, 1:])
+            rank[lo:lo + per] += took
+        rank[lo:lo + per] += block.any(axis=(1, 2))
+    return rank
+
+
+def _distance_at_least(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
+                       rank: np.ndarray, delta: int) -> np.ndarray:
+    """Whether C|_S is nonzero with distance at least delta, for every row S
+    of an (N, s) array of column sets of ranks `rank` (module docstring).
+
+    A set with 0 < rank <= s - delta + 1 has its subsets of that size
+    ranked a chunk of combinations at a time, and leaves at its first rank
+    drop; a chunk takes at most _BATCH_CELLS cells of blocks, or one
+    combination, so C(s, delta - 1) ranks bound the work per set.
+    """
     s = sets.shape[1]
+    t = s - delta + 1
+    ok = (rank > 0) & (rank <= t)
+    if not ok.any():
+        return ok
+    live = np.flatnonzero(ok)
+    combos = combinations(range(s), t)
+    per = max(1, _BATCH_CELLS // (gen.shape[0] * t))
+    while live.size and (chunk := list(islice(combos, max(1, per // live.size)))):
+        ranks = _block_ranks(field, gen, sets[live][:, chunk].reshape(-1, t))
+        live = live[(ranks.reshape(len(live), -1) == rank[live, None]).all(axis=1)]
+    return np.isin(np.arange(len(sets)), live)
+
+
+def _distances(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
+               rank: np.ndarray, known: int) -> list[int | None]:
+    """d(C|_S) for every row S of an (N, s) array of column sets of ranks
+    `rank`, each known to be at least `known`; None for the zero code.
+    Each distance is the largest delta that _distance_at_least passes."""
+    dist, live = np.full(len(sets), known), np.arange(len(sets))
+    for delta in range(known + 1, sets.shape[1] + 1):
+        live = live[_distance_at_least(field, gen, sets[live], rank[live], delta)]
+        dist[live] = delta
+    return [int(d) if r else None for d, r in zip(dist, rank)]
+
+
+def _first_repair_set(field: FieldSpec, gen: np.ndarray, sets: np.ndarray, delta: int):
+    """(repair set, distance) for the first row of `sets` that repairs, or
+    None.  `sets` holds column sets of one size in scan order."""
     rank = _ranks(field, gen, sets)
-    ok = rank == 0
-    dist = np.zeros(len(sets), dtype=np.int64)
-    stop = len(sets)
-    # |S| < delta and rank |S| (distance 1) fail without enumeration
-    need = np.flatnonzero((rank > 0) & (rank < s) & (s >= delta))
-    if need.size:
-        limit = default_budget() if budget is None else budget
-        over = need[np.array([field.q ** k > limit for k in range(s + 1)])[rank[need]]]
-        stop = over[0] if over.size else stop
-        need = need[need < stop]
-    if need.size:
-        stack = gen[:, sets[need]].transpose(1, 0, 2)
-        _reduce(field, stack)
-        dist[need] = _min_weights(field, stack[:, :rank[need].max()])
-        ok[need] = dist[need] >= delta
-    hits = np.flatnonzero(ok[:stop])
-    if hits.size:
-        i = hits[0]
-        return tuple(sorted(sets[i].tolist())), (int(dist[i]) if rank[i] else None)
-    if stop < len(sets):
-        _check_budget(field.q, int(rank[stop]), limit)
-    return None
+    hits = np.flatnonzero((rank == 0) | _distance_at_least(field, gen, sets, rank, delta))
+    if not hits.size:
+        return None
+    i = hits[0]
+    return (tuple(sorted(sets[i].tolist())),
+            _distances(field, gen, sets[i:i + 1], rank[i:i + 1], delta)[0])
 
 
 def _validate_rd(r: int, delta: int) -> None:
@@ -284,7 +278,6 @@ def certify_grid_lines(rec: GridCodeRecord, r: int, delta: int) -> LocalityCerti
 
 
 def certify_locality(code: LinearCode, r: int, delta: int,
-                     budget: int | None = None,
                      search_budget: int = _SEARCH_BUDGET) -> LocalityCertificate:
     """Certify (r, delta)-locality coordinate by coordinate, exhaustively.
 
@@ -292,10 +285,9 @@ def certify_locality(code: LinearCode, r: int, delta: int,
     size; the first whose punctured distance is at least delta repairs the
     coordinate, and NotLocallyRecoverable is proved when the scan finds
     nothing.  Ranks come from pivot steps shared by the sets of a common
-    prefix (_ranks).  A set's distance comes from its rank alone when the
-    rank is 0 or |S|; otherwise its block is row-reduced and its q^rank
-    words enumerated.  `budget` caps that enumeration and `search_budget`
-    the candidates per coordinate.
+    prefix (_ranks), and a set's distance from the ranks of its subsets
+    (module docstring); no word is enumerated.  `search_budget` caps the
+    candidates per coordinate.
     """
     _validate_rd(r, delta)
     size_cap = r + delta - 1
@@ -312,7 +304,7 @@ def certify_locality(code: LinearCode, r: int, delta: int,
             for start in range(0, allowed, per):
                 sets = np.full((min(per, allowed - start), size), t)
                 sets[:, 1:] = list(islice(rests, len(sets)))
-                found = _first_repair_set(field, gen, sets, delta, budget)
+                found = _first_repair_set(field, gen, sets, delta)
                 if found is not None:
                     break
             if found is not None:
@@ -339,8 +331,8 @@ def certify_dual_words(code: LinearCode, words, r: int) -> LocalityCertificate:
     DualityViolated.  Heavier words are ignored.  Each coordinate gets the
     lightest support through it, the lexicographically least on a tie;
     a coordinate in none raises the scan's NotLocallyRecoverable.  The
-    distinct supports chosen are row-reduced, padded to one width with a
-    zero column, and their words enumerated in one batch.
+    distinct supports chosen are padded to one width with a zero column,
+    which changes no distance, and their distances found in one batch.
     """
     _validate_rd(r, 2)
     field, gen, n = code.field, code.generator, code.n
@@ -369,15 +361,9 @@ def certify_dual_words(code: LinearCode, words, r: int) -> LocalityCertificate:
     cols = np.full((len(used), len(supports[used[-1]])), n)
     for j, i in enumerate(used):
         cols[j, :len(supports[i])] = supports[i]
-    stack = np.hstack([gen, np.zeros((code.k, 1), dtype=np.int64)])[:, cols]
-    stack = stack.transpose(1, 0, 2)
-    rank = _reduce(field, stack)
-    top = int(rank.max())
-    _check_budget(field.q, top, None)
-    dist = _min_weights(field, stack[:, :top])
-    entries = [LocalityEntry(t, supports[first[t]],
-                             int(dist[slot[t]]) if rank[slot[t]] else None)
-               for t in range(n)]
+    gen = np.hstack([gen, np.zeros((code.k, 1), dtype=np.int64)])
+    dist = _distances(field, gen, cols, _block_ranks(field, gen, cols), 1)
+    entries = [LocalityEntry(t, supports[first[t]], dist[slot[t]]) for t in range(n)]
     return LocalityCertificate(r, 2, "dual_words", tuple(entries))
 
 

@@ -16,7 +16,11 @@ computation that a proof in `src/` replaced, kept as its oracle:
 * `split_min_weight` enumerates every codeword as a pair u + v, where
   `linear_codes` enumerates by information sets and stops at a lower
   bound; `split_min_distance` and `split_coset_min_weight` are its two
-  oracles.
+  oracles.  `message_block` lists messages by their base-q index.
+* `coset_min_weight_bruteforce` is the coset half of
+  `linear_codes.min_weights_bruteforce`, with its subcode errors first.
+* `reduce_stack` row-reduces a stack of blocks, where `lrc` ranks sets
+  by pivot steps that keep no row space.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from qlrc import LiftResult, LinearCode, contains, euclidean_dual, from_spanning
 from qlrc import grid_codes, quadratic_extension
 from qlrc.errors import InvalidParameter, NotDualContaining
 from qlrc.gf import split_prime_power
-from qlrc.linear_codes import _message_block, _rref
+from qlrc.linear_codes import _coset_min_weights, _rref
 
 
 class NotQuadraticExtension(InvalidParameter):
@@ -144,6 +148,48 @@ def twist_vector(grid) -> np.ndarray:
         grid_codes._inv_derivs(f, grid_codes._axis_points(f, N), N) for N in (grid.H, grid.V)))
 
 
+def message_block(q: int, k: int, start: int, stop: int) -> np.ndarray:
+    """Messages start..stop-1 of GF(q)^k, digit i of each index in column i."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    pws = q ** np.arange(k, dtype=np.int64)
+    return (idx[:, None] // pws[None, :]) % q
+
+
+def coset_min_weight_bruteforce(code: LinearCode, sub: LinearCode,
+                                budget: int | None = None) -> int:
+    """Exact min Hamming weight over codewords of `code` outside `sub`."""
+    return _coset_min_weights(code, sub, budget)[1]
+
+
+def reduce_stack(field, stack: np.ndarray) -> np.ndarray:
+    """Row-reduce, in place, every k x s matrix of an (N, k, s) stack.
+
+    Returns each matrix's rank; its independent rows end up first and the
+    rest zero.  Step c pivots every matrix with a nonzero entry in column c
+    at or past its rank, and each row under the pivot becomes
+    pivot * row - row[c] * pivot_row, which keeps the row space and needs
+    no inverse.  Rows past the rank are zero left of column c, so a step
+    touches only columns c onward.
+    """
+    k, s = stack.shape[1:]
+    rows = np.arange(k)
+    rank = np.zeros(stack.shape[0], dtype=np.int64)
+    for c in range(s):
+        live = (stack[:, :, c] != 0) & (rows >= rank[:, None])
+        sets = np.flatnonzero(live.any(axis=1))
+        if not sets.size:
+            continue
+        top, piv = rank[sets], live[sets].argmax(axis=1)
+        stack[sets, top, c:], stack[sets, piv, c:] = stack[sets, piv, c:], stack[sets, top, c:]
+        sub = stack[sets, :, c:]
+        pivot_row = sub[np.arange(sets.size), top][:, None, :]
+        elim = field.vsub(field.vmul(pivot_row[:, :, :1], sub),
+                          field.vmul(sub[:, :, :1], pivot_row))
+        stack[sets, :, c:] = np.where((rows > top[:, None])[:, :, None], elim, sub)
+        rank[sets] += 1
+    return rank
+
+
 SPLIT_CELLS = 1 << 20  # split_min_weight's default cap on table cells and comparisons per block
 
 
@@ -162,14 +208,14 @@ def split_min_weight(field, gen: np.ndarray, n: int, cells: int = SPLIT_CELLS) -
         k_in -= 1
     k_out = k - k_in
     entry = np.min_scalar_type(q - 1)
-    table = field.vneg(field.matmul(_message_block(q, k_in, 0, q ** k_in), gen[k_out:]))
+    table = field.vneg(field.matmul(message_block(q, k_in, 0, q ** k_in), gen[k_out:]))
     table = np.ascontiguousarray(table.T, dtype=entry)  # one row per coordinate
     block = max(1, cells // (table.shape[1] * width))
     total = q ** k_out
     best = n + 1
     for start in range(0, total, block):
         stop = min(start + block, total)
-        outer = field.matmul(_message_block(q, k_out, start, stop), gen[:k_out])
+        outer = field.matmul(message_block(q, k_out, start, stop), gen[:k_out])
         outer = np.ascontiguousarray(outer.T, dtype=entry)
         w = np.zeros((stop - start, table.shape[1]), dtype=np.min_scalar_type(n + 1))
         for i in range(n):

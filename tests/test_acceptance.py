@@ -16,7 +16,6 @@ from qlrc import (
     check_theorem,
     cli,
     closed_forms,
-    coset_min_weight_bruteforce,
     css_from_grid,
     evaluate_all,
     heavy_row_check,
@@ -33,6 +32,7 @@ from qlrc import (
 )
 from qlrc.css import oracle_distances
 from qlrc.linear_codes import contains, euclidean_dual
+from helpers import coset_min_weight_bruteforce
 
 
 def _cli_json(capsys, *argv):

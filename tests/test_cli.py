@@ -237,13 +237,35 @@ def test_closed_stdout_exits_0_quietly(argv, nbytes):
     assert err == b""
 
 
-@pytest.mark.parametrize("strategy", ["exhaustive"])
-def test_verify_locality_budget_error_names_the_instance(capsys, strategy):
-    rc, _, err = run_cli(capsys, "verify-locality", "--preset", "ex1",
-                         "--strategy", strategy, "--budget", "10")
-    assert rc == 3
-    assert err.startswith("error: (q=5,H=5,V=3,a=0,b=0) enumeration of 5^")
-    assert "exceeds budget 10" in err
+def test_verify_locality_takes_no_budget(capsys, monkeypatch):
+    # no strategy enumerates a word, so there is no --budget, and QLRC_BUDGET
+    # caps nothing
+    rc, out, err = run_cli(capsys, "verify-locality", "--preset", "ex1", "--budget", "10")
+    assert (rc, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --budget 10\n")
+    monkeypatch.setenv("QLRC_BUDGET", "1")
+    rc, out, err = run_cli(capsys, "verify-locality", "--preset", "ex1",
+                           "--strategy", "exhaustive", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert len(json.loads(out)) == 15
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("construct --q 5 --H 5 --V 5 --a 5 --b 1",
+     "(q=5,H=5,V=5,a=5,b=1) need 0 <= a < 2, got a=5"),
+    ("construct --q 5 --H 4 --V 5 --a 1 --b 1",
+     "(q=5,H=4,V=5,a=1,b=1) H-1 = 3 does not divide q-1 = 4"),
+    ("verify-locality --q 5 --H 5 --V 5 --a 1 --b 1 --r 1 --delta 2",
+     "(q=5,H=5,V=5,a=1,b=1) grid columns have 5 points, exceeding r+delta-1 = 2"),
+    ("verify-locality --q 5 --H 5 --V 5 --a 1 --b 1 --r 3 --delta 4",
+     "(q=5,H=5,V=5,a=1,b=1) column through coordinate 0 has punctured distance 2 < 4"),
+    ("verify-locality --preset rem3 --strategy exhaustive --r 1 --delta 3",
+     "(q=3,H=3,V=3,a=0,b=0) coordinate 0 admits no repair set of size <= 3 "
+     "with punctured distance >= 3"),
+], ids=["a range", "divisibility", "column width", "column distance", "exhaustive"])
+def test_errors_name_their_instance(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv.split())
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("inst", [(5, 5, 3, 0, 0), (9, 9, 9, 3, 3), (16, 16, 16, 7, 7),
@@ -252,17 +274,16 @@ def test_verify_locality_budget_error_names_the_instance(capsys, strategy):
 def test_verify_locality_grid_lines_enumerates_nothing(capsys, monkeypatch, inst,
                                                        no_generator_matrices):
     # column distances come from the Reed-Solomon argument and the column
-    # ranks from Delta, so no budget applies and no matrix is reduced;
-    # (9,9,9,3,3) would enumerate 9^8 words per column
+    # ranks from Delta, so no pivot step runs; (9,9,9,3,3) has 9^8 words
+    # per column
     def refuse(*args):
-        raise AssertionError("a column block was row-reduced")
+        raise AssertionError("a pivot step ran on a column block")
 
-    monkeypatch.setattr(lrc, "_reduce", refuse)
+    monkeypatch.setattr(lrc, "_eliminate", refuse)
     q, H, V, a, b = inst
     start = time.monotonic()
     rc, out, err = run_cli(capsys, "verify-locality", "--q", str(q), "--H", str(H),
-                           "--V", str(V), "--a", str(a), "--b", str(b),
-                           "--budget", "10", "--format", "json")
+                           "--V", str(V), "--a", str(a), "--b", str(b), "--format", "json")
     assert time.monotonic() - start < 10
     assert rc == 0, err
     entries = json.loads(out)

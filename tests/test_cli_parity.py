@@ -74,7 +74,6 @@ def reference_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", dest="loc_delta", type=int)
     sp.add_argument("--strategy", choices=("grid_lines", "exhaustive"),
                     default="grid_lines")
-    sp.add_argument("--budget", type=int)
     add_format_flag(sp)
 
     sp = sub.add_parser("lemma", help="examine the [4m, 3m-1] binary family")

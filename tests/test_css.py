@@ -11,7 +11,6 @@ from qlrc import (
     build_grid_record,
     closed_forms,
     contains,
-    coset_min_weight_bruteforce,
     css_from_grid,
     css_record_to_json,
     euclidean_dual,
@@ -25,7 +24,8 @@ from qlrc import (
 )
 from qlrc.errors import InvalidParameter, NotDualContaining
 from qlrc.gf import split_prime_power
-from helpers import full_code, hermitian_dual, hermitian_lift_by_row_reduction
+from helpers import (coset_min_weight_bruteforce, full_code, hermitian_dual,
+                     hermitian_lift_by_row_reduction)
 
 
 def test_ex1_css_formula_and_bruteforce(ex1_record):

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from qlrc import (
     build_grid_record,
-    coset_min_weight_bruteforce,
     euclidean_dual,
     from_spanning_set,
     make_field,
@@ -30,8 +29,9 @@ from qlrc import (
 )
 from qlrc import linear_codes
 from qlrc.gf import split_prime_power
-from qlrc.linear_codes import _message_block, contains
-from helpers import full_code, split_coset_min_weight, split_min_distance
+from qlrc.linear_codes import contains
+from helpers import (coset_min_weight_bruteforce, full_code, message_block,
+                     split_coset_min_weight, split_min_distance)
 
 # -- the definition-level enumeration -----------------------------------------
 
@@ -60,7 +60,7 @@ def min_weights_blocks(code, sub):
     best_d = best_coset = code.n + 1
     for start in range(1, total, _BLOCK):
         stop = min(start + _BLOCK, total)
-        words = _encode_block(code, _message_block(field.q, code.k, start, stop))
+        words = _encode_block(code, message_block(field.q, code.k, start, stop))
         weights = np.count_nonzero(words, axis=1)
         best_d = min(best_d, int(weights.min()))
         outside = field.matmul(words, parity.T).any(axis=1)

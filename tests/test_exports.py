@@ -41,3 +41,28 @@ def test_every_export_is_used_outside_the_tests():
     unused = [name for name in _exported()
               if name not in referenced and not re.search(rf"\b{name}\b", readme)]
     assert unused == [], f"exported, but read only by tests: {unused}"
+
+
+def _defined() -> list[tuple[str, str]]:
+    """(module, name) for every top-level def, class and constant of the
+    package modules, dunder names aside."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            out += [(path.stem, name) for name in names if not name.startswith("__")]
+    return out
+
+
+def test_every_definition_is_read_outside_the_tests():
+    referenced = _referenced()
+    readme = (ROOT / "README.md").read_text()
+    unread = [f"{module}.{name}" for module, name in _defined()
+              if name not in referenced and not re.search(rf"\b{name}\b", readme)]
+    assert unread == [], f"defined in src/qlrc, but read only by tests: {unread}"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qlrc import (
     contains,
-    coset_min_weight_bruteforce,
     default_budget,
     euclidean_dual,
     from_spanning_set,
@@ -27,7 +26,7 @@ from qlrc.errors import (
     LengthMismatch,
     NotSubcode,
 )
-from helpers import codeword, full_code, hermitian_dual, weight
+from helpers import codeword, coset_min_weight_bruteforce, full_code, hermitian_dual, weight
 from test_field_oracle import digit_add
 
 

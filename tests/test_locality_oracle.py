@@ -1,6 +1,6 @@
 """Definition-level locality certification, kept as the oracle for the
-shared-prefix ranks, the batched enumeration, the dual-word certificate
-and the closed-form grid-column ranks in qlrc.lrc.
+shared-prefix ranks, the distances from subset ranks, the dual-word
+certificate and the closed-form grid-column ranks in qlrc.lrc.
 
 The code here is what those paths replaced: one candidate repair set at a
 time, one RREF and one brute-force distance per set (a bit-packed span
@@ -13,10 +13,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import time
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,6 @@ from qlrc import (
     zero_code,
 )
 from qlrc.errors import (
-    BudgetExceeded,
     DualityViolated,
     InjectivityViolated,
     LengthMismatch,
@@ -53,12 +53,12 @@ from qlrc.grid_codes import instance_label
 from qlrc.linear_codes import LinearCode, _rref, min_distance_bruteforce
 from qlrc.lrc import LocalityCertificate, LocalityEntry, _validate_rd
 from qlrc.verifier import prime_powers
-from helpers import full_code, monomials
+from helpers import full_code, monomials, reduce_stack
 
 # -- the definition-level scan -------------------------------------------------
 
 
-def _passes(code, cols, delta, budget):
+def _passes(code, cols, delta):
     sub = code.generator[:, list(cols)]
     if not sub.any():
         return True, None
@@ -69,13 +69,13 @@ def _passes(code, cols, delta, budget):
     if R.shape[0] == len(cols):
         return (delta <= 1), 1  # full space has distance 1
     restricted = LinearCode(code.field, len(cols), R, piv)
-    d = min_distance_bruteforce(restricted, budget)
+    d = min_distance_bruteforce(restricted, budget=code.field.q ** restricted.k)
     return d >= delta, d
 
 
 def _passes_gf2(row_bits, cols, delta):
     """GF(2) span walk on bit-packed generator rows; it never enumerates
-    more than 2^|cols| words and takes no budget."""
+    more than 2^|cols| words."""
     packed = []
     any_nonzero = False
     for bits in row_bits:
@@ -105,9 +105,9 @@ def _passes_gf2(row_bits, cols, delta):
     return best >= delta, best
 
 
-def oracle_exhaustive(code, r, delta, budget=None,
-                      search_budget=lrc._SEARCH_BUDGET, gf2_walk=True):
-    """The candidate-by-candidate scan; gf2_walk picks _passes_gf2 on GF(2)."""
+def oracle_exhaustive(code, r, delta, search_budget=lrc._SEARCH_BUDGET, gf2_walk=True):
+    """The candidate-by-candidate scan, by enumeration with no budget;
+    gf2_walk picks _passes_gf2 on GF(2)."""
     _validate_rd(r, delta)
     size_cap = r + delta - 1
     n = code.n
@@ -130,7 +130,7 @@ def oracle_exhaustive(code, r, delta, budget=None,
                 if use_gf2:
                     ok, dist = _passes_gf2(row_bits, cols, delta)
                 else:
-                    ok, dist = _passes(code, cols, delta, budget)
+                    ok, dist = _passes(code, cols, delta)
                 if ok:
                     found = LocalityEntry(t, cols, dist)
                     break
@@ -155,7 +155,7 @@ def oracle_grid_lines(rec, r, delta):
     entries = []
     for col in range(rec.grid.H):
         cols = tuple(col * V + j for j in range(V))
-        ok, dist = _passes(rec.code, cols, delta, None)
+        ok, dist = _passes(rec.code, cols, delta)
         if not ok:
             raise NotLocallyRecoverable(
                 f"column through coordinate {cols[0]} has punctured "
@@ -182,11 +182,11 @@ def oracle_grid_ranks(rec, r, delta):
     field, code = rec.grid.field, rec.code
     ys = rec.points[1]
     vandermonde = field.vpow(ys[None, :, None], np.arange(V))
-    if lrc._reduce(field, vandermonde)[0] != V:
+    if reduce_stack(field, vandermonde)[0] != V:
         raise InjectivityViolated(f"{where} the y-axis Vandermonde matrix is singular")
     J = max(mono.j for mono in monomials(rec.tops))
     columns = np.arange(H * V).reshape(H, V)
-    rank = lrc._reduce(field, code.generator[:, columns].transpose(1, 0, 2))
+    rank = reduce_stack(field, code.generator[:, columns].transpose(1, 0, 2))
     bad = np.flatnonzero(rank != J + 1)
     if bad.size:
         raise InjectivityViolated(
@@ -259,11 +259,12 @@ def test_tiny_cell_cap_splits_chunks_inside_a_size(code, rd, cells):
 
 
 @settings(max_examples=100, deadline=None)
-@given(codes(), _RD, st.integers(1, 60), st.sampled_from((None, 1, 5, 12, 40)))
-def test_small_budget_raises_where_the_scan_does(code, rd, budget, cells):
-    # the GF(2) span walk never took a budget, so the budget cases compare
-    # against the generic scan on every field
-    assert_exhaustive_agrees(code, *rd, cells=cells, gf2_walk=False, budget=budget)
+@given(codes(), _RD, st.sampled_from((None, 1, 5, 12, 40)))
+def test_scan_ignores_the_enumeration_budget(code, rd, cells):
+    # QLRC_BUDGET caps enumeration, and the scan enumerates no word; the
+    # generic oracle enumerates with a budget of its own
+    with mock.patch.dict(os.environ, {"QLRC_BUDGET": "1"}):
+        assert_exhaustive_agrees(code, *rd, cells=cells, gf2_walk=False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,7 +274,7 @@ def test_small_search_budget(code, rd, search_budget):
 
 
 def test_gf2_walk_agrees_with_generic_scan():
-    # the two oracles agree with each other on GF(2), budget aside
+    # the two oracles agree with each other on GF(2)
     gf2 = make_field(2)
     rng = np.random.default_rng(5)
     for _ in range(30):
@@ -295,14 +296,14 @@ def _fixed_cases():
         "delta 3": (from_spanning_set(gf7, [vec(1, 1, 1, 1, 0, 0), vec(0, 1, 2, 3, 1, 1)]),
                     2, 3, {}),
         "search budget": (full_code(gf2, 12), 3, 2, {"search_budget": 5}),
-        # every coordinate has a parallel partner, after a full-rank pair
-        # whose 7^2 words the budget would refuse
+        # every coordinate has a parallel partner, after a full-rank pair;
+        # an enumeration budget of 7 once refused the pair's 7^2 words
         "budget at a full-rank pair": (
-            from_spanning_set(gf7, [vec(1, 0, 2, 0), vec(0, 1, 0, 3)]), 2, 2, {"budget": 7}),
-        # {0, 1, 2} has rank 1 and {0, 1, 3} rank 2: the error names 3^1
+            from_spanning_set(gf7, [vec(1, 0, 2, 0), vec(0, 1, 0, 3)]), 2, 2, {}),
+        # {0, 1, 2} has rank 1 and {0, 1, 3} rank 2 in one batch; a budget
+        # of 1 once refused 3^1 words at the first
         "budget below the batch's largest rank": (
-            from_spanning_set(gf3, [vec(1, 1, 2, 0, 1), vec(0, 0, 0, 1, 1)]),
-            1, 3, {"budget": 1}),
+            from_spanning_set(gf3, [vec(1, 1, 2, 0, 1), vec(0, 0, 0, 1, 1)]), 1, 3, {}),
     }
 
 
@@ -313,7 +314,7 @@ _FIXED = _fixed_cases()
 @pytest.mark.parametrize("cells", [None, 4])
 def test_fixed_cases_match_oracle(name, cells):
     code, r, delta, kw = _FIXED[name]
-    assert_exhaustive_agrees(code, r, delta, cells=cells, gf2_walk="budget" not in kw, **kw)
+    assert_exhaustive_agrees(code, r, delta, cells=cells, **kw)
 
 
 @cache
@@ -356,24 +357,84 @@ def test_prefix_ranks_match_row_reduction(code, size, cells, chunk):
     size = min(size, code.n)
     for t in range(code.n):
         sets = _scan_sets(code.n, t, size)
-        expected = lrc._reduce(code.field, code.generator[:, sets].transpose(1, 0, 2))
+        expected = reduce_stack(code.field, code.generator[:, sets].transpose(1, 0, 2))
         with mock.patch.object(lrc, "_BATCH_CELLS", cells):
             got = np.concatenate([lrc._ranks(code.field, code.generator, sets[i:i + chunk])
                                   for i in range(0, len(sets), chunk)])
         assert got.tolist() == expected.tolist()
 
 
-def test_lemma_reduces_only_the_blocks_it_enumerates(monkeypatch):
-    # certify_locality on the m = 6 code scans 38,096 candidate sets; only
-    # the 24 whose words are enumerated (0 < rank < |S|) are row-reduced
-    blocks = {"_reduce": 0, "_min_weights": 0}
-    for name in blocks:
-        def counted(field, stack, name=name, fn=getattr(lrc, name)):
-            blocks[name] += len(stack)
-            return fn(field, stack)
-        monkeypatch.setattr(lrc, name, counted)
+# -- distances from subset ranks -----------------------------------------------
+
+_ZERO_CODES = st.builds(zero_code, st.sampled_from(_FIELDS), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(codes(), _ZERO_CODES), st.data())
+def test_rank_distances_match_enumeration(code, data):
+    # zero columns give rank-0 sets, a size at most the rank full-rank ones,
+    # and the zero code (k = 0) rank 0 everywhere
+    size = data.draw(st.integers(1, code.n))
+    sets = np.array(list(islice(combinations(range(code.n), size), 30)), dtype=np.int64)
+    field, gen = code.field, code.generator
+    rank = lrc._block_ranks(field, gen, sets)
+    expected_rank, expected = [], []
+    for cols in sets:
+        block = gen[:, cols]
+        sub = from_spanning_set(field, list(block)) if block.any() else None
+        expected_rank.append(0 if sub is None else sub.k)
+        expected.append(None if sub is None else min_distance_bruteforce(sub))
+    assert rank.tolist() == expected_rank
+    assert lrc._distances(field, gen, sets, rank, 1) == expected
+
+
+@pytest.mark.parametrize("q, n", [(2, 12), (9, 10)])
+def test_delta_equal_to_the_set_size_finishes_quickly(q, n):
+    # a nowhere-zero [n, 1] code: only the whole support repairs, with
+    # distance n = |S|, and its test ranks n single columns
+    field = make_field(*split_prime_power(q))
+    code = from_spanning_set(field, [np.arange(n) % (q - 1) + 1])
+    start = time.monotonic()
+    cert = certify_locality(code, 1, n)
+    assert time.monotonic() - start < 5
+    assert cert.to_json() == [{"coordinate": t, "repair_set": list(range(n)),
+                               "punctured_distance": n} for t in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(n_max=8, k_max=5), _RD, st.sampled_from((1, 16, 64, 200)))
+def test_no_stack_exceeds_the_cell_cap(code, rd, cells):
+    # a stack of blocks or prefix states holds at most `cells` cells, or one
+    # matrix when a single one is larger
+    sizes = []
+
+    def recorded(field, pivots, block, fn=lrc._eliminate):
+        sizes.append((block.size, block[0].size))
+        return fn(field, pivots, block)
+
+    expected = outcome(lambda: oracle_exhaustive(code, *rd))
+    with mock.patch.object(lrc, "_eliminate", recorded):
+        assert_exhaustive_agrees(code, *rd, cells=cells, expected=expected)
+        with mock.patch.object(lrc, "_BATCH_CELLS", cells):
+            outcome(lambda: certify_dual_words(code, _orthogonal_words(code, rd[0] + 1), rd[0]))
+    assert all(size <= max(cells, one) for size, one in sizes)
+
+
+def test_lemma_ranks_the_subsets_of_few_sets(monkeypatch):
+    # certify_locality on the m = 6 code scans 38,096 candidate sets; at
+    # most 24 reach the distance step (0 < rank <= |S| - 1), each of four
+    # columns and rank 3, so each is decided by its C(4, 1) subsets of three
+    # columns, and the Singleton bound alone stops its exact distance at 2
+    ranked = []
+
+    def counted(field, gen, sets, fn=lrc._block_ranks):
+        ranked.append(sets.shape)
+        return fn(field, gen, sets)
+
+    monkeypatch.setattr(lrc, "_block_ranks", counted)
     certify_locality(lemma_family(6).code, 3, 2)
-    assert blocks["_reduce"] <= blocks["_min_weights"] <= 24
+    assert {t for _, t in ranked} == {3}
+    assert sum(N for N, _ in ranked) <= 24 * 4
 
 
 def _run_lemma(m):
@@ -466,14 +527,14 @@ def test_dual_words_reject_a_word_outside_the_dual():
         certify_dual_words(fam.code, fam.block_rows[:, :-1], 3)
 
 
-def test_dual_words_budget(monkeypatch):
-    # each block of the m = 3 code has rank 3, so its distance takes 2^3 words
+def test_dual_words_budget(monkeypatch, capsys):
+    # each block of the m = 3 code has rank 3: its distance once took 2^3
+    # words, past this budget, and now takes the ranks of its subsets
+    assert cli.main(["lemma", "--m", "3"]) == 0
+    expected = capsys.readouterr()
     monkeypatch.setenv("QLRC_BUDGET", "4")
-    fam = lemma_family(3)
-    refused = r"^enumeration of 2\^3 = 8 codewords exceeds budget 4$"
-    with pytest.raises(BudgetExceeded, match=refused):
-        certify_dual_words(fam.code, fam.block_rows, 3)
-    assert cli.main(["lemma", "--m", "3"]) == 3
+    assert cli.main(["lemma", "--m", "3"]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_lemma_exits_4_on_a_word_outside_the_dual(monkeypatch, capsys):

@@ -289,11 +289,11 @@ def test_disagreeing_oracle_exits_4_naming_both_distances(monkeypatch, capsys):
     from qlrc import css
 
     monkeypatch.setattr(css, "min_weights_bruteforce", lambda code, sub, budget=None: (2, 4))
-    text = "oracle disagrees: d 2 vs 3, coset 4 vs 4"
+    text = "error: (q=3,H=3,V=3,a=0,b=0) oracle disagrees: d 2 vs 3, coset 4 vs 4\n"
     assert cli.main(["construct", "--preset", "rem3", "--mode", "bruteforce"]) == 4
-    assert capsys.readouterr().err == f"error: {text}\n"
+    assert capsys.readouterr().err == text
     assert cli.main(["sweep", "--q", "3"]) == 4
-    assert capsys.readouterr().err == f"error: (q=3,H=3,V=3,a=0,b=0) {text}\n"
+    assert capsys.readouterr().err == text
 
 
 def test_sweep_oracle_budget_control():
