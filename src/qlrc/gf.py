@@ -12,6 +12,31 @@ odd p with m > 1, x + y = x (1 + y/x) with log(1 + alpha^k) tabulated
 (Lidl & Niederreiter, Finite Fields, ch. 10).  Negation multiplies by
 p - 1, subtraction adds the negation, and the scalar operations are the
 vector ones on scalars; `matmul` is the one matrix product over the field.
+
+Construction is linear algebra over GF(p) on digit rows, in whole-array
+steps (Lidl & Niederreiter, ch. 3).  For a monic f = X^m + tail, let
+R = GF(p)[X]/(f) and C the matrix of y -> X y on R.  The matrix of
+y -> g y is g(C), and it is invertible exactly when g is a unit of R, that
+is, when gcd(f, g) = 1.
+
+* Irreducibility (Ben-Or).  X^(p^i) - X is the product of the monic
+  irreducibles whose degree divides i.  A reducible f has an irreducible
+  factor of degree d <= m/2, which divides X^(p^d) - X; an irreducible f
+  shares no factor with X^(p^i) - X for i < m.  So f is irreducible
+  exactly when gcd(f, X^(p^i) - X) = 1 for 1 <= i <= m/2, that is, when
+  the product of the C^(p^i) - C is invertible.  A window of candidate
+  tails is tested at once, each matrix by meeting in the middle.
+* Order.  R is then a field, so for h != 0, h^(q-1) = 1 and the powers of
+  h repeat with period ord(h), a divisor of q - 1.  The walk writes
+  h^0 .. h^(q-2), so ord(h) = q - 1 exactly when 1 does not come back:
+  the table proves the order.  Any ord(h) < q - 1 divides (q-1)/l for a
+  prime l | q - 1, so a walk may stop at the first h^((q-1)/l) = 1.  X is
+  walked first; if its walk stops, the first of q - 1, q - 2, ... with
+  every h^((q-1)/l) != 1 is walked, and its table proves its order.
+* The smallest primitive.  With ord(h) = q - 1, h^i has order
+  (q-1)/gcd(i, q-1), so the primitive elements are exactly the h^i with
+  gcd(i, q-1) = 1.  The least encoding among them is alpha = h^t, and
+  alpha^i = h^(t i mod (q-1)), so alpha's table is one gather of h's.
 """
 
 from __future__ import annotations
@@ -57,7 +82,7 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and _smallest_factor(p) == p
 
 
-# The largest field order qlrc builds: GF(2^20)'s tables peak at about 240 MiB.
+# The largest field order qlrc builds: GF(2^20) peaks at about 160 MiB.
 FIELD_ORDER_CAP = 2**20
 
 
@@ -87,7 +112,7 @@ def split_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-# -- polynomial helpers over GF(p); coefficient tuples, lowest degree first --
+# -- coefficient tuples, lowest degree first --
 
 
 def _digits(value: int, base: int, width: int) -> tuple[int, ...]:
@@ -105,48 +130,153 @@ def _encode(coeffs, base: int) -> int:
     return value
 
 
-def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
+# -- construction: float64 matrices over GF(p) acting on digit rows ----------
 
 
-def _poly_mod(a, mod, p: int) -> tuple[int, ...]:
-    a = list(_poly_trim(tuple(a)))
-    mod = _poly_trim(tuple(mod))
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, c in enumerate(mod):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        a = list(_poly_trim(tuple(a)))
-    return tuple(a)
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, entrywise, for float64 integers |x| < 2^42.
+
+    (x + 1/2) / p lies at least 1/(2p) from the nearest integer, and its
+    rounding errors stay below 2^-9 / p there, so the floor is floor(x / p)
+    exactly.  Every product below sums at most m terms of size below p^2,
+    and m p^2 < 2^41 for every field under the cap.
+    """
+    y = x * (1 / p)
+    y += 0.5 / p
+    np.floor(y, out=y)
+    y *= -p
+    y += x
+    return y
 
 
-def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    mod = _poly_trim(mod)
-    m = len(mod) - 1
-    if m < 1:
-        return False
-    for d in range(1, m // 2 + 1):
-        for tail in range(p**d):
-            divisor = _digits(tail, p, d) + (1,)
-            if not _poly_mod(mod, divisor, p):
-                return False
-    return True
+def _power(mats: np.ndarray, e: int, p: int) -> np.ndarray:
+    """mats^e over GF(p) for a stack of square matrices and e >= 1."""
+    out = mats
+    for bit in bin(e)[3:]:
+        out = _mod(out @ out, p)
+        if bit == "1":
+            out = _mod(out @ mats, p)
+    return out
+
+
+def _invertible(mats: np.ndarray, p: int) -> np.ndarray:
+    """Whether each matrix of a stack is invertible over GF(p).
+
+    Meet in the middle: split the rows into a top half T and the rest B.
+    The rows are dependent exactly when x T = y B for some (x, y) != (0, 0),
+    so the matrix is invertible exactly when the combinations x T and y B,
+    over all coefficient vectors x and y, have one coincidence, 0 = 0.
+    """
+    m = mats.shape[-1]
+    k = m // 2
+    digits = np.arange(p**(m - k))[:, None] // p ** np.arange(m - k) % p
+    coeffs = np.zeros((p**k + p**(m - k), m))
+    coeffs[:p**k, :k], coeffs[p**k:, k:] = digits[:p**k, :k], digits
+    codes = np.sort(_mod(coeffs @ mats, p) @ p ** np.arange(m, dtype=float), axis=1)
+    return (codes[:, 1:] == codes[:, :-1]).sum(1) == 1
+
+
+def _times_x(tails: np.ndarray, p: int) -> np.ndarray:
+    """The matrices of x -> X x modulo X^m + tail, one per row of tails:
+    row j holds the digits of X^(j+1)."""
+    w, m = tails.shape
+    mats = np.zeros((w, m, m))
+    mats[:, np.arange(m - 1), np.arange(1, m)] = 1
+    mats[:, -1] = -tails % p
+    return mats
+
+
+def _irreducible(tails: np.ndarray, p: int) -> np.ndarray:
+    """Ben-Or's test of each X^m + tail, one per row of tails: the product
+    of C^(p^i) - C over 1 <= i <= m/2, empty for m = 1, is invertible."""
+    x = frob = _times_x(tails, p)
+    prod = None
+    for _ in range(tails.shape[1] // 2):
+        frob = _power(frob, p, p)
+        prod = frob - x if prod is None else _mod(prod @ (frob - x), p)
+    return np.ones(len(tails), dtype=bool) if prod is None else _invertible(prod, p)
 
 
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
-    if m == 1:
-        return (0, 1)
-    for tail in range(p**m):
-        cand = _digits(tail, p, m) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
-    raise InvalidParameter(f"no irreducible polynomial of degree {m} over GF({p})")
+    """The irreducible X^m + tail with the smallest encoding of tail, testing
+    p + 2m consecutive tails at a time."""
+    size = p + 2 * m
+    for start in range(0, p**m, size):
+        tails = np.arange(start, min(start + size, p**m))[:, None] // p ** np.arange(m) % p
+        ok = _irreducible(tails, p)
+        if ok.any():
+            return tuple(tails[ok.argmax()].tolist()) + (1,)
+    raise AssertionFailed(f"no monic irreducible of degree {m} over GF({p})")  # pragma: no cover
+
+
+def _walk(start: np.ndarray, mat: np.ndarray, count: int, p: int, stops=()) -> np.ndarray:
+    """The digit rows of s h^i for 0 <= i < count and each row s of start,
+    i major, where x @ mat holds the digits of x h.
+
+    Doubling: rows 0 .. k-1 and mat = (the matrix of h^k), times mat, are
+    rows k .. 2k-1 and the matrix of h^2k, so the walk takes log2(count)
+    steps.  With one start row, it returns None as soon as start h^s =
+    start for an s in stops (ascending), each found as row s - k times mat
+    before its block is written.
+    """
+    # row @ mat stays below m p^2, held by dtype and multiplied exactly in float_
+    rows, m = start.shape
+    dtype = np.min_scalar_type(m * (p - 1)**2)
+    float_ = np.promote_types(dtype, np.float32)
+    out = np.empty((count * rows, m), dtype=dtype)
+    out[:rows] = start
+    stops = list(stops)
+    k = 1
+    while k < count:
+        t = min(k, count - k)
+        while stops and stops[0] < k + t:
+            if not (out[stops.pop(0) - k] @ mat % p != start).any():
+                return None
+        block = (np.concatenate((out[:t * rows], mat), dtype=float_) @ mat).astype(dtype)
+        block %= p
+        out[k * rows:(k + t) * rows], mat = block[:-m], block[-m:]
+        k += t
+    return out
+
+
+def _times(p: int, m: int, x: np.ndarray, gs) -> np.ndarray:
+    """The matrices of y -> g y, one per g in gs: their rows g X^j are a walk
+    of X from g."""
+    digits = np.asarray(gs)[:, None] // p ** np.arange(m) % p
+    return _walk(digits, x, m, p).reshape(m, len(digits), m).transpose(1, 0, 2)
+
+
+def _powers(p: int, m: int, mat: np.ndarray, stops=()):
+    """The order of g, where mat is the matrix of y -> g y, and the encodings
+    of g^0 .. g^(q-2); None when g^s = 1 for some s in stops."""
+    rows = _walk(np.eye(1, m), mat, p**m - 1, p, stops)
+    if rows is None:
+        return None
+    powers = (rows @ p ** np.arange(m, dtype=np.float32)).astype(np.int64)
+    ones = np.flatnonzero(powers[1:] == 1)
+    return (int(ones[0]) + 1 if ones.size else p**m - 1), powers
+
+
+def _generator(p: int, m: int, x: np.ndarray, primes: list[int]) -> tuple[int, np.ndarray]:
+    """An element h with h^((q-1)/l) != 1 for every prime l | q - 1, and its
+    matrix, from q - 1, q - 2, ... tested 8 at a time: squaring gives every
+    h^(2^b), and each exponent multiplies the rows of its set bits."""
+    q = p**m
+    exps = [(q - 1) // ell for ell in primes]
+    for top in range(q - 1, 0, -8):
+        hs = np.arange(top, max(top - 8, 0), -1)
+        mats = square = _times(p, m, x, hs).astype(float)
+        rows = [None] * len(exps)
+        for bit in range(max(exps, default=0).bit_length()):
+            for i, e in enumerate(exps):
+                if e >> bit & 1:
+                    rows[i] = square[:, 0] if rows[i] is None else _mod(
+                        (rows[i][:, None] @ square)[:, 0], p)
+            square = _mod(square @ square, p)
+        ok = np.all([(row[:, 0] != 1) | row[:, 1:].any(1) for row in rows], axis=0)
+        if ok.any():
+            return int(hs[ok.argmax()]), mats[ok.argmax()]
+    raise AssertionFailed(f"no primitive element found in GF({q})")  # pragma: no cover
 
 
 class FieldSpec:
@@ -156,18 +286,7 @@ class FieldSpec:
     from the same data are interchangeable.
     """
 
-    __slots__ = (
-        "p",
-        "m",
-        "q",
-        "modulus",
-        "primitive",
-        "_exp",
-        "_log",
-        "_exp_np",
-        "_log_np",
-        "_zech",
-    )
+    __slots__ = ("p", "m", "q", "modulus", "primitive", "_exp_np", "_log_np", "_zech")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], primitive: int,
                  powers):
@@ -180,8 +299,6 @@ class FieldSpec:
         exp_np = np.asarray(powers, dtype=np.int64)
         log_np = np.zeros(self.q, dtype=np.int64)
         log_np[exp_np] = np.arange(self.q - 1, dtype=np.int64)
-        object.__setattr__(self, "_exp", exp_np.tolist())
-        object.__setattr__(self, "_log", log_np.tolist())
         if m > 1:
             # vmul's tables: log 0 is the sentinel 2(q-1), and exp holds the
             # powers twice over, then 2q zeros, so exp[log x + log y] = x*y
@@ -192,10 +309,14 @@ class FieldSpec:
         object.__setattr__(self, "_log_np", log_np)
         zech = None
         if p > 2 and m > 1:
-            # zech[k] = log(1 + alpha^k): adding 1 raises the constant digit
-            # mod p with no carry, and a sum of 0 takes log 0, the sentinel
+            # z[k] = log(1 + alpha^k): adding 1 raises the constant digit mod
+            # p with no carry, and a sum of 0 takes log 0, the sentinel.  vadd
+            # reads zech at d = log y - log x, negative d from the end: z[d mod
+            # (q-1)] for |d| < q - 1, d for x = 0 (d <= -q), 0 for y = 0 (d >= q)
             powers = exp_np[:self.q - 1]
-            zech = log_np[powers - powers % p + (powers + 1) % p]
+            z = log_np[powers + 1 - p * (powers % p == p - 1)]
+            zech = np.concatenate((z, z[:1], np.zeros(self.q - 1, dtype=np.int64),
+                                   np.arange(-2 * (self.q - 1), 1 - self.q), z), dtype=np.int32)
         object.__setattr__(self, "_zech", zech)
 
     def __setattr__(self, name, value):
@@ -230,14 +351,12 @@ class FieldSpec:
     def mul(self, x: int, y: int) -> int:
         if self.m == 1:
             return (x * y) % self.p
-        if x == 0 or y == 0:
-            return 0
-        return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
+        return int(self._exp_np[self._log_np[x] + self._log_np[y]])
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise DivisionByZero("inverse of zero")
-        return self._exp[(-self._log[x]) % (self.q - 1)]
+        return int(self._exp_np[-int(self._log_np[x]) % (self.q - 1)])
 
     def pow(self, x: int, e: int) -> int:
         if x == 0:
@@ -246,7 +365,7 @@ class FieldSpec:
             if e < 0:
                 raise DivisionByZero("negative power of zero")
             return 0
-        return self._exp[(self._log[x] * e) % (self.q - 1)]
+        return int(self._exp_np[int(self._log_np[x]) * e % (self.q - 1)])
 
     # -- vector arithmetic on int64 numpy arrays of encodings --
 
@@ -256,9 +375,8 @@ class FieldSpec:
         if self.p == 2:
             return xs ^ ys
         # x + y = x (1 + y/x), and log(1 + y/x) is one Zech-table lookup
-        lx, ly = self._log_np[xs], self._log_np[ys]
-        out = self._exp_np[lx + self._zech[(ly - lx) % (self.q - 1)]]
-        return np.where(xs == 0, ys, np.where(ys == 0, xs, out))
+        lx = self._log_np[xs]
+        return self._exp_np[lx + self._zech[self._log_np[ys] - lx]]
 
     def vneg(self, xs: np.ndarray) -> np.ndarray:
         return self.vscale(self.p - 1, xs)
@@ -280,7 +398,7 @@ class FieldSpec:
             return xs.astype(np.int64, copy=True)
         if self.m == 1:
             return (c * xs) % self.p
-        return self._exp_np[self._log_np[xs] + self._log[c]]
+        return self._exp_np[self._log_np[xs] + self._log_np[c]]
 
     def vpow(self, xs: np.ndarray, es: np.ndarray) -> np.ndarray:
         """xs ** es elementwise, broadcast, for exponents 0 <= es < 2^40,
@@ -312,125 +430,15 @@ class FieldSpec:
         return _encode(cs + (0,) * (self.m - len(cs)), self.p)
 
 
-def _mul_matrix(c: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
-    """The m x m matrix over GF(p) of x -> c*x on base-p digit rows.
-
-    Row i holds the digits of c*X^i.  It is row i-1 shifted up one degree,
-    with the overflow coefficient times X^m = -tail folded back in.
-    """
-    m = len(c)
-    mat = np.empty((m, m), dtype=np.int64)
-    mat[0] = c
-    for i in range(1, m):
-        shifted = np.concatenate(([0], mat[i - 1, :-1]))
-        mat[i] = (shifted - mat[i - 1, -1] * tail) % p
-    return mat
-
-
-def _cyclic_powers(p: int, m: int, modulus: tuple[int, ...],
-                   g: int) -> tuple[int, np.ndarray | None]:
-    """The order of g and, if g is primitive, the encodings of g^0 .. g^(q-2).
-
-    `make_field` runs this walk once per field, on the explicit primitive
-    or on the default one `_first_primitive` chose, so the table it builds
-    also proves the order q - 1.
-
-    Doubling: the digit rows of g^0 .. g^(k-1), times the matrix of
-    c = g^k, give g^k .. g^(2k-1); then c is squared by the same matrix.
-    The order is the first positive exponent whose power is 1, so the walk
-    stops in the block where it appears.
-    """
-    n = p**m - 1
-    tail = np.array(modulus[:m], dtype=np.int64)
-    place = p ** np.arange(m, dtype=np.int64)
-    powers = np.ones(n, dtype=np.int64)  # powers[0] = g^0; the rest is overwritten
-    c = np.array(_digits(g, p, m), dtype=np.int64)
-    done = 1
-    while done < n:
-        take = min(done, n - done)
-        mat = _mul_matrix(c, tail, p)
-        block = (powers[:take, None] // place % p) @ mat % p @ place
-        ones = np.flatnonzero(block == 1)
-        if ones.size:
-            return done + int(ones[0]), None
-        powers[done:done + take] = block
-        c = c @ mat % p
-        done += take
-    return n, powers
-
-
-def _first_primitive(p: int, m: int, modulus: tuple[int, ...]) -> int:
-    """The smallest encoding of a primitive element of GF(p^m).
-
-    g is primitive exactly when g^((q-1)/l) != 1 for every prime l | q-1
-    (Lidl & Niederreiter, Finite Fields), so each candidate g = 1, 2, ...
-    costs one power per prime, in exact integer arithmetic: pow(g, e, p) in
-    a prime field, square-and-multiply on packed digits otherwise.  For
-    q = 2 there is no prime and g = 1 passes.
-    """
-    q = p**m
-    exponents = [(q - 1) // ell for ell in _prime_factors(q - 1)]
-    if m == 1:
-        return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in exponents))
-
-    # An element is one integer holding its digits in s-bit slots, lowest
-    # degree first, so one integer product gives every coefficient of the
-    # polynomial product.  No slot carries: a product coefficient is below
-    # m p^2, and folding adds m - 1 more of them, each times a digit below p.
-    s = (m * m * p**3).bit_length()
-    slot = (1 << s) - 1
-    shifts = range(0, s * m, s)
-
-    def pack(digits):
-        out = 0
-        for d, shift in zip(digits, shifts):
-            out |= d << shift
-        return out
-
-    # fold[t - m] holds X^t mod the modulus, for m <= t <= 2m-2
-    rows = [tuple((-c) % p for c in modulus[:m])]
-    for _ in range(m - 2):
-        prev = rows[-1]
-        rows.append(tuple((a + prev[-1] * b) % p for a, b in zip((0,) + prev[:-1], rows[0])))
-    fold = [pack(row) for row in rows]
-
-    def mul(a, b):
-        prod = a * b
-        high, low = prod >> (s * m), prod & ((1 << (s * m)) - 1)
-        for row in fold:
-            if not high:
-                break
-            low += (high & slot) * row
-            high >>= s
-        out = 0
-        for shift in shifts:
-            out |= ((low >> shift) & slot) % p << shift
-        return out
-
-    def power(a, e):
-        out = a
-        for bit in bin(e)[3:]:
-            out = mul(out, out)
-            if bit == "1":
-                out = mul(out, a)
-        return out
-
-    # 1 has order 1 < q - 1
-    for g in range(2, q):
-        a = pack(_digits(g, p, m))
-        if all(power(a, e) != 1 for e in exponents):
-            return g
-    raise NotPrimitive(f"no primitive element found in GF({q})")  # pragma: no cover
-
-
 def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
     """Construct GF(p^m), for p^m up to FIELD_ORDER_CAP.
 
     When modulus/primitive are omitted the defaults are deterministic: the
     irreducible monic polynomial whose non-leading coefficient vector has
     the smallest integer encoding, and the primitive element with the
-    smallest integer encoding.  That element is found by the exponent test
-    of `_first_primitive`, and the power table is walked for it alone.
+    smallest integer encoding.  Ben-Or's test decides every candidate
+    modulus of a window at once; one generator h is walked, and the
+    primitive element's table is gathered from h's (module docstring).
     Orders above the cap raise InvalidParameter before p is factored.
     """
     if isinstance(p, int) and p >= 2 and isinstance(m, int) and m >= 1:
@@ -451,24 +459,36 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise InvalidParameter(
                     f"modulus must be monic of degree {m}, got {modulus}")
-            if not _is_irreducible(modulus, p):
+            if not _irreducible(np.array([modulus[:m]]), p)[0]:
                 raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
+    x = _times_x(np.array([modulus[:m]]), p)[0]
 
     if primitive is not None:
         g = int(primitive)
         if not (0 < g < q):
             raise NotPrimitive(f"{g} is not a nonzero element of GF({q})")
-        order, powers = _cyclic_powers(p, m, modulus, g)
+        order, powers = _powers(p, m, _times(p, m, x, [g])[0])
         if order != q - 1:
             raise NotPrimitive(f"element {g} has order {order}, need {q - 1}")
         return FieldSpec(p, m, modulus, g, powers)
 
-    g = _first_primitive(p, m, modulus)
-    order, powers = _cyclic_powers(p, m, modulus, g)
+    # a generator h: X (encoding p, a unit when m > 1) if its walk passes
+    # every X^((q-1)/l) != 1, l a prime factor of q - 1; else the exponent test
+    primes = _prime_factors(q - 1)
+    h = p
+    walked = _powers(p, m, x, sorted((q - 1) // ell for ell in primes)) if p < q else None
+    if walked is None:
+        h, mat = _generator(p, m, x, primes)
+        walked = _powers(p, m, mat)
+    order, powers = walked
     if order != q - 1:
         raise AssertionFailed(
-            f"element {g} passed the primitivity test but has order {order}, need {q - 1}")
-    return FieldSpec(p, m, modulus, g, powers)
+            f"element {h} passed the primitivity test but has order {order}, need {q - 1}")
+    coprime = np.ones(q - 1, dtype=bool)
+    for ell in primes:
+        coprime[::ell] = False
+    t = int(np.where(coprime, powers, q).argmin())
+    return FieldSpec(p, m, modulus, int(powers[t]), powers[t * np.arange(q - 1) % (q - 1)])
 
 
 @dataclass(frozen=True)

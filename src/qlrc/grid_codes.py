@@ -105,7 +105,7 @@ def make_grid_params(H: int, V: int, field: FieldSpec) -> GridParams:
         raise DivisibilityViolated(f"V-1 = {V - 1} does not divide q-1 = {q - 1}")
     if H * V * (H + V) > GRID_WORK_CAP:
         raise ParamRangeViolated(
-            f"(q={q},H={H},V={V}) n*(H+V) = {H * V * (H + V)} exceeds the cap {GRID_WORK_CAP}")
+            f"n*(H+V) = {H * V * (H + V)} exceeds the cap {GRID_WORK_CAP}")
     return GridParams(H, V, q, field)
 
 

@@ -174,7 +174,8 @@ def _ranks(field: FieldSpec, gen: np.ndarray, sets: np.ndarray) -> np.ndarray:
 
 
 def _block_ranks(field: FieldSpec, gen: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Rank of gen[:, T] for every row T of an (N, t) array of column sets.
+    """Rank of gen[:, T] for every row T of an (N, t) array of column sets;
+    gen is one k x n generator, or an (N, k, n) stack of one per set.
 
     Each k x t block takes t - 1 pivot steps, each on its first column,
     which it then drops; the rank is their pivot count, plus 1 if the last
@@ -182,18 +183,42 @@ def _block_ranks(field: FieldSpec, gen: np.ndarray, sets: np.ndarray) -> np.ndar
     one block.
     """
     N, t = sets.shape
-    k = gen.shape[0]
+    k = gen.shape[-2]
     rank = np.zeros(N, dtype=np.int64)
     if not k:
         return rank
     per = max(1, _BATCH_CELLS // (k * t))
     for lo in range(0, N, per):
-        block = gen[:, sets[lo:lo + per]].transpose(1, 0, 2)
+        block = (gen[:, sets[lo:lo + per]].transpose(1, 0, 2) if gen.ndim == 2 else
+                 np.take_along_axis(gen[lo:lo + per], sets[lo:lo + per, None, :], axis=2))
         for _ in range(t - 1):
             block, took = _eliminate(field, block[:, :, 0], block[:, :, 1:])
             rank[lo:lo + per] += took
         rank[lo:lo + per] += block.any(axis=(1, 2))
     return rank
+
+
+def _row_bases(field: FieldSpec, gen: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """An (N, s, s) stack whose rows span the row space of gen[:, S], for
+    every row S of an (N, s) array of column sets, zero rows padding.
+
+    Step c keeps the pivot row of column c, if any, then clears column c
+    from every row, the pivot row included; the kept rows and the block's
+    rows span the same space after each step, and the block is zero after
+    the last.  The kept rows are in echelon form, so they count the rank.
+    A stack holds at most _BATCH_CELLS cells, or one block.
+    """
+    N, s = sets.shape
+    k = gen.shape[0]
+    bases = np.zeros((N, s, s), dtype=np.int64)
+    per = max(1, _BATCH_CELLS // max(k * s, 1))
+    for lo in range(0, N if k else 0, per):
+        blocks, out = gen[:, sets[lo:lo + per]].transpose(1, 0, 2), bases[lo:lo + per]
+        for c in range(s):
+            pivot = blocks[np.arange(len(blocks)), (blocks[:, :, c] != 0).argmax(axis=1)]
+            blocks, took = _eliminate(field, blocks[:, :, c], blocks)
+            out[took, c] = pivot[took]
+    return bases
 
 
 def _distance_at_least(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
@@ -213,9 +238,10 @@ def _distance_at_least(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
         return ok
     live = np.flatnonzero(ok)
     combos = combinations(range(s), t)
-    per = max(1, _BATCH_CELLS // (gen.shape[0] * t))
+    per = max(1, _BATCH_CELLS // (gen.shape[-2] * t))
     while live.size and (chunk := list(islice(combos, max(1, per // live.size)))):
-        ranks = _block_ranks(field, gen, sets[live][:, chunk].reshape(-1, t))
+        gens = gen if gen.ndim == 2 else np.repeat(gen[live], len(chunk), axis=0)
+        ranks = _block_ranks(field, gens, sets[live][:, chunk].reshape(-1, t))
         live = live[(ranks.reshape(len(live), -1) == rank[live, None]).all(axis=1)]
     return np.isin(np.arange(len(sets)), live)
 
@@ -223,11 +249,13 @@ def _distance_at_least(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
 def _distances(field: FieldSpec, gen: np.ndarray, sets: np.ndarray,
                rank: np.ndarray, known: int) -> list[int | None]:
     """d(C|_S) for every row S of an (N, s) array of column sets of ranks
-    `rank`, each known to be at least `known`; None for the zero code.
+    `rank`, each known to be at least `known`; None for the zero code.  gen
+    is one generator or a stack of one per set, as in _block_ranks.
     Each distance is the largest delta that _distance_at_least passes."""
     dist, live = np.full(len(sets), known), np.arange(len(sets))
     for delta in range(known + 1, sets.shape[1] + 1):
-        live = live[_distance_at_least(field, gen, sets[live], rank[live], delta)]
+        gens = gen if gen.ndim == 2 else gen[live]
+        live = live[_distance_at_least(field, gens, sets[live], rank[live], delta)]
         dist[live] = delta
     return [int(d) if r else None for d, r in zip(dist, rank)]
 
@@ -332,7 +360,8 @@ def certify_dual_words(code: LinearCode, words, r: int) -> LocalityCertificate:
     lightest support through it, the lexicographically least on a tie;
     a coordinate in none raises the scan's NotLocallyRecoverable.  The
     distinct supports chosen are padded to one width with a zero column,
-    which changes no distance, and their distances found in one batch.
+    which changes no distance, and their distances found in one batch, each
+    from a basis of its block's row space: d(C|_S) depends on no more.
     """
     _validate_rd(r, 2)
     field, gen, n = code.field, code.generator, code.n
@@ -362,7 +391,9 @@ def certify_dual_words(code: LinearCode, words, r: int) -> LocalityCertificate:
     for j, i in enumerate(used):
         cols[j, :len(supports[i])] = supports[i]
     gen = np.hstack([gen, np.zeros((code.k, 1), dtype=np.int64)])
-    dist = _distances(field, gen, cols, _block_ranks(field, gen, cols), 1)
+    bases = _row_bases(field, gen, cols)
+    rank = np.count_nonzero(bases.any(axis=2), axis=1)
+    dist = _distances(field, bases, np.broadcast_to(np.arange(cols.shape[1]), cols.shape), rank, 1)
     entries = [LocalityEntry(t, supports[first[t]], dist[slot[t]]) for t in range(n)]
     return LocalityCertificate(r, 2, "dual_words", tuple(entries))
 

@@ -21,6 +21,14 @@ computation that a proof in `src/` replaced, kept as its oracle:
   `linear_codes.min_weights_bruteforce`, with its subcode errors first.
 * `reduce_stack` row-reduces a stack of blocks, where `lrc` ranks sets
   by pivot steps that keep no row space.
+* `is_irreducible_by_division` divides by every monic polynomial of degree
+  at most m/2, and `default_modulus_by_division` tests candidates with it
+  one at a time, where `gf` runs Ben-Or's test on a window of candidates.
+* `first_primitive_by_exponents` tests g = 1, 2, ... one at a time by
+  g^((q-1)/l) != 1 in packed-digit integer arithmetic, and `cyclic_powers`
+  walks one element's powers by int64 digit matrices (`mul_matrix`), where
+  `gf` walks one generator on float digit rows and gathers the smallest
+  primitive's table from it.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 from qlrc import LiftResult, LinearCode, contains, euclidean_dual, from_spanning_set
 from qlrc import grid_codes, quadratic_extension
 from qlrc.errors import InvalidParameter, NotDualContaining
-from qlrc.gf import split_prime_power
+from qlrc.gf import _digits, split_prime_power
 from qlrc.linear_codes import _coset_min_weights, _rref
 
 
@@ -245,3 +253,147 @@ def split_coset_min_weight(code: LinearCode, sub: LinearCode, cells: int = SPLIT
     syndromes = field.matmul(code.generator, euclidean_dual(sub).generator.T)
     basis, _ = _rref(field, syndromes.T)
     return split_min_weight(field, np.hstack([code.generator, basis.T]), code.n, cells)
+
+
+# -- field construction by trial division and digit-matrix walks --------------
+
+
+def poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
+    i = len(c)
+    while i > 0 and c[i - 1] == 0:
+        i -= 1
+    return c[:i]
+
+
+def poly_mod(a, mod, p: int) -> tuple[int, ...]:
+    a = list(poly_trim(tuple(a)))
+    mod = poly_trim(tuple(mod))
+    dm = len(mod) - 1
+    inv_lead = pow(mod[-1], p - 2, p)
+    while len(a) - 1 >= dm and a:
+        shift = len(a) - 1 - dm
+        factor = (a[-1] * inv_lead) % p
+        for i, c in enumerate(mod):
+            a[shift + i] = (a[shift + i] - factor * c) % p
+        a = list(poly_trim(tuple(a)))
+    return tuple(a)
+
+
+def is_irreducible_by_division(mod: tuple[int, ...], p: int) -> bool:
+    mod = poly_trim(mod)
+    m = len(mod) - 1
+    if m < 1:
+        return False
+    for d in range(1, m // 2 + 1):
+        for tail in range(p**d):
+            divisor = _digits(tail, p, d) + (1,)
+            if not poly_mod(mod, divisor, p):
+                return False
+    return True
+
+
+def default_modulus_by_division(p: int, m: int) -> tuple[int, ...]:
+    if m == 1:
+        return (0, 1)
+    for tail in range(p**m):
+        cand = _digits(tail, p, m) + (1,)
+        if is_irreducible_by_division(cand, p):
+            return cand
+    raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
+
+
+def mul_matrix(c: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
+    """The m x m matrix over GF(p) of x -> c*x on base-p digit rows.
+
+    Row i holds the digits of c*X^i.  It is row i-1 shifted up one degree,
+    with the overflow coefficient times X^m = -tail folded back in.
+    """
+    m = len(c)
+    mat = np.empty((m, m), dtype=np.int64)
+    mat[0] = c
+    for i in range(1, m):
+        shifted = np.concatenate(([0], mat[i - 1, :-1]))
+        mat[i] = (shifted - mat[i - 1, -1] * tail) % p
+    return mat
+
+
+def cyclic_powers(p: int, m: int, modulus: tuple[int, ...],
+                  g: int) -> tuple[int, np.ndarray | None]:
+    """The order of g and, if g is primitive, the encodings of g^0 .. g^(q-2).
+
+    Doubling: the digit rows of g^0 .. g^(k-1), times the matrix of
+    c = g^k, give g^k .. g^(2k-1); then c is squared by the same matrix.
+    The order is the first positive exponent whose power is 1, so the walk
+    stops in the block where it appears.
+    """
+    n = p**m - 1
+    tail = np.array(modulus[:m], dtype=np.int64)
+    place = p ** np.arange(m, dtype=np.int64)
+    powers = np.ones(n, dtype=np.int64)
+    c = np.array(_digits(g, p, m), dtype=np.int64)
+    done = 1
+    while done < n:
+        take = min(done, n - done)
+        mat = mul_matrix(c, tail, p)
+        block = (powers[:take, None] // place % p) @ mat % p @ place
+        ones = np.flatnonzero(block == 1)
+        if ones.size:
+            return done + int(ones[0]), None
+        powers[done:done + take] = block
+        c = c @ mat % p
+        done += take
+    return n, powers
+
+
+def first_primitive_by_exponents(p: int, m: int, modulus: tuple[int, ...]) -> int:
+    """The smallest encoding g with g^((q-1)/l) != 1 for every prime l | q-1,
+    each candidate in exact integer arithmetic: pow(g, e, p) in a prime
+    field, square-and-multiply on packed digits otherwise."""
+    q = p**m
+    n, ells, f = q - 1, [], 2
+    while f * f <= n:
+        if n % f == 0:
+            ells.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    exponents = [(q - 1) // ell for ell in ells + ([n] if n > 1 else [])]
+    if m == 1:
+        return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in exponents))
+
+    # digits in s-bit slots of one integer, so one product multiplies two
+    # polynomials; no slot carries (a coefficient stays below m^2 p^3)
+    s = (m * m * p**3).bit_length()
+    slot = (1 << s) - 1
+    shifts = range(0, s * m, s)
+
+    def pack(digits):
+        return sum(d << shift for d, shift in zip(digits, shifts))
+
+    # fold[t - m] holds X^t mod the modulus, for m <= t <= 2m-2
+    rows = [tuple((-c) % p for c in modulus[:m])]
+    for _ in range(m - 2):
+        prev = rows[-1]
+        rows.append(tuple((a + prev[-1] * b) % p for a, b in zip((0,) + prev[:-1], rows[0])))
+    fold = [pack(row) for row in rows]
+
+    def mul(a, b):
+        prod = a * b
+        high, low = prod >> (s * m), prod & ((1 << (s * m)) - 1)
+        for row in fold:
+            if not high:
+                break
+            low += (high & slot) * row
+            high >>= s
+        return sum((((low >> shift) & slot) % p) << shift for shift in shifts)
+
+    def power(a, e):
+        out = a
+        for bit in bin(e)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, a)
+        return out
+
+    return next(g for g in range(2, q)
+                if all(power(pack(_digits(g, p, m)), e) != 1 for e in exponents))

@@ -185,7 +185,7 @@ def test_grid_above_the_work_cap_exits_2(argv):
         proc.kill()
     assert (proc.returncode, out) == (2, "")
     q = int(argv.split()[2])
-    assert err == (f"error: (q={q},H={q},V={q}) n*(H+V) = {2 * q**3} "
+    assert err == (f"error: (q={q},H={q},V={q},a=1,b=1) n*(H+V) = {2 * q**3} "
                    f"exceeds the cap 134217728\n")
 
 

@@ -1,23 +1,31 @@
-"""Field construction against the definition-level orbit walks.
+"""Field construction against the definition-level code it replaced.
 
 One oracle multiplies in polynomial arithmetic, one power at a time.  The
-other walks the whole power orbit of every candidate in turn with
-`_cyclic_powers`, the way `make_field` searched for its default primitive
-before the exponent test.  `make_field` must choose the same primitive and
-build the same power table as both, and report the same order for every
-element that is not primitive.
+others are the construction `make_field` used before it ran Ben-Or's test
+on windows of candidates and walked one generator on float digit rows:
+trial division for the modulus, the exponent test on g = 1, 2, ... for the
+primitive, and `cyclic_powers`, the int64 digit-matrix walk, for the table
+(all in `tests/helpers.py`).  `make_field` must choose the same modulus and
+primitive, build the same power table, accept and refuse the same moduli,
+and report the same order for every element that is not primitive.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlrc import make_field, split_prime_power
-from qlrc.errors import NotPrimitive
-from qlrc.gf import (_cyclic_powers, _default_modulus, _digits, _encode, _poly_mod,
-                     _poly_trim, _prime_factors)
+from helpers import (cyclic_powers, default_modulus_by_division, first_primitive_by_exponents,
+                     is_irreducible_by_division, poly_mod, poly_trim)
+from qlrc import gf, make_field, split_prime_power
+from qlrc.errors import NotPrimitive, ReducibleModulus
+from qlrc.gf import _digits, _encode, _prime_factors
 from qlrc.verifier import prime_powers
+
+
+def exp_table(f) -> list[int]:
+    """The encodings of alpha^0 .. alpha^(q-2)."""
+    return f._exp_np[:f.q - 1].tolist()
 
 
 def _poly_mul(a, b, p: int) -> tuple[int, ...]:
@@ -28,7 +36,7 @@ def _poly_mul(a, b, p: int) -> tuple[int, ...]:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_trim(tuple(out))
+    return poly_trim(tuple(out))
 
 
 def _order_and_powers(p: int, m: int, modulus: tuple[int, ...], g: int,
@@ -39,7 +47,7 @@ def _order_and_powers(p: int, m: int, modulus: tuple[int, ...], g: int,
 
     def mul(x, y):
         prod = _poly_mul(_digits(x, p, m), _digits(y, p, m), p)
-        red = _poly_mod(prod, modulus, p)
+        red = poly_mod(prod, modulus, p)
         return _encode(red + (0,) * (m - len(red)), p)
 
     powers = [1]
@@ -70,10 +78,10 @@ _CASES = ([split_prime_power(q) for q in prime_powers(2**10, start=2)]
 @pytest.mark.parametrize("p,m", _CASES, ids=[f"{p}^{m}" for p, m in _CASES])
 def test_default_field_matches_orbit_walk(p, m):
     f = make_field(p, m)
-    assert f.modulus == _default_modulus(p, m)
+    assert f.modulus == default_modulus_by_division(p, m)
     g, powers = _oracle_field(p, m, f.modulus)
     assert f.primitive == g
-    assert f._exp == powers
+    assert exp_table(f) == powers
 
 
 def test_explicit_field_matches_orbit_walk():
@@ -83,7 +91,7 @@ def test_explicit_field_matches_orbit_walk():
     assert order == 7
     assert f.modulus == (1, 1, 0, 1)
     assert f.primitive == 2
-    assert f._exp == powers == [1, 2, 4, 3, 6, 7, 5]
+    assert exp_table(f) == powers == [1, 2, 4, 3, 6, 7, 5]
 
 
 @pytest.mark.parametrize("p,m", [(65537, 1), (2, 17)])
@@ -92,19 +100,19 @@ def test_large_field_tables_match_polynomial_products(p, m):
     n = f.q - 1
     for i in range(0, n, n // 97):
         for j in range(3, n, n // 13):
-            x, y = f._exp[i], f._exp[j]
-            prod = _poly_mod(_poly_mul(_digits(x, p, m), _digits(y, p, m), p), f.modulus, p)
-            assert f.mul(x, y) == _encode(prod, p) == f._exp[(i + j) % n]
+            x, y = int(f._exp_np[i]), int(f._exp_np[j])
+            prod = poly_mod(_poly_mul(_digits(x, p, m), _digits(y, p, m), p), f.modulus, p)
+            assert f.mul(x, y) == _encode(prod, p) == f._exp_np[(i + j) % n]
 
 
 @pytest.mark.parametrize("p,m", [(7, 1), (13, 1), (2, 4), (5, 2), (3, 3)])
 def test_every_explicit_primitive_matches_orbit_walk(p, m):
-    modulus = _default_modulus(p, m)
+    modulus = default_modulus_by_division(p, m)
     q = p**m
     for g in range(1, q):
         order, powers = _order_and_powers(p, m, modulus, g, q)
         if order == q - 1:
-            assert make_field(p, m, primitive=g)._exp == powers
+            assert exp_table(make_field(p, m, primitive=g)) == powers
         else:
             with pytest.raises(NotPrimitive) as err:
                 make_field(p, m, primitive=g)
@@ -116,7 +124,7 @@ def _candidate_walk(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, np.n
     candidate's orbit in turn."""
     q = p**m
     for g in range(1, q):
-        order, powers = _cyclic_powers(p, m, modulus, g)
+        order, powers = cyclic_powers(p, m, modulus, g)
         if order == q - 1:
             return g, powers
     raise AssertionError(f"no primitive element in GF({q})")  # pragma: no cover
@@ -131,7 +139,7 @@ def test_default_primitive_matches_candidate_walk(p, m):
     f = make_field(p, m)
     g, powers = _candidate_walk(p, m, f.modulus)
     assert f.primitive == g
-    assert f._exp == powers.tolist()
+    assert exp_table(f) == powers.tolist()
 
 
 _EXTENSIONS = [(p, m) for p, m in map(split_prime_power, prime_powers(2**16, start=4))
@@ -145,10 +153,73 @@ def test_default_primitive_certificate(p, m):
     # has order (q-1) / gcd(log h, q-1) < q - 1
     f = make_field(p, m)
     n = f.q - 1
-    assert f._exp[1] == f.primitive
-    assert sorted(f._exp) == list(range(1, f.q))
-    logs = np.array(f._log[1:f.primitive], dtype=np.int64)
+    assert f._exp_np[1] == f.primitive
+    assert sorted(exp_table(f)) == list(range(1, f.q))
+    logs = f._log_np[1:f.primitive]
     assert (np.gcd(logs, n) > 1).all()
+
+
+def _old_field(p: int, m: int, modulus=None) -> tuple[tuple[int, ...], int, list[int]]:
+    """(modulus, primitive, power table) as the old construction built them."""
+    modulus = default_modulus_by_division(p, m) if modulus is None else modulus
+    g = first_primitive_by_exponents(p, m, modulus)
+    order, powers = cyclic_powers(p, m, modulus, g)
+    assert order == p**m - 1
+    return modulus, g, powers.tolist()
+
+
+# every prime power q <= 2^12, (3, 8), (3, 10), every extension field up to
+# 2^16 and the largest primes below 2^16
+_OLD_CASES = sorted(set(_WALK_CASES + _EXTENSIONS + [(65519, 1), (65521, 1)]))
+
+
+@pytest.mark.parametrize("p,m", _OLD_CASES, ids=[f"{p}^{m}" for p, m in _OLD_CASES])
+def test_default_field_matches_the_old_construction(p, m):
+    f = make_field(p, m)
+    assert (f.modulus, f.primitive, exp_table(f)) == _old_field(p, m)
+
+
+def test_prime_fields_up_to_2_to_16_match_the_old_primitive():
+    # every 16th prime between 2^12 and 2^16 and the last eight: the old
+    # exponent scan's primitive root, and alpha^i = pow(alpha, i, p) at a
+    # spread of exponents
+    primes = [q for q in prime_powers(2**16, start=2**12) if split_prime_power(q)[1] == 1]
+    for p in primes[::16] + primes[-8:]:
+        f = make_field(p)
+        g = first_primitive_by_exponents(p, 1, (0, 1))
+        assert (f.modulus, f.primitive) == ((0, 1), g)
+        idx = np.arange(0, p - 1, max(1, (p - 1) // 7))
+        assert f._exp_np[idx].tolist() == [pow(g, int(i), p) for i in idx]
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_every_monic_modulus_matches_the_old_construction(p, m):
+    # every monic polynomial of degree m: an irreducible one builds the old
+    # field, a reducible one raises the old error
+    irreducible = 0
+    for tail in range(p**m):
+        modulus = _digits(tail, p, m) + (1,)
+        if is_irreducible_by_division(modulus, p):
+            irreducible += 1
+            f = make_field(p, m, modulus=modulus)
+            assert (f.modulus, f.primitive, exp_table(f)) == _old_field(p, m, modulus)
+        else:
+            with pytest.raises(ReducibleModulus) as err:
+                make_field(p, m, modulus=modulus)
+            assert str(err.value) == f"{modulus} is reducible over GF({p})"
+    # Gauss's count of monic irreducibles: (p^m - p) / m for prime m, and 3
+    # of degree 4 over GF(2)
+    assert irreducible == {(2, 4): 3, (3, 3): 8, (5, 2): 10, (7, 2): 21}[p, m]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 8), st.data())
+def test_ben_or_matches_trial_division(p, m, data):
+    # a stack of random monic polynomials of degree m, tested in one call
+    tails = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m),
+                               min_size=1, max_size=6))
+    got = gf._irreducible(np.array(tails), p).tolist()
+    assert got == [is_irreducible_by_division(tuple(t) + (1,), p) for t in tails]
 
 
 def _trial_division(n: int) -> list[int]:

@@ -1,6 +1,9 @@
 """Field construction, arithmetic axioms, and serialization."""
 
 import ast
+import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -156,6 +159,23 @@ def test_field_order_cap_boundary():
             check_field_order(p, m)
 
 
+@pytest.mark.parametrize("p,m,cap_mib", [(2, 20, 240), (3, 12, 108)])
+def test_largest_fields_stay_within_their_memory(p, m, cap_mib):
+    # peak resident memory of a fresh interpreter that builds the field;
+    # the caps are the peaks of the digit-matrix construction this replaced
+    code = ("import resource; from qlrc import make_field; "
+            f"f = make_field({p}, {m}); assert f.primitive; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    # Linux carries a process's peak RSS across exec, so a small interpreter
+    # starts the measured one: the test process's own size does not count
+    launcher = ("import subprocess, sys\n"
+                f"sys.exit(subprocess.run([sys.executable, '-c', {code!r}]).returncode)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", launcher], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert int(out) <= cap_mib * 1024  # ru_maxrss is in KiB on Linux
+
+
 def test_field_equality_and_hash():
     assert make_field(5) == make_field(5)
     assert make_field(5) != make_field(7)
@@ -216,7 +236,7 @@ def test_large_field_primitive_has_full_order(p, m):
     f = _large_field(p, m)
     assert f.q == p**m > 2**16
     assert f.pow(f.primitive, f.q - 1) == 1
-    assert len(set(f._exp)) == f.q - 1
+    assert len(np.unique(f._exp_np[:f.q - 1])) == f.q - 1
 
 
 @settings(max_examples=30, deadline=None)
