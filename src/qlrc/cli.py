@@ -11,9 +11,11 @@ import argparse
 import json
 import os
 import re
+import shutil
 import sys
 from contextlib import closing, contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -394,24 +396,23 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The qlrc parser, with every subcommand or with `command` alone.
-
-    A parser for one command prints the same usage line, because the
-    subcommand metavar still lists them all.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The qlrc parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="qlrc",
         description="grid evaluation codes, CSS codes, locality, and bounds")
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = tuple(_COMMANDS)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-        names = (command,)
-    for name in names:
-        _COMMANDS[name].add_flags(sub.add_parser(name, help=_COMMANDS[name].help))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        command.add_flags(sub.add_parser(name, help=command.help))
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """_build_parser's subparser `name`, alone, reading the width once."""
+    width = shutil.get_terminal_size().columns - 2
+    parser = argparse.ArgumentParser(
+        prog=f"qlrc {name}", formatter_class=partial(argparse.HelpFormatter, width=width))
+    _COMMANDS[name].add_flags(parser)
     return parser
 
 
@@ -420,10 +421,14 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a command named first needs only its own flags
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        # a command named first needs only its own parser; the full one reports leftovers
+        args, rest = None, ()
+        if argv and argv[0] in _COMMANDS:
+            args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+            args.command = argv[0]
+        if args is None or rest:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

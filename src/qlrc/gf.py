@@ -12,6 +12,8 @@ odd p with m > 1, x + y = x (1 + y/x) with log(1 + alpha^k) tabulated
 (Lidl & Niederreiter, Finite Fields, ch. 10).  Negation multiplies by
 p - 1, subtraction adds the negation, and the scalar operations are the
 vector ones on scalars; `matmul` is the one matrix product over the field.
+`vsum` reduces an axis mod p, by XOR for p = 2, or by base-p digit sums
+for odd p with m > 1; `vprod` sums logs, and is 0 where a factor is 0.
 
 Construction is linear algebra over GF(p) on digit rows, in whole-array
 steps (Lidl & Niederreiter, ch. 3).  For a monic f = X^m + tail, let
@@ -25,18 +27,21 @@ is, when gcd(f, g) = 1.
   shares no factor with X^(p^i) - X for i < m.  So f is irreducible
   exactly when gcd(f, X^(p^i) - X) = 1 for 1 <= i <= m/2, that is, when
   the product of the C^(p^i) - C is invertible.  A window of candidate
-  tails is tested at once, each matrix by meeting in the middle.
+  tails is tested at once, each matrix by meeting in the middle (none for
+  m = 1, where the product is empty).
 * Order.  R is then a field, so for h != 0, h^(q-1) = 1 and the powers of
   h repeat with period ord(h), a divisor of q - 1.  The walk writes
   h^0 .. h^(q-2), so ord(h) = q - 1 exactly when 1 does not come back:
   the table proves the order.  Any ord(h) < q - 1 divides (q-1)/l for a
-  prime l | q - 1, so a walk may stop at the first h^((q-1)/l) = 1.  X is
-  walked first; if its walk stops, the first of q - 1, q - 2, ... with
-  every h^((q-1)/l) != 1 is walked, and its table proves its order.
+  prime l | q - 1, so a walk may stop at the first h^((q-1)/l) = 1.  The
+  least encoding that can be primitive is walked first: X = p for m > 1
+  (GF(p)* has order p - 1), else 2 (1 in GF(2)).  If its walk stops, the
+  first of q - 1, q - 2, ... with every h^((q-1)/l) != 1 is walked.
 * The smallest primitive.  With ord(h) = q - 1, h^i has order
   (q-1)/gcd(i, q-1), so the primitive elements are exactly the h^i with
   gcd(i, q-1) = 1.  The least encoding among them is alpha = h^t, and
-  alpha^i = h^(t i mod (q-1)), so alpha's table is one gather of h's.
+  alpha^i = h^(t i mod (q-1)), so alpha's table is one gather of h's
+  (none when the first walk passes: that h is alpha).
 """
 
 from __future__ import annotations
@@ -186,26 +191,30 @@ def _times_x(tails: np.ndarray, p: int) -> np.ndarray:
     return mats
 
 
-def _irreducible(tails: np.ndarray, p: int) -> np.ndarray:
-    """Ben-Or's test of each X^m + tail, one per row of tails: the product
-    of C^(p^i) - C over 1 <= i <= m/2, empty for m = 1, is invertible."""
-    x = frob = _times_x(tails, p)
+def _irreducible(x: np.ndarray, p: int) -> np.ndarray:
+    """Ben-Or's test of each X^m + tail, given their _times_x matrices C: the
+    product of C^(p^i) - C over 1 <= i <= m/2, empty for m = 1, is invertible."""
+    frob = x
     prod = None
-    for _ in range(tails.shape[1] // 2):
+    for _ in range(x.shape[-1] // 2):
         frob = _power(frob, p, p)
         prod = frob - x if prod is None else _mod(prod @ (frob - x), p)
-    return np.ones(len(tails), dtype=bool) if prod is None else _invertible(prod, p)
+    return np.ones(len(x), dtype=bool) if prod is None else _invertible(prod, p)
 
 
-def _default_modulus(p: int, m: int) -> tuple[int, ...]:
-    """The irreducible X^m + tail with the smallest encoding of tail, testing
-    p + 2m consecutive tails at a time."""
+def _default_modulus(p: int, m: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The irreducible X^m + tail with the smallest encoding of tail, and its
+    _times_x matrix, testing p + 2m consecutive tails at a time.  Every X + c
+    is irreducible, so at m = 1 it is X, untested."""
+    if m == 1:
+        return (0, 1), np.zeros((1, 1))
     size = p + 2 * m
     for start in range(0, p**m, size):
         tails = np.arange(start, min(start + size, p**m))[:, None] // p ** np.arange(m) % p
-        ok = _irreducible(tails, p)
+        x = _times_x(tails, p)
+        ok = _irreducible(x, p)
         if ok.any():
-            return tuple(tails[ok.argmax()].tolist()) + (1,)
+            return tuple(tails[ok.argmax()].tolist()) + (1,), x[ok.argmax()]
     raise AssertionFailed(f"no monic irreducible of degree {m} over GF({p})")  # pragma: no cover
 
 
@@ -268,12 +277,13 @@ def _generator(p: int, m: int, x: np.ndarray, primes: list[int]) -> tuple[int, n
         mats = square = _times(p, m, x, hs).astype(float)
         rows = [None] * len(exps)
         for bit in range(max(exps, default=0).bit_length()):
+            if bit:
+                square = _mod(square @ square, p)
             for i, e in enumerate(exps):
                 if e >> bit & 1:
                     rows[i] = square[:, 0] if rows[i] is None else _mod(
                         (rows[i][:, None] @ square)[:, 0], p)
-            square = _mod(square @ square, p)
-        ok = np.all([(row[:, 0] != 1) | row[:, 1:].any(1) for row in rows], axis=0)
+        ok = (np.array(rows) != np.eye(1, m)).any(-1).all(0)  # no h^e is 1
         if ok.any():
             return int(hs[ok.argmax()]), mats[ok.argmax()]
     raise AssertionFailed(f"no primitive element found in GF({q})")  # pragma: no cover
@@ -406,6 +416,26 @@ class FieldSpec:
         out = self._exp_np[self._log_np[xs] * es % (self.q - 1)]
         return np.where(xs == 0, es == 0, out)
 
+    def vlog(self, xs: np.ndarray) -> np.ndarray:
+        """log_alpha of each nonzero entry of xs."""
+        return self._log_np[xs]
+
+    def vsum(self, xs: np.ndarray, axis: int) -> np.ndarray:
+        """The sums of xs along axis: mod p, XOR for p = 2, or each base-p
+        digit summed mod p for odd p with m > 1."""
+        if self.m == 1:
+            return xs.sum(axis) % self.p
+        if self.p == 2:
+            return np.bitwise_xor.reduce(xs, axis)
+        weights = self.p ** np.arange(self.m)
+        digits = xs[..., None] // weights % self.p
+        return digits.sum(axis % xs.ndim) % self.p @ weights
+
+    def vprod(self, xs: np.ndarray, axis: int) -> np.ndarray:
+        """The products of xs along axis, by summing logs; 0 where a factor is 0."""
+        logs = self._log_np[xs].sum(axis) % (self.q - 1)
+        return np.where(xs.all(axis), self._exp_np[logs], 0)
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b over the field, for (N, K) and (K, M) arrays of encodings.
 
@@ -449,19 +479,16 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
         raise InvalidParameter(f"extension degree must be a positive integer, got {m}")
     q = p**m
 
-    if modulus is None:
-        modulus = _default_modulus(p, m)
+    if modulus is None or m == 1:
+        modulus, x = _default_modulus(p, m)
     else:
         modulus = tuple(int(c) % p for c in modulus)
-        if m == 1:
-            modulus = (0, 1)
-        else:
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise InvalidParameter(
-                    f"modulus must be monic of degree {m}, got {modulus}")
-            if not _irreducible(np.array([modulus[:m]]), p)[0]:
-                raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
-    x = _times_x(np.array([modulus[:m]]), p)[0]
+        if len(modulus) != m + 1 or modulus[-1] != 1:
+            raise InvalidParameter(f"modulus must be monic of degree {m}, got {modulus}")
+        x = _times_x(np.array([modulus[:m]]), p)
+        if not _irreducible(x, p)[0]:
+            raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
+        x = x[0]
 
     if primitive is not None:
         g = int(primitive)
@@ -472,11 +499,13 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
             raise NotPrimitive(f"element {g} has order {order}, need {q - 1}")
         return FieldSpec(p, m, modulus, g, powers)
 
-    # a generator h: X (encoding p, a unit when m > 1) if its walk passes
-    # every X^((q-1)/l) != 1, l a prime factor of q - 1; else the exponent test
+    # alpha is the least encoding that can be primitive (module docstring) if
+    # its walk passes every h^((q-1)/l) != 1, l a prime factor of q - 1; else
+    # the exponent test gives a generator h, and alpha is gathered from its table
     primes = _prime_factors(q - 1)
-    h = p
-    walked = _powers(p, m, x, sorted((q - 1) // ell for ell in primes)) if p < q else None
+    least = h = p if m > 1 else min(2, q - 1)
+    walked = _powers(p, m, x if m > 1 else np.full((1, 1), float(h)),
+                     sorted((q - 1) // ell for ell in primes))
     if walked is None:
         h, mat = _generator(p, m, x, primes)
         walked = _powers(p, m, mat)
@@ -484,6 +513,8 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
     if order != q - 1:
         raise AssertionFailed(
             f"element {h} passed the primitivity test but has order {order}, need {q - 1}")
+    if h == least:
+        return FieldSpec(p, m, modulus, h, powers)
     coprime = np.ones(q - 1, dtype=bool)
     for ell in primes:
         coprime[::ell] = False

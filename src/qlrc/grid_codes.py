@@ -38,9 +38,19 @@ field operations, without forming a generator matrix:
   nonzero at exactly the (H - i)(V - j) points with x not among the x_s
   and y not among the y_t.  build_code requires the closed form to equal
   this minimum.
-* Witness.  prod_{i<A} (x - x_i) * prod_{j<B} (y - y_j) is expanded per
-  axis and must evaluate to the witness; its coefficient support must lie
-  in Delta and not inside Delta*.
+* Witness.  prod_{i<A} (x - x_i) * prod_{j<B} (y - y_j) must evaluate to
+  the witness, and its coefficient support must lie in Delta and not
+  inside Delta*.  On an axis of N points, beta of order N - 1, the factor
+  is Z prod_{i=1..n} (Z - beta^i), n = A - 1 (B - 1).  Cauchy's q-binomial
+  theorem (Andrews, The Theory of Partitions, ch. 3), prod_{i<n} (1 +
+  beta^i t) = sum_j beta^(j(j-1)/2) [n j] t^j, at t = -beta/Z gives the
+  coefficient of Z^(n-j) as (-1)^j beta^(j(j+1)/2) [n j], with [n j] =
+  L(n) / (L(j) L(n-j)) and L(k) = prod_{i<=k} (1 - beta^i).  2a < H - 1
+  (2b < V - 1) puts n <= N - 3 < ord beta, so no 1 - beta^i vanishes and
+  every coefficient is nonzero.
+
+Products and sums over the axes are vprod and vsum reductions of blocks of
+at most 2^18 cells: up to that size, a fixed number of array steps.
 
 The generator matrices of C(Delta) and C(Delta*) are built from the axis
 points and row-reduced only when `code` or `mirror_code` is first read.
@@ -87,7 +97,7 @@ class DeltaParams:
 # Largest n * (H + V).  build_code's work is O(H^2 + V^2 + n); a cap on n
 # alone would not bound the moment sums, which n * (H + V) >= 3 (H^2 + V^2)
 # does ((q, q, 3) near the field cap: n ~ 3 * 2^20, H^2 ~ 2^40).  On a 2-core
-# VM, (6679, 6679, 3, 2, 0) and its transpose take 2.3 s and peak at 44 MiB.
+# VM, (6679, 6679, 3, 2, 0) and its transpose take about 2.5 s and peak at 37 MiB.
 GRID_WORK_CAP = 2**27
 
 
@@ -208,29 +218,42 @@ def _evaluation_rows(field: FieldSpec, xs: np.ndarray, ys: np.ndarray,
     return field.vmul(xi[:, :, None], yj[:, None, :]).reshape(len(i), -1)
 
 
+_BLOCK_CELLS = 2**18  # cells per block of a reduction: 2 MiB of int64
+
+
+def _by_blocks(block, rows: int, cols: int) -> np.ndarray:
+    """block(r) for consecutive slices r of range(rows), each of at most
+    _BLOCK_CELLS // cols rows, concatenated."""
+    step = max(1, _BLOCK_CELLS // cols)
+    return np.concatenate([block(slice(s, s + step)) for s in range(0, rows, step)])
+
+
 def _vanishing_values(field: FieldSpec, pts: np.ndarray, count: int) -> np.ndarray:
-    """prod_{i < count} (z - pts[i]) at every axis point z."""
-    out = np.ones(len(pts), dtype=np.int64)
-    for i in range(count):
-        out = field.vmul(out, field.vsub(pts, pts[i:i + 1]))
-    return out
+    """prod_{i < count} (z - pts[i]) at every axis point z: 0 at the roots
+    pts[:count], and one product per later point."""
+    rest = pts[count:]
+    return np.concatenate((np.zeros(count, dtype=np.int64), _by_blocks(
+        lambda r: field.vprod(field.vsub(rest[r, None], pts[:count]), 1), len(rest), count)))
 
 
-def _root_product(field: FieldSpec, roots: np.ndarray) -> np.ndarray:
-    """Coefficients, lowest degree first, of prod (Z - r) over the roots."""
-    coeffs = np.ones(1, dtype=np.int64)
-    for r in roots:
-        coeffs = field.vsub(np.concatenate(([0], coeffs)),
-                            field.vscale(int(r), np.concatenate((coeffs, [0]))))
-    return coeffs
+def _root_product(field: FieldSpec, pts: np.ndarray, count: int) -> np.ndarray:
+    """Coefficients, lowest degree first, of prod_{i < count} (Z - pts[i]) for
+    1 <= count < len(pts) axis points, by the q-binomial closed form."""
+    n, log_beta = count - 1, (field.q - 1) // (len(pts) - 1)
+    # L[k] = log prod_{i=1..k} (1 - beta^i), with 1 - pts[0] = 1 for k = 0
+    L = np.cumsum(field.vlog(field.vsub(np.int64(1), pts[:count])))
+    j = np.arange(count)
+    c = field.vpow(field.primitive,
+                   (L[n] - L[j] - L[n - j] + log_beta * (j * (j + 1) // 2)) % (field.q - 1))
+    return np.concatenate(([0], np.where(j % 2, field.vneg(c), c)[::-1]))
 
 
-def _horner(field: FieldSpec, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The polynomial with these coefficients, lowest degree first, at every point."""
-    out = np.zeros(len(pts), dtype=np.int64)
-    for c in coeffs[::-1]:
-        out = field.vadd(field.vmul(out, pts), c)
-    return out
+def _poly_values(field: FieldSpec, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients, lowest degree first, at every
+    point: a block of the Vandermonde matrix of the points times coeffs."""
+    es = np.arange(len(coeffs))
+    return _by_blocks(lambda r: field.vsum(field.vmul(field.vpow(pts[r, None], es), coeffs), 1),
+                      len(pts), len(es))
 
 
 def _inv_derivs(field: FieldSpec, pts: np.ndarray, N: int) -> np.ndarray:
@@ -240,18 +263,10 @@ def _inv_derivs(field: FieldSpec, pts: np.ndarray, N: int) -> np.ndarray:
 
 
 def _moments(field: FieldSpec, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """m[e] = sum_s weights[s] * pts[s]^e for e < 2 len(pts) - 1: blocks of
-    at most 2^18 terms (2 MiB of int64), each summed by halving."""
+    """m[e] = sum_s weights[s] * pts[s]^e for e < 2 len(pts) - 1."""
     es = np.arange(2 * len(pts) - 1)
-    step = max(1, 2**18 // len(es))
-    m = np.zeros((1, len(es)), dtype=np.int64)
-    for s in range(0, len(pts), step):
-        terms = field.vmul(weights[s:s + step, None], field.vpow(pts[s:s + step, None], es))
-        m = np.concatenate((m, terms))
-        while len(m) > 1:
-            half = len(m) // 2
-            m = np.concatenate((field.vadd(m[:half], m[half:2 * half]), m[2 * half:]))
-    return m[0]
+    return _by_blocks(lambda r: field.vsum(field.vmul(field.vpow(pts, es[r, None]), weights), 1),
+                      len(es), len(pts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,9 +376,9 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
             f"{where} witness weight {int(np.count_nonzero(wit))} != formula {forms.coset_d}")
     # The evaluation map is a bijection, so the witness is in C(Delta), and
     # outside C(Delta*), exactly as its coefficient support is.
-    cx = _root_product(field, xs[:A])
-    cy = _root_product(field, ys[:B])
-    if not np.array_equal(_outer(field, _horner(field, cx, xs), _horner(field, cy, ys)), wit):
+    cx, cy = _root_product(field, xs, A), _root_product(field, ys, B)
+    if not np.array_equal(_outer(field, _poly_values(field, cx, xs), _poly_values(field, cy, ys)),
+                          wit):
         raise WitnessFailed(f"{where} witness vector is not the evaluation of its polynomial")
     support = np.zeros((H, V), dtype=bool)
     support[:A + 1, :B + 1] = (cx != 0)[:, None] & (cy != 0)[None, :]

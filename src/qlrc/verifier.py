@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -390,6 +389,8 @@ def _pooled(tasks, workers: int):
     row grows with the number of tasks.  Closing the generator cancels the
     chunks that have not started.
     """
+    from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 loads it
+
     chunks = iter(lambda: list(islice(tasks, _CHUNK)), [])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window = deque(pool.submit(_run_chunk, chunk)

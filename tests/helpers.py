@@ -10,6 +10,11 @@ computation that a proof in `src/` replaced, kept as its oracle:
   root search, where `gf.quadratic_extension` runs one vector Horner pass.
 * `prime_powers_by_division` factors every integer, where
   `verifier.prime_powers` sieves.
+* `vanishing_values_by_loop`, `root_product_by_loop`, `horner` and
+  `moments_by_halving` multiply, expand, evaluate and sum one axis point or
+  one coefficient at a time, where `grid_codes` reduces whole blocks with
+  `vprod` and `vsum` and expands the witness polynomial by its q-binomial
+  closed form.
 * `monomial_distance` is the footprint (H - i)(V - j) of one monomial, and
   `twist_vector` the grid twist as one vector.
 * `monomials` spells band tops out as the set of `Monomial`s they hold.
@@ -154,6 +159,47 @@ def twist_vector(grid) -> np.ndarray:
     f = grid.field
     return grid_codes._outer(f, *(
         grid_codes._inv_derivs(f, grid_codes._axis_points(f, N), N) for N in (grid.H, grid.V)))
+
+
+def vanishing_values_by_loop(field, pts: np.ndarray, count: int) -> np.ndarray:
+    """prod_{i < count} (z - pts[i]) at every point z, one factor at a time."""
+    out = np.ones(len(pts), dtype=np.int64)
+    for i in range(count):
+        out = field.vmul(out, field.vsub(pts, pts[i:i + 1]))
+    return out
+
+
+def root_product_by_loop(field, roots: np.ndarray) -> np.ndarray:
+    """Coefficients, lowest degree first, of prod (Z - r), one root at a time."""
+    coeffs = np.ones(1, dtype=np.int64)
+    for r in roots:
+        coeffs = field.vsub(np.concatenate(([0], coeffs)),
+                            field.vscale(int(r), np.concatenate((coeffs, [0]))))
+    return coeffs
+
+
+def horner(field, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients, lowest degree first, at every
+    point, by Horner's rule."""
+    out = np.zeros(len(pts), dtype=np.int64)
+    for c in coeffs[::-1]:
+        out = field.vadd(field.vmul(out, pts), c)
+    return out
+
+
+def moments_by_halving(field, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """m[e] = sum_s weights[s] * pts[s]^e for e < 2 len(pts) - 1: blocks of
+    at most 2^18 terms, each summed by halving."""
+    es = np.arange(2 * len(pts) - 1)
+    step = max(1, 2**18 // len(es))
+    m = np.zeros((1, len(es)), dtype=np.int64)
+    for s in range(0, len(pts), step):
+        terms = field.vmul(weights[s:s + step, None], field.vpow(pts[s:s + step, None], es))
+        m = np.concatenate((m, terms))
+        while len(m) > 1:
+            half = len(m) // 2
+            m = np.concatenate((field.vadd(m[:half], m[half:2 * half]), m[2 * half:]))
+    return m[0]
 
 
 def message_block(q: int, k: int, start: int, stop: int) -> np.ndarray:

@@ -452,6 +452,15 @@ sys.exit(rc)
 """
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool's modules load only when a sweep runs with --jobs > 1."""
+    code = ("import sys, qlrc.cli\n"
+            "print(*(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
 def _peak_rss_kib(argv):
     """The child's own peak RSS, in KiB.
 

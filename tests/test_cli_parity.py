@@ -1,8 +1,9 @@
 """cli.main against a parser that builds every subcommand.
 
-cli.main builds only the subparser of a command named first; the
-reference below builds all five, as every parse did before, and must
-print the same help, usage and errors with the same exit codes.
+cli.main parses a command named first with that command's own parser, and
+hands any leftover argument to the full parser; the reference below builds
+all five subcommands, as every parse did before, and must print the same
+help, usage and errors with the same exit codes.
 """
 
 import argparse
@@ -119,6 +120,13 @@ CASES = [
     ["bounds", "--n", "3"],
     ["construct", "--preset", "ex1", "--q", "5"],
     ["lemma", "--m", "2", "--format", "json"],
+    ["construct", "--q", "abc"],
+    ["verify-locality", "--preset", "ex1", "--budget", "10"],
+    ["lemma", "--m", "2", "extra"],
+    ["construct", "--form", "json", "--preset", "ex1"],
+    ["sweep", "--", "--q", "5"],
+    ["construct"],
+    ["bounds"],
 ]
 
 

@@ -218,7 +218,7 @@ def test_ben_or_matches_trial_division(p, m, data):
     # a stack of random monic polynomials of degree m, tested in one call
     tails = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m),
                                min_size=1, max_size=6))
-    got = gf._irreducible(np.array(tails), p).tolist()
+    got = gf._irreducible(gf._times_x(np.array(tails), p), p).tolist()
     assert got == [is_irreducible_by_division(tuple(t) + (1,), p) for t in tails]
 
 

@@ -1,0 +1,147 @@
+"""Block reductions against the loops they replaced.
+
+`FieldSpec.vsum` and `vprod` reduce a whole axis at once; the reference
+folds `vadd` and `vmul` over it one slice at a time.  `grid_codes` builds a
+record from them in a bounded number of array steps: the vanishing values
+are one `vprod` per block, the witness polynomial's coefficients come from
+the q-binomial closed form, and evaluation and moments are one `vsum` per
+block.  The loops they replaced live in `helpers` and must agree with them
+on every small instance.
+"""
+
+from functools import reduce
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qlrc import build_code, cli, make_delta_params, make_field, make_grid_params
+from qlrc import grid_codes
+from qlrc.gf import FieldSpec, split_prime_power
+from qlrc.grid_codes import valid_a_values, valid_b_values
+from qlrc.verifier import prime_powers
+from helpers import horner, moments_by_halving, root_product_by_loop, vanishing_values_by_loop
+from test_construction_oracle import _expand_root_product
+
+FIELDS = {q: make_field(*split_prime_power(q)) for q in (2, 3, 4, 7, 8, 9, 25, 27)}
+
+
+@st.composite
+def arrays(draw):
+    """A field, a 2-D array of its encodings rich in zeros, and an axis."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = st.sampled_from([0, 0, 1]) | st.integers(0, field.q - 1)
+    xs = np.array(draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)),
+                  dtype=np.int64).reshape(rows, cols)
+    return field, xs, draw(st.sampled_from((0, 1, -1, -2)))
+
+
+@given(arrays())
+def test_axis_reductions_fold_the_vector_ops(case):
+    field, xs, axis = case
+    slices = list(np.moveaxis(xs, axis, 0))
+    width = len(slices[0])
+    assert np.array_equal(field.vsum(xs, axis),
+                          reduce(field.vadd, slices, np.zeros(width, dtype=np.int64)))
+    assert np.array_equal(field.vprod(xs, axis),
+                          reduce(field.vmul, slices, np.ones(width, dtype=np.int64)))
+
+
+def _sides(q):
+    return [N for N in range(3, q + 1) if (q - 1) % (N - 1) == 0]
+
+
+@pytest.mark.parametrize("q", prime_powers(81))
+def test_root_product_has_the_q_binomial_form(q):
+    # every axis of GF(q), q <= 81, and every count a witness could take
+    field = make_field(*split_prime_power(q))
+    for N in _sides(q):
+        pts = grid_codes._axis_points(field, N)
+        for count in range(1, N - 1):
+            got = grid_codes._root_product(field, pts, count)
+            assert got.tolist() == _expand_root_product(field, pts[:count]), (N, count)
+            assert np.array_equal(got, root_product_by_loop(field, pts[:count]))
+            assert got[1:].all()  # Z times a product with no zero coefficient
+
+
+SMALL = tuple((q, H, V, a, b) for q in prime_powers(16) for H in _sides(q) for V in _sides(q)
+              for a in valid_a_values(H) for b in valid_b_values(V))
+
+
+@pytest.mark.parametrize("q", prime_powers(16))
+def test_build_code_matches_the_loops(q):
+    field = make_field(*split_prime_power(q))
+    for _, H, V, a, b in (inst for inst in SMALL if inst[0] == q):
+        rec = build_code(*_grid_and_dp(field, H, V, a, b))
+        A, B = (H - 1) // 2 + a, (V - 1) // 2 + b
+        xs, ys = rec.points
+        wx = vanishing_values_by_loop(field, xs, A)
+        wy = vanishing_values_by_loop(field, ys, B)
+        assert np.array_equal(grid_codes._vanishing_values(field, xs, A), wx)
+        assert np.array_equal(grid_codes._vanishing_values(field, ys, B), wy)
+        assert np.array_equal(rec.witness, grid_codes._outer(field, wx, wy))
+        for pts, count in ((xs, A), (ys, B)):
+            coeffs = grid_codes._root_product(field, pts, count)
+            assert np.array_equal(coeffs, root_product_by_loop(field, pts[:count]))
+            assert np.array_equal(grid_codes._poly_values(field, coeffs, pts),
+                                  horner(field, coeffs, pts))
+            w = grid_codes._inv_derivs(field, pts, len(pts))
+            assert np.array_equal(grid_codes._moments(field, pts, w),
+                                  moments_by_halving(field, pts, w))
+
+
+def _grid_and_dp(field, H, V, a, b):
+    grid = make_grid_params(H, V, field)
+    return grid, make_delta_params(grid, a, b)
+
+
+_VECTOR_OPS = ("vadd", "vneg", "vsub", "vmul", "vscale", "vpow", "vlog", "vsum", "vprod",
+               "matmul")
+
+
+def _vector_op_calls(monkeypatch, q, H, V, a, b) -> int:
+    """The FieldSpec vector operations build_code calls, not counting those
+    one operation calls inside another."""
+    grid, dp = _grid_and_dp(make_field(*split_prime_power(q)), H, V, a, b)
+    calls, depth = [0], [0]
+
+    def counted(op):
+        def call(self, *args):
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return op(self, *args)
+            finally:
+                depth[0] -= 1
+
+        return call
+
+    for name in _VECTOR_OPS:
+        monkeypatch.setattr(FieldSpec, name, counted(getattr(FieldSpec, name)))
+    build_code(grid, dp)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_build_code_takes_a_bounded_number_of_vector_ops(monkeypatch):
+    counts = [_vector_op_calls(monkeypatch, *inst)
+              for inst in ((13, 13, 13, 2, 0), (64, 64, 64, 2, 2), (256, 256, 256, 2, 2))]
+    assert counts[0] == counts[1] == counts[2], counts
+
+
+def test_a_wrong_closed_form_exits_4(monkeypatch, capsys):
+    # one coefficient of the x-axis witness polynomial off by a factor
+    original = grid_codes._root_product
+
+    def wrong(field, pts, count):
+        coeffs = original(field, pts, count)
+        coeffs[-2] = field.mul(int(coeffs[-2]), field.primitive)
+        return coeffs
+
+    monkeypatch.setattr(grid_codes, "_root_product", wrong)
+    assert cli.main(["construct", "--preset", "ex1"]) == 4
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: (q=5,H=5,V=3,a=0,b=0) witness vector is not the "
+                              "evaluation of its polynomial\n")

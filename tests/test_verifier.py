@@ -1,5 +1,6 @@
 """Theorem checks and parameter sweeps."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import importlib.util
@@ -218,7 +219,7 @@ def test_sweep_pool_size_is_capped(monkeypatch, jobs, cpus, expected):
     import qlrc.verifier as verifier
 
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
     spec = SweepSpec(mode="thm4", q_values=(3, 5, 7))
     rows = run_sweep(dataclasses.replace(spec, jobs=jobs)).rows
@@ -231,7 +232,7 @@ def test_pooled_sweep_submits_a_bounded_window(monkeypatch):
 
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "chunks", [])
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
     spec = SweepSpec(mode="all", q_values=(13,), jobs=2)
     sweep = Sweep(spec)
