@@ -35,8 +35,10 @@ is, when gcd(f, g) = 1.
   the table proves the order.  Any ord(h) < q - 1 divides (q-1)/l for a
   prime l | q - 1, so a walk may stop at the first h^((q-1)/l) = 1.  The
   least encoding that can be primitive is walked first: X = p for m > 1
-  (GF(p)* has order p - 1), else 2 (1 in GF(2)).  If its walk stops, the
-  first of q - 1, q - 2, ... with every h^((q-1)/l) != 1 is walked.
+  (GF(p)* has order p - 1), else 2 (1 in GF(2)), unless p = +-1 mod 8,
+  where 2 is a square (the second supplement to quadratic reciprocity)
+  and so has order dividing (p-1)/2.  If that walk stops or is skipped,
+  the first of q - 1, q - 2, ... with every h^((q-1)/l) != 1 is walked.
 * The smallest primitive.  With ord(h) = q - 1, h^i has order
   (q-1)/gcd(i, q-1), so the primitive elements are exactly the h^i with
   gcd(i, q-1) = 1.  The least encoding among them is alpha = h^t, and
@@ -504,8 +506,9 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
     # the exponent test gives a generator h, and alpha is gathered from its table
     primes = _prime_factors(q - 1)
     least = h = p if m > 1 else min(2, q - 1)
-    walked = _powers(p, m, x if m > 1 else np.full((1, 1), float(h)),
-                     sorted((q - 1) // ell for ell in primes))
+    square = m == 1 and p % 8 in (1, 7)  # then 2 is a square mod p
+    walked = None if square else _powers(p, m, x if m > 1 else np.full((1, 1), float(h)),
+                                         sorted((q - 1) // ell for ell in primes))
     if walked is None:
         h, mat = _generator(p, m, x, primes)
         walked = _powers(p, m, mat)
