@@ -506,7 +506,7 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
     # the exponent test gives a generator h, and alpha is gathered from its table
     primes = _prime_factors(q - 1)
     least = h = p if m > 1 else min(2, q - 1)
-    square = m == 1 and p % 8 in (1, 7)  # then 2 is a square mod p
+    square = m == 1 and p % 8 in (1, 7)  # 2 is a square mod p, so not primitive
     walked = None if square else _powers(p, m, x if m > 1 else np.full((1, 1), float(h)),
                                          sorted((q - 1) // ell for ell in primes))
     if walked is None:
