@@ -13,9 +13,11 @@ is sound because (r, delta)-locality implies (r, 2)-locality.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     NonPositiveK,
@@ -47,6 +49,16 @@ def _number_json(x):
     return x
 
 
+def _number_text(x) -> str:
+    """json.dumps(_number_json(x)) for an exact value, written directly;
+    a bool or None goes through json."""
+    if type(x) is int:
+        return str(x)
+    if isinstance(x, Fraction):
+        return f'{{"num": {x.numerator}, "den": {x.denominator}}}'
+    return json.dumps(x)
+
+
 def rational_to_json(x):
     return _number_json(_exact(x))
 
@@ -75,8 +87,7 @@ class BoundInput:
             raise ParamRangeViolated(f"need delta >= 2, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     bound_id: str
     lhs: object
     rhs: object
@@ -97,6 +108,16 @@ class BoundReport:
             "slack": _number_json(self.slack),
             "detail": dict(self.detail),
         }
+
+    def json_text(self) -> str:
+        """json.dumps(self.to_json()), written from the fields: the ids,
+        direction and verdict are fixed identifiers, and every number is exact."""
+        detail = ", ".join(f'"{key}": {_number_text(value)}'
+                           for key, value in self.detail.items())
+        return (f'{{"bound": "{self.bound_id}", "lhs": {_number_text(self.lhs)}, '
+                f'"rhs": {_number_text(self.rhs)}, "direction": "{self.direction}", '
+                f'"verdict": "{self.verdict}", "slack": {_number_text(self.slack)}, '
+                f'"detail": {{{detail}}}}}')
 
 
 def _report(bound_id, lhs, rhs, direction, detail=None) -> BoundReport:
@@ -235,42 +256,67 @@ def _sphere_count(m: int, radius: int, unit: int) -> int:
 def sphere_packing_like(inp: BoundInput) -> BoundReport:
     """k <= n - 2*max over ell of (ell + log_{q^2} S(ell)), decided log-free.
 
-    The binding ell maximizes q^(2*ell) * S(ell); the verdict compares
-    S(ell)^2 against q^(2(n - k - 2*ell)) with exact integers.  Ties keep
-    the smallest ell.
+    The binding ell maximizes the key q^(2*ell) * S(ell); the verdict
+    compares S(ell)^2 against q^(2(n - k - 2*ell)) with exact integers.
+    Ties keep the smallest ell.
+
+    Each ell first gets an integer interval that holds its key, from one
+    binomial.  With m = n - (r+1)*ell, R the radius and u = q^2 - 1, the
+    ball S(ell) sums the terms C(m,i) u^i, i <= R.  A ball with R >= m is
+    (u+1)^m by the binomial theorem, so its interval is one point.
+    Otherwise the key is at least top = q^(2*ell) * C(m,R) u^R, its last
+    term.  With a = (m - R + 1) u > R, the terms rise by a factor
+    (m-i) u / (i+1) >= a/R up to i = R, so the key is at most
+    top * sum_j (R/a)^j <= top * a / (a - R), and so at most the floor of
+    that, since it is an integer; when a <= R the binomial theorem caps it at
+    q^(2*ell) (u+1)^m.  The maximum is at least the largest lower end, so
+    only an ell whose upper end reaches it can win or tie, and only those
+    balls are summed term by term.
 
     The scan runs down from the largest ell, where the maximum usually
-    sits and the balls are small.  With m = n - (r+1)*ell, R the radius and
-    a = (m - R + 1)(q^2 - 1) > R, the ball's terms C(m,i) u^i rise by a
-    factor of at least a/R up to i = R, so the key is at most
-    top * a / (a - R) with top = q^(2*ell) * C(m,R) u^R.  A ball whose
-    bound loses to the best key so far is not summed.  Going down one ell
-    multiplies top by prod_{t=1..r+1} (m+t)/(m+t-R) / q^2, which falls as m
-    grows, and a / (a - R) falls too; so once top stops rising the bound
-    never rises again, and the first losing ell after that ends the scan.
+    sits and the balls are small.  Going down one ell multiplies top by
+    prod_{t=1..r+1} (m+t)/(m+t-R) / q^2, which falls as m grows, and
+    a / (a - R) falls too; so once top stops rising the upper end never
+    rises again, and the first ell after that whose upper end misses the
+    largest lower end ends the scan.
     """
     ell_top = (inp.n - 1) // (inp.r + 1)
     radius = (inp.d - 1) // 2
     q2 = inp.q * inp.q
     unit = q2 - 1
+    unit_r = unit**radius
     scale = q2**ell_top  # q^(2*ell)
-    best_key, best_ell, best_s = None, None, None
+    floor = 0  # the largest lower end so far; every key is at least 1
+    reach = []  # (ell, m, scale, upper end) of the ell whose upper end reaches floor
     last_top = None
     for ell in range(ell_top, -1, -1):
         m = inp.n - ell * (inp.r + 1)
         a = (m - radius + 1) * unit
         top = None
-        if radius < m and radius < a:
-            top = scale * math.comb(m, radius) * unit**radius
-        if best_key is not None and top is not None and top * a < best_key * (a - radius):
-            if last_top is not None and top <= last_top:
+        if radius >= m:
+            low = high = scale * (unit + 1) ** m
+        else:
+            low = scale * math.comb(m, radius) * unit_r
+            if radius < a:
+                top = low
+                high = top * a // (a - radius)
+            else:
+                high = scale * (unit + 1) ** m
+        if high < floor:
+            if top is not None and last_top is not None and top <= last_top:
                 break
         else:
-            s = _sphere_count(m, radius, unit)
-            if best_key is None or scale * s >= best_key:
-                best_key, best_ell, best_s = scale * s, ell, s
+            reach.append((ell, m, scale, high))
+            if low > floor:
+                floor = low
+                reach = [cand for cand in reach if cand[3] >= floor]
         last_top = top
         scale //= q2
+    best_key, best_ell, best_s = None, None, None
+    for ell, m, scale, _ in reversed(reach):  # ell ascending: a tie keeps the first
+        s = _sphere_count(m, radius, unit)
+        if best_key is None or scale * s > best_key:
+            best_key, best_ell, best_s = scale * s, ell, s
     exp = 2 * (inp.n - inp.k - 2 * best_ell)
     rhs = inp.q**exp if exp >= 0 else Fraction(1, inp.q**(-exp))
     return _report("sphere_packing", best_s**2, rhs, "le",

@@ -304,7 +304,7 @@ def _cmd_sweep(args) -> int:
     with closing(Sweep(spec)) as sweep:
         if args.format == "json":
             for row in sweep:
-                print(json.dumps(row.to_json()))
+                print(row.json_line())
         else:
             _print_table(chain([_SWEEP_HEADERS], map(_sweep_cells, sweep)))
     print(f"rows={sweep.count} failures={len(sweep.failures)} "

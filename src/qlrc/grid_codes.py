@@ -344,8 +344,10 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     a, b = dp.a, dp.b
     where = instance_label(grid.q, H, V, a, b)
     tops, tops_perp = delta_tops(H, V, a, b)
+    # a square grid's two axes are one axis: its data is computed once
+    square = H == V
     xs = _axis_points(field, H)
-    ys = _axis_points(field, V)
+    ys = xs if square else _axis_points(field, V)
     _require_distinct(where, "x", xs)
     _require_distinct(where, "y", ys)
 
@@ -358,9 +360,11 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     size = int((tops + 1).sum() + (tops_perp + 1).sum())
     if size != grid.n:
         raise DualityViolated(f"{where} |Delta| + |Delta*| = {size} != n = {grid.n}")
-    wx, wy = _inv_derivs(field, xs, H), _inv_derivs(field, ys, V)
+    wx = _inv_derivs(field, xs, H)
+    wy = wx if square else _inv_derivs(field, ys, V)
     if not (wx.all() and wy.all()) or not _twisted_orthogonal(
-            _moments(field, xs, wx), _moments(field, ys, wy), tops, tops_perp):
+            mx := _moments(field, xs, wx), mx if square else _moments(field, ys, wy),
+            tops, tops_perp):
         raise DualityViolated(
             f"{where} the code is not orthogonal to the rescaled mirror code")
 

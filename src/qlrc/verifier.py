@@ -21,6 +21,7 @@ counts the rest as skipped.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import deque
 from contextlib import closing
@@ -59,6 +60,7 @@ from .linear_codes import default_budget
 _ORACLE_BUDGET = 1 << 16
 _CHUNK = 8  # rows per task sent to a pool worker
 _QUANTUM_BOUNDS = ("gg", "luo", "griesmer", "plotkin", "sphere_packing", "qsingleton")
+_JSON_BOOL = {False: "false", True: "true"}
 
 
 def prime_powers(limit: int, start: int = 3) -> tuple[int, ...]:
@@ -117,19 +119,19 @@ class VerdictRow:
     ok: bool = True
     message: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "q": self.q, "H": self.H, "V": self.V, "a": self.a, "b": self.b,
-            "n": self.n, "k": self.k, "k_classical": self.k_classical,
-            "d": self.d, "d_classical": self.d_classical,
-            "r": self.r, "delta": self.delta,
-            "impure": self.impure,
-            "bounds": {bid: rep.to_json() for bid, rep in self.reports.items()},
-            "oracle": self.oracle,
-            "ok": self.ok,
-            "message": self.message,
-        }
+    def json_line(self) -> str:
+        """The row as one line of JSON, keys in field order, written from the
+        fields; only the message and the oracle dict, whose text can vary,
+        go through json."""
+        bounds = ", ".join(f'"{bid}": {rep.json_text()}' for bid, rep in self.reports.items())
+        oracle = "null" if self.oracle is None else json.dumps(self.oracle)
+        return (f'{{"mode": "{self.mode}", "q": {self.q}, "H": {self.H}, "V": {self.V}, '
+                f'"a": {self.a}, "b": {self.b}, "n": {self.n}, "k": {self.k}, '
+                f'"k_classical": {self.k_classical}, "d": {self.d}, '
+                f'"d_classical": {self.d_classical}, "r": {self.r}, "delta": {self.delta}, '
+                f'"impure": {_JSON_BOOL[self.impure]}, "bounds": {{{bounds}}}, '
+                f'"oracle": {oracle}, "ok": {_JSON_BOOL[self.ok]}, '
+                f'"message": {json.dumps(self.message)}}}')
 
 
 @dataclass
@@ -251,7 +253,9 @@ def _run_one(task) -> VerdictRow:
         row = _generic_row(mode, q, H, V, a, b)
         for claim in _claims(mode, (q, H, V, a, b)):
             claim(row)
-        if q ** row.k_classical <= budget:
+        # q^k >= 2^k > budget once k reaches the budget's bit length, so the
+        # big power is taken only when it can pass
+        if row.k_classical < budget.bit_length() and q ** row.k_classical <= budget:
             rec = build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
             d, coset_d = oracle_distances(rec, budget)
             row.oracle = {"d": d, "coset_d": coset_d, "agree": True}

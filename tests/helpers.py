@@ -34,6 +34,8 @@ computation that a proof in `src/` replaced, kept as its oracle:
   walks one element's powers by int64 digit matrices (`mul_matrix`), where
   `gf` walks one generator on float digit rows and gathers the smallest
   primitive's table from it.
+* `row_to_json` is a sweep row as the dict `json.dumps` writes, where
+  `VerdictRow.json_line` writes the text from the row's fields.
 """
 
 from __future__ import annotations
@@ -443,3 +445,19 @@ def first_primitive_by_exponents(p: int, m: int, modulus: tuple[int, ...]) -> in
 
     return next(g for g in range(2, q)
                 if all(power(pack(_digits(g, p, m)), e) != 1 for e in exponents))
+
+
+def row_to_json(row) -> dict:
+    """A VerdictRow as a dict, keys in the order of its JSON line."""
+    return {
+        "mode": row.mode,
+        "q": row.q, "H": row.H, "V": row.V, "a": row.a, "b": row.b,
+        "n": row.n, "k": row.k, "k_classical": row.k_classical,
+        "d": row.d, "d_classical": row.d_classical,
+        "r": row.r, "delta": row.delta,
+        "impure": row.impure,
+        "bounds": {bid: rep.to_json() for bid, rep in row.reports.items()},
+        "oracle": row.oracle,
+        "ok": row.ok,
+        "message": row.message,
+    }

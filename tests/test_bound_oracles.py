@@ -1,5 +1,5 @@
 """The fast griesmer, plotkin and sphere-packing evaluators against their
-definitions.
+definitions, and each report's JSON text against `json.dumps`.
 
 Each oracle below evaluates its bound straight from the formula: every
 even t of the Griesmer sum with its own power of q, the Plotkin minimum
@@ -8,13 +8,21 @@ over the whole `plotkin_profile`, and the sphere-packing ball sum from
 serialized `to_json()`.
 """
 
+import json
 import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlrc import BoundInput, griesmer_like, plotkin_like, plotkin_profile, sphere_packing_like
+from qlrc import (
+    BOUND_REGISTRY,
+    BoundInput,
+    griesmer_like,
+    plotkin_like,
+    plotkin_profile,
+    sphere_packing_like,
+)
 from qlrc.bounds import _report
 
 
@@ -60,12 +68,14 @@ PAIRS = (
     (sphere_packing_like, sphere_oracle),
 )
 
-# edge instances; test_edges_are_reached checks the last three reach their edge
+# edge instances; test_edges_are_reached checks the last five reach their edge
 D1 = BoundInput(n=12, k=3, d=1, q=3, r=2)
 K0 = BoundInput(n=10, k=0, d=4, q=2, r=3)
 EMPTY_SUM = BoundInput(n=4, k=1, d=1, q=2, r=1)
 WIDE_BALL = BoundInput(n=9, k=1, d=13, q=3, r=2)
 PLOTKIN_E1 = BoundInput(n=8, k=1, d=3, q=3, r=2)
+CAPPED_BALL = BoundInput(n=7, k=1, d=13, q=2, r=6)
+TIED_BALLS = BoundInput(n=5, k=1, d=3, q=2, r=3)
 
 _INPUTS = st.builds(
     BoundInput,
@@ -90,6 +100,8 @@ def _same(inp):
 @example(EMPTY_SUM)
 @example(WIDE_BALL)
 @example(PLOTKIN_E1)
+@example(CAPPED_BALL)
+@example(TIED_BALLS)
 def test_fast_bounds_match_oracles(inp):
     _same(inp)
 
@@ -119,3 +131,22 @@ def test_edges_are_reached():
     rep = plotkin_like(PLOTKIN_E1)
     assert PLOTKIN_E1.n + PLOTKIN_E1.k - 2 * PLOTKIN_E1.r * rep.detail["ell"] == 1
     assert rep.rhs == plotkin_profile(PLOTKIN_E1)[-1][1]
+    # the ball at ell = 0 has R < m but a = (m - R + 1)(q^2 - 1) <= R, so
+    # only the binomial theorem caps its key
+    m, radius = CAPPED_BALL.n, (CAPPED_BALL.d - 1) // 2
+    assert sphere_packing_like(CAPPED_BALL).detail["ell_max"] == 0
+    assert radius < m and (m - radius + 1) * (CAPPED_BALL.q**2 - 1) <= radius
+    # ell = 0 and ell = 1 tie at the maximal key, 1 + 5 * 3 = 2^2 * 4, and
+    # the smaller ell binds
+    assert sphere_packing_like(TIED_BALLS).detail == {"ell": 0, "ell_max": 1, "s": 16}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INPUTS)
+@example(BoundInput(n=16, k=1, d=5, q=3, r=2))  # half-integer qsingleton lhs
+def test_report_text_is_json_dumps(inp):
+    for bid, evaluate in BOUND_REGISTRY.items():
+        if bid == "gg" and inp.k == 0:
+            continue  # gg is stated for k > 0 only
+        rep = evaluate(inp)
+        assert rep.json_text() == json.dumps(rep.to_json()), bid

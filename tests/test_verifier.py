@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import importlib.util
+import json
 from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
@@ -11,10 +12,13 @@ from pathlib import Path
 import pytest
 
 from qlrc import (
+    BoundInput,
     Sweep,
     SweepSpec,
+    VerdictRow,
     check_theorem,
     cli,
+    evaluate_all,
     prime_powers,
     run_sweep,
     thm3_slack_lower_bound,
@@ -25,7 +29,7 @@ from qlrc.errors import (
     InvalidParameter,
     ParamRangeViolated,
 )
-from helpers import prime_powers_by_division
+from helpers import prime_powers_by_division, row_to_json
 
 
 def test_prime_powers():
@@ -174,8 +178,8 @@ def test_sweep_input_validation(monkeypatch):
 def test_sweep_jobs_deterministic():
     spec1 = SweepSpec(mode="thm4", q_values=(3, 5, 7), jobs=1)
     spec2 = SweepSpec(mode="thm4", q_values=(3, 5, 7), jobs=2)
-    rows1 = [r.to_json() for r in run_sweep(spec1).rows]
-    rows2 = [r.to_json() for r in run_sweep(spec2).rows]
+    rows1 = [row_to_json(r) for r in run_sweep(spec1).rows]
+    rows2 = [row_to_json(r) for r in run_sweep(spec2).rows]
     assert rows1 == rows2
 
 
@@ -224,7 +228,7 @@ def test_sweep_pool_size_is_capped(monkeypatch, jobs, cpus, expected):
     spec = SweepSpec(mode="thm4", q_values=(3, 5, 7))
     rows = run_sweep(dataclasses.replace(spec, jobs=jobs)).rows
     assert _RecordingPool.sizes == expected
-    assert [r.to_json() for r in rows] == [r.to_json() for r in run_sweep(spec).rows]
+    assert [row_to_json(r) for r in rows] == [row_to_json(r) for r in run_sweep(spec).rows]
 
 
 def test_pooled_sweep_submits_a_bounded_window(monkeypatch):
@@ -244,7 +248,7 @@ def test_pooled_sweep_submits_a_bounded_window(monkeypatch):
     assert list(sweep) == []
     expected = run_sweep(dataclasses.replace(spec, jobs=1)).rows
     assert len(expected) > 5 * verifier._CHUNK
-    assert first.to_json() == expected[0].to_json()
+    assert row_to_json(first) == row_to_json(expected[0])
 
 
 def test_sweep_tallies_as_rows_pass():
@@ -326,12 +330,80 @@ def test_render_rows_table(capsys):
 
 def test_row_json_shape():
     res = run_sweep(SweepSpec(mode="thm3", q_values=(5,), V_values=(3,)))
-    data = res.rows[0].to_json()
+    data = row_to_json(res.rows[0])
     assert data["mode"] == "thm3"
     assert set(data["bounds"]) == {"gg", "luo", "griesmer", "plotkin",
                                    "sphere_packing", "qsingleton", "singleton"}
     assert data["bounds"]["qsingleton"]["verdict"] == "violated"
     assert isinstance(data["ok"], bool)
+
+
+def test_json_line_is_json_dumps_on_every_row(monkeypatch):
+    monkeypatch.delenv("QLRC_BUDGET", raising=False)  # keep the oracle rows
+    rows = run_sweep(SweepSpec(mode="all", q_values=prime_powers(13))).rows
+    assert any(r.oracle is not None for r in rows)
+    assert any(isinstance(r.reports["plotkin"].rhs, Fraction) for r in rows)
+    for row in rows:
+        assert row.json_line() == json.dumps(row_to_json(row))
+
+
+def test_json_line_is_json_dumps_on_failure_rows(monkeypatch):
+    import qlrc.verifier as verifier
+
+    def boom(row):
+        raise AssertionFailed('a "quoted" \\ tab\t and non-ASCII \u00e9 message')
+
+    theorem = verifier._THEOREMS["thm4"]
+    monkeypatch.setitem(verifier._THEOREMS, "thm4", theorem._replace(claim=boom))
+    rows = run_sweep(SweepSpec(mode="thm4", q_values=(3, 5), collect=True)).rows
+    assert rows and all(not r.ok and r.reports == {} for r in rows)
+    for row in rows:
+        assert row.json_line() == json.dumps(row_to_json(row))
+
+
+def test_json_line_is_json_dumps_on_fraction_sides():
+    # n + k odd makes the qsingleton lhs a half-integer
+    reports = evaluate_all(BoundInput(n=16, k=1, d=5, q=3, r=2))
+    assert reports["qsingleton"].lhs.denominator == 2
+    assert isinstance(reports["plotkin"].rhs, Fraction)
+    row = VerdictRow(mode="all", q=3, H=4, V=4, a=0, b=0, n=16, k=1, k_classical=8,
+                     d=5, d_classical=3, r=2, delta=2, impure=True, reports=reports,
+                     oracle={"d": 3, "coset_d": 5, "agree": True})
+    assert row.json_line() == json.dumps(row_to_json(row))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2**16, 10**100], ids=["0", "1", "2^16", "10^100"])
+def test_oracle_rows_are_those_with_q_to_the_k_within_budget(monkeypatch, budget):
+    import qlrc.verifier as verifier
+
+    # stand-ins: only the choice of rows is under test, not the oracle
+    monkeypatch.setattr(verifier, "build_grid_record", lambda *args: None)
+    monkeypatch.setattr(verifier, "oracle_distances", lambda rec, budget: (0, 0))
+    rows = run_sweep(SweepSpec(mode="all", q_values=prime_powers(32), budget=budget)).rows
+    chosen = [r.oracle is not None for r in rows]
+    assert chosen == [r.q ** r.k_classical <= budget for r in rows]
+    assert any(chosen) == (budget > 1)
+
+
+def test_sweep_rows_sum_few_balls_term_by_term(monkeypatch):
+    import qlrc.bounds as bounds
+
+    summed = [0]
+    count = bounds._sphere_count
+
+    def counted(m, radius, unit):
+        summed[0] += radius < m  # radius >= m is one power, not a sum
+        return count(m, radius, unit)
+
+    monkeypatch.setattr(bounds, "_sphere_count", counted)
+    per_row = []
+    for _ in Sweep(SweepSpec(mode="all", q_values=(64,))):
+        per_row.append(summed[0])
+        summed[0] = 0
+    assert len(per_row) == 2401 and max(per_row) <= 2
+    rows = run_sweep(SweepSpec(mode="all", q_values=(127,), H_values=(127,), V_values=(127,),
+                               a_values=(0,), b_values=(0,))).rows
+    assert len(rows) == 1 and summed[0] == 1
 
 
 def test_all_mode_runs_matching_layers():
@@ -410,6 +482,26 @@ def test_theorem_mode_output_is_locked(capsys, monkeypatch, mode):
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _THEOREM_MODE_DIGESTS[mode]
+
+
+# SHA-256 and row count of `sweep --mode all ARGS --format json` stdout for
+# sphere-packing sides past 4,300 digits, recorded before sweep rows were
+# written without json
+_LARGE_Q_DIGESTS = {
+    "--q 61 --H 61 --V 3,61 --a 0,29 --b 0,1":
+        ("4d745b51189bb5d11517da0ec8048a4b084f0a049062b9c0aeb6bc4b0151a1bd", 6),
+    "--q 127 --H 127 --V 127 --a 0 --b 0":
+        ("aa1338b50f6c2ff7e79a88271aa9283183d57045cdbe0f2a0b6e06d218fd558f", 1),
+}
+
+
+@pytest.mark.parametrize("args", sorted(_LARGE_Q_DIGESTS))
+def test_large_q_sweep_output_is_locked(capsys, monkeypatch, args):
+    monkeypatch.delenv("QLRC_BUDGET", raising=False)
+    rc = cli.main(["sweep", "--mode", "all", *args.split(), "--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == _LARGE_Q_DIGESTS[args]
 
 
 def test_check_theorem_rejects_unknown_modes_and_names_the_instance():
