@@ -101,8 +101,48 @@ def _rat_str(x) -> str:
     return str(x)
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, with pad starting every
+    line after the first.  json runs its C encoder only when indent is
+    None; with an indent it walks the tree in pure-Python generators, which
+    took a sixth of a construct command.  So exact str, int, bool and None
+    leaves, str-keyed dicts, lists and tuples are written here, and a list
+    of equal-length rows of exact ints (a staircase) by one %d template.
+    Anything else goes through json; its text holds no raw newline, so
+    re-padding it is exact."""
+    t = type(obj)
+    if t is str:
+        return _json_str(obj)
+    if t is int:
+        return "%d" % obj
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if t in (list, tuple, dict) and not obj:
+        return "{}" if t is dict else "[]"
+    inner = pad + "  "
+    sep = "," + inner
+    if t is dict and set(map(type, obj)) == {str}:
+        return "{" + inner + sep.join(
+            [f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()]) + pad + "}"
+    if t is list or t is tuple:
+        types = set(map(type, obj))
+        if types == {int}:
+            body = sep.join(map(str, obj))
+        elif (types <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]
+              and set(map(type, flat := tuple(chain.from_iterable(obj)))) == {int}):
+            row = "[" + inner + "  " + (sep + "  ").join(["%d"] * len(obj[0])) + inner + "]"
+            body = sep.join([row] * len(obj)) % flat
+        else:
+            body = sep.join([_json_text(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]"
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj))
 
 
 def _kv_table(pairs) -> str:

@@ -256,6 +256,13 @@ def _poly_values(field: FieldSpec, coeffs: np.ndarray, pts: np.ndarray) -> np.nd
                       len(pts), len(es))
 
 
+def _axis_witness(field: FieldSpec, pts: np.ndarray, count: int):
+    """One axis factor of the witness: prod_{i < count} (z - pts[i]) at every
+    axis point, its coefficients, and the values those coefficients give."""
+    coeffs = _root_product(field, pts, count)
+    return _vanishing_values(field, pts, count), coeffs, _poly_values(field, coeffs, pts)
+
+
 def _inv_derivs(field: FieldSpec, pts: np.ndarray, N: int) -> np.ndarray:
     """1 / g_N'(z) = (N z^(N-1) - 1)^(q-2) at every point z; 0 where g_N'(z) = 0."""
     deriv = field.vsub(field.vscale(N % field.p, field.vpow(pts, N - 1)), np.int64(1))
@@ -349,7 +356,8 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     xs = _axis_points(field, H)
     ys = xs if square else _axis_points(field, V)
     _require_distinct(where, "x", xs)
-    _require_distinct(where, "y", ys)
+    if not square:
+        _require_distinct(where, "y", ys)
 
     # C(Delta)^perp = w o C(Delta*): Delta* inside Delta puts the mirror
     # code inside the code; G diag(w) G*^T = 0 with w nowhere zero puts
@@ -374,15 +382,16 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     if d != forms.d:
         raise AssertionFailed(f"{where} band corners give d = {d}, not the closed form {forms.d}")
     A, B = (H - 1) // 2 + a, (V - 1) // 2 + b  # floor(h + a), floor(v + b)
-    wit = _outer(field, _vanishing_values(field, xs, A), _vanishing_values(field, ys, B))
+    vx, cx, px = _axis_witness(field, xs, A)
+    # with a = b too, the y-axis factor is the x-axis one
+    vy, cy, py = (vx, cx, px) if square and a == b else _axis_witness(field, ys, B)
+    wit = _outer(field, vx, vy)
     if int(np.count_nonzero(wit)) != forms.coset_d:
         raise WitnessFailed(
             f"{where} witness weight {int(np.count_nonzero(wit))} != formula {forms.coset_d}")
     # The evaluation map is a bijection, so the witness is in C(Delta), and
     # outside C(Delta*), exactly as its coefficient support is.
-    cx, cy = _root_product(field, xs, A), _root_product(field, ys, B)
-    if not np.array_equal(_outer(field, _poly_values(field, cx, xs), _poly_values(field, cy, ys)),
-                          wit):
+    if not np.array_equal(_outer(field, px, py), wit):
         raise WitnessFailed(f"{where} witness vector is not the evaluation of its polynomial")
     support = np.zeros((H, V), dtype=bool)
     support[:A + 1, :B + 1] = (cx != 0)[:, None] & (cy != 0)[None, :]
