@@ -102,9 +102,5 @@ class DualityViolated(InternalCheckError):
     pass
 
 
-class WitnessFailed(InternalCheckError):
-    pass
-
-
 class AssertionFailed(InternalCheckError):
     pass

@@ -12,8 +12,6 @@ odd p with m > 1, x + y = x (1 + y/x) with log(1 + alpha^k) tabulated
 (Lidl & Niederreiter, Finite Fields, ch. 10).  Negation multiplies by
 p - 1, subtraction adds the negation, and the scalar operations are the
 vector ones on scalars; `matmul` is the one matrix product over the field.
-`vsum` reduces an axis mod p, by XOR for p = 2, or by base-p digit sums
-for odd p with m > 1; `vprod` sums logs, and is 0 where a factor is 0.
 
 Construction is linear algebra over GF(p) on digit rows, in whole-array
 steps (Lidl & Niederreiter, ch. 3).  For a monic f = X^m + tail, let
@@ -418,26 +416,6 @@ class FieldSpec:
         out = self._exp_np[self._log_np[xs] * es % (self.q - 1)]
         return np.where(xs == 0, es == 0, out)
 
-    def vlog(self, xs: np.ndarray) -> np.ndarray:
-        """log_alpha of each nonzero entry of xs."""
-        return self._log_np[xs]
-
-    def vsum(self, xs: np.ndarray, axis: int) -> np.ndarray:
-        """The sums of xs along axis: mod p, XOR for p = 2, or each base-p
-        digit summed mod p for odd p with m > 1."""
-        if self.m == 1:
-            return xs.sum(axis) % self.p
-        if self.p == 2:
-            return np.bitwise_xor.reduce(xs, axis)
-        weights = self.p ** np.arange(self.m)
-        digits = xs[..., None] // weights % self.p
-        return digits.sum(axis % xs.ndim) % self.p @ weights
-
-    def vprod(self, xs: np.ndarray, axis: int) -> np.ndarray:
-        """The products of xs along axis, by summing logs; 0 where a factor is 0."""
-        logs = self._log_np[xs].sum(axis) % (self.q - 1)
-        return np.where(xs.all(axis), self._exp_np[logs], 0)
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b over the field, for (N, K) and (K, M) arrays of encodings.
 
@@ -454,12 +432,6 @@ class FieldSpec:
 
     def coeffs(self, value: int) -> tuple[int, ...]:
         return _digits(value, self.p, self.m)
-
-    def encode(self, coeffs) -> int:
-        cs = tuple(int(c) for c in coeffs)
-        if len(cs) > self.m or any(not (0 <= c < self.p) for c in cs):
-            raise InvalidParameter(f"bad coefficient vector {coeffs} for GF({self.q})")
-        return _encode(cs + (0,) * (self.m - len(cs)), self.p)
 
 
 def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:

@@ -10,21 +10,24 @@ the inverse derivative values of the grid vanishing polynomials
 X^H - X and Y^V - Y; the rescaling is constant exactly when p | H and
 p | V, in which case the dual and the mirror coincide as codes.
 
-build_code proves these facts from per-axis data, in O(H^2 + V^2 + n)
-field operations, without forming a generator matrix:
+build_code proves these facts from the band tops and one check per axis,
+in O(H + V) work, without forming a generator matrix or evaluating a word:
 
 * Injectivity.  Evaluating every x^i y^j (i < H, j < V) on the grid is
   the Kronecker product of the two axis Vandermonde matrices, invertible
   when each axis has distinct points.  So dim C(Delta) = |Delta|, and a
   codeword lies in C(Delta) exactly when its coefficients lie in Delta.
-* Duality.  The twist w is the outer product of the axis factors
-  1 / g_N'(z_s), so the twisted inner product of the rows of x^i y^j and
-  x^i' y^j' is m_x[i + i'] * m_y[j + j'], with the axis moments
-  m_N[e] = sum_s z_s^e / g_N'(z_s), e < 2N - 1.  That is
+* Duality.  build_code checks that the N points of each axis are
+  distinct, the first is 0 and every other z has z^(N-1) = 1.  N - 1
+  distinct roots of Z^(N-1) - 1 in GF(q)* make N - 1 divide q - 1, so N - 1
+  is a unit mod p, and g_N'(z) = N z^(N-1) - 1 is N - 1 at every root and
+  -1 at 0.  The twist w, the outer product of the axis factors
+  1 / g_N'(z_s), is nowhere zero, and the twisted inner product of the
+  rows of x^i y^j and x^i' y^j' is m_x[i + i'] * m_y[j + j'], with the axis
+  moments m_N[e] = sum_s z_s^e / g_N'(z_s), e < 2N - 1.  That is
   [Z^(N-1)] (Z^e mod Z^N - Z) by Lagrange interpolation: 1 at e = N - 1
-  and e = 2N - 2, 0 elsewhere; build_code computes the moments rather
-  than assuming them.  If band j of Delta reaches i <= I(j) and band j'
-  of Delta* reaches i' <= I*(j'), the product vanishes when
+  and e = 2N - 2, 0 elsewhere.  If band j of Delta reaches i <= I(j) and
+  band j' of Delta* reaches i' <= I*(j'), the product vanishes when
   m_y[j + j'] = 0 or I(j) + I*(j') lies below the first nonzero m_x[e].
   With Delta* inside Delta, w nowhere zero and |Delta| + |Delta*| = n,
   that gives C(Delta)^perp = w o C(Delta*).
@@ -36,21 +39,11 @@ field operations, without forming a generator matrix:
   Upper bound: when x^i y^j is in Delta, prod_{s<i} (x - x_s) *
   prod_{t<j} (y - y_t) has its support in Delta, a downset, and is
   nonzero at exactly the (H - i)(V - j) points with x not among the x_s
-  and y not among the y_t.  build_code requires the closed form to equal
-  this minimum.
-* Witness.  prod_{i<A} (x - x_i) * prod_{j<B} (y - y_j) must evaluate to
-  the witness, and its coefficient support must lie in Delta and not
-  inside Delta*.  On an axis of N points, beta of order N - 1, the factor
-  is Z prod_{i=1..n} (Z - beta^i), n = A - 1 (B - 1).  Cauchy's q-binomial
-  theorem (Andrews, The Theory of Partitions, ch. 3), prod_{i<n} (1 +
-  beta^i t) = sum_j beta^(j(j-1)/2) [n j] t^j, at t = -beta/Z gives the
-  coefficient of Z^(n-j) as (-1)^j beta^(j(j+1)/2) [n j], with [n j] =
-  L(n) / (L(j) L(n-j)) and L(k) = prod_{i<=k} (1 - beta^i).  2a < H - 1
-  (2b < V - 1) puts n <= N - 3 < ord beta, so no 1 - beta^i vanishes and
-  every coefficient is nonzero.
-
-Products and sums over the axes are vprod and vsum reductions of blocks of
-at most 2^18 cells: up to that size, a fixed number of array steps.
+  and y not among the y_t.
+* Coset distance.  The least weight of C(Delta) outside C(Delta*) is
+  bounded the same way over the bands where Delta reaches past Delta*
+  (band_distances).  build_code requires both distances to equal the
+  closed forms.
 
 The generator matrices of C(Delta) and C(Delta*) are built from the axis
 points and row-reduced only when `code` or `mirror_code` is first read.
@@ -70,7 +63,6 @@ from .errors import (
     DualityViolated,
     InjectivityViolated,
     ParamRangeViolated,
-    WitnessFailed,
 )
 from .gf import FieldSpec, field_to_json
 from .linear_codes import LinearCode, from_spanning_set
@@ -94,10 +86,12 @@ class DeltaParams:
     b: int
 
 
-# Largest n * (H + V).  build_code's work is O(H^2 + V^2 + n); a cap on n
-# alone would not bound the moment sums, which n * (H + V) >= 3 (H^2 + V^2)
-# does ((q, q, 3) near the field cap: n ~ 3 * 2^20, H^2 ~ 2^40).  On a 2-core
-# VM, (6679, 6679, 3, 2, 0) and its transpose take about 2.5 s and peak at 37 MiB.
+# Largest n * (H + V).  A record costs O(H + V); the cap bounds what costs
+# O(n) or more: the staircase of record_to_json (|Delta| entries) and the
+# generator matrices behind `code` and `mirror_code`.  Its value is kept so
+# that no instance changes its exit code.  On a 2-core VM,
+# (6679, 6679, 3, 2, 0) builds its record in about 0.25 ms, and a fresh
+# process that builds its field and record peaks at about 31 MiB.
 GRID_WORK_CAP = 2**27
 
 
@@ -197,15 +191,45 @@ def closed_forms(H: int, V: int, a: int, b: int) -> ClosedForms:
     )
 
 
+def band_distances(H: int, tops: np.ndarray,
+                   tops_perp: np.ndarray) -> tuple[int, int | None]:
+    """(d, coset d) from the band tops of a downset Delta and of Delta*, in
+    O(V) and without the field: the least weight of C(Delta), and of
+    C(Delta) outside C(Delta*), on an H x V grid of distinct axis points.
+
+    d is the least band corner (H - top(j))(V - j) (the Distance bullet
+    above).  Write a word as ev(f), f = sum_j f_j(x) y^j.  It lies outside
+    C(Delta*) exactly when some f_j has a monomial past top*(j), so only
+    the bands with top(j) > top*(j) count, and over them:
+
+    * coset d is at most the least corner: prod_{s<top(j)} (x - x_s) *
+      prod_{t<j} (y - y_t) lies in C(Delta), has x^top(j) y^j outside
+      Delta*, and weighs (H - top(j))(V - j);
+    * coset d is at least (H - T)(V - J), with T the largest such top and
+      J the highest nonempty band of Delta: such an f_j != 0 has at most T
+      roots among the x points, so at least H - T columns x = x_s hold a
+      nonzero f(x_s, y) of degree at most J, each nonzero at V - J or more
+      points.
+
+    The staircase's middle bands share one top and end at J, so the two
+    bounds meet.  Where they do not, or no band counts, coset d is None.
+    """
+    V = len(tops)
+    corners = (H - tops) * (V - np.arange(V))
+    nonempty = tops >= 0
+    d = int(corners[nonempty].min())
+    middle = tops > tops_perp
+    if not middle.any():
+        return d, None
+    coset_d = int(corners[middle].min())
+    lower = (H - int(tops[middle].max())) * (V - int(np.flatnonzero(nonempty)[-1]))
+    return d, coset_d if coset_d == lower else None
+
+
 def _axis_points(field: FieldSpec, count: int) -> np.ndarray:
     """0 and the (count-1)-th roots of unity alpha^(i*step), in that order."""
     step = (field.q - 1) // (count - 1)
     return np.concatenate(([0], field.vpow(field.primitive, step * np.arange(1, count))))
-
-
-def _outer(field: FieldSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The grid vector with entry xs[i] * ys[j] at position i*V + j."""
-    return field.vmul(xs[:, None], ys[None, :]).ravel()
 
 
 def _evaluation_rows(field: FieldSpec, xs: np.ndarray, ys: np.ndarray,
@@ -218,68 +242,18 @@ def _evaluation_rows(field: FieldSpec, xs: np.ndarray, ys: np.ndarray,
     return field.vmul(xi[:, :, None], yj[:, None, :]).reshape(len(i), -1)
 
 
-_BLOCK_CELLS = 2**18  # cells per block of a reduction: 2 MiB of int64
-
-
-def _by_blocks(block, rows: int, cols: int) -> np.ndarray:
-    """block(r) for consecutive slices r of range(rows), each of at most
-    _BLOCK_CELLS // cols rows, concatenated."""
-    step = max(1, _BLOCK_CELLS // cols)
-    return np.concatenate([block(slice(s, s + step)) for s in range(0, rows, step)])
-
-
-def _vanishing_values(field: FieldSpec, pts: np.ndarray, count: int) -> np.ndarray:
-    """prod_{i < count} (z - pts[i]) at every axis point z: 0 at the roots
-    pts[:count], and one product per later point."""
-    rest = pts[count:]
-    return np.concatenate((np.zeros(count, dtype=np.int64), _by_blocks(
-        lambda r: field.vprod(field.vsub(rest[r, None], pts[:count]), 1), len(rest), count)))
-
-
-def _root_product(field: FieldSpec, pts: np.ndarray, count: int) -> np.ndarray:
-    """Coefficients, lowest degree first, of prod_{i < count} (Z - pts[i]) for
-    1 <= count < len(pts) axis points, by the q-binomial closed form."""
-    n, log_beta = count - 1, (field.q - 1) // (len(pts) - 1)
-    # L[k] = log prod_{i=1..k} (1 - beta^i), with 1 - pts[0] = 1 for k = 0
-    L = np.cumsum(field.vlog(field.vsub(np.int64(1), pts[:count])))
-    j = np.arange(count)
-    c = field.vpow(field.primitive,
-                   (L[n] - L[j] - L[n - j] + log_beta * (j * (j + 1) // 2)) % (field.q - 1))
-    return np.concatenate(([0], np.where(j % 2, field.vneg(c), c)[::-1]))
-
-
-def _poly_values(field: FieldSpec, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The polynomial with these coefficients, lowest degree first, at every
-    point: a block of the Vandermonde matrix of the points times coeffs."""
-    es = np.arange(len(coeffs))
-    return _by_blocks(lambda r: field.vsum(field.vmul(field.vpow(pts[r, None], es), coeffs), 1),
-                      len(pts), len(es))
-
-
-def _axis_witness(field: FieldSpec, pts: np.ndarray, count: int):
-    """One axis factor of the witness: prod_{i < count} (z - pts[i]) at every
-    axis point, its coefficients, and the values those coefficients give."""
-    coeffs = _root_product(field, pts, count)
-    return _vanishing_values(field, pts, count), coeffs, _poly_values(field, coeffs, pts)
-
-
-def _inv_derivs(field: FieldSpec, pts: np.ndarray, N: int) -> np.ndarray:
-    """1 / g_N'(z) = (N z^(N-1) - 1)^(q-2) at every point z; 0 where g_N'(z) = 0."""
-    deriv = field.vsub(field.vscale(N % field.p, field.vpow(pts, N - 1)), np.int64(1))
-    return field.vpow(deriv, field.q - 2)
-
-
-def _moments(field: FieldSpec, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """m[e] = sum_s weights[s] * pts[s]^e for e < 2 len(pts) - 1."""
-    es = np.arange(2 * len(pts) - 1)
-    return _by_blocks(lambda r: field.vsum(field.vmul(field.vpow(pts, es[r, None]), weights), 1),
-                      len(es), len(pts))
+def _axis_moments(N: int) -> np.ndarray:
+    """m_N[e] for e < 2N - 1 on an axis of 0 and the (N-1)-th roots of
+    unity: 1 at e = N - 1 and e = 2N - 2, 0 elsewhere."""
+    m = np.zeros(2 * N - 1, dtype=np.int64)
+    m[N - 1::N - 1] = 1
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class GridCodeRecord:
-    """A proved grid code: build_code checked its dimension, duality and
-    witness.  `code` and `mirror_code` are built from the axis points and
+    """A proved grid code: build_code checked its axis points, dimension,
+    duality and both distances.  `code` and `mirror_code` are built from the axis points and
     row-reduced the first time they are read."""
 
     grid: GridParams
@@ -291,7 +265,6 @@ class GridCodeRecord:
     coset_d_formula: int
     locality: tuple[int, int]
     impure: bool
-    witness: np.ndarray
     points: tuple[np.ndarray, np.ndarray]  # the x- and y-axis points
 
     @property
@@ -346,18 +319,27 @@ def _require_distinct(where: str, axis: str, pts: np.ndarray) -> None:
             f"the {axis}-axis points repeat")
 
 
+def _check_axis(where: str, axis: str, field: FieldSpec, pts: np.ndarray) -> None:
+    """The theorems' hypotheses on one axis of N points: they are distinct,
+    the first is 0 and every other z has z^(N-1) = 1."""
+    _require_distinct(where, axis, pts)
+    if pts[0] != 0 or (field.vpow(pts[1:], len(pts) - 1) != 1).any():
+        raise DualityViolated(
+            f"{where} the {axis}-axis points are not 0 and the roots of Z^{len(pts) - 1} - 1")
+
+
 def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     H, V, field = grid.H, grid.V, grid.field
     a, b = dp.a, dp.b
     where = instance_label(grid.q, H, V, a, b)
     tops, tops_perp = delta_tops(H, V, a, b)
-    # a square grid's two axes are one axis: its data is computed once
+    # a square grid's two axes are one axis: its points are made and checked once
     square = H == V
     xs = _axis_points(field, H)
+    _check_axis(where, "x", field, xs)
     ys = xs if square else _axis_points(field, V)
-    _require_distinct(where, "x", xs)
     if not square:
-        _require_distinct(where, "y", ys)
+        _check_axis(where, "y", field, ys)
 
     # C(Delta)^perp = w o C(Delta*): Delta* inside Delta puts the mirror
     # code inside the code; G diag(w) G*^T = 0 with w nowhere zero puts
@@ -368,44 +350,24 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     size = int((tops + 1).sum() + (tops_perp + 1).sum())
     if size != grid.n:
         raise DualityViolated(f"{where} |Delta| + |Delta*| = {size} != n = {grid.n}")
-    wx = _inv_derivs(field, xs, H)
-    wy = wx if square else _inv_derivs(field, ys, V)
-    if not (wx.all() and wy.all()) or not _twisted_orthogonal(
-            mx := _moments(field, xs, wx), mx if square else _moments(field, ys, wy),
-            tops, tops_perp):
+    mx = _axis_moments(H)
+    if not _twisted_orthogonal(mx, mx if square else _axis_moments(V), tops, tops_perp):
         raise DualityViolated(
             f"{where} the code is not orthogonal to the rescaled mirror code")
 
     forms = closed_forms(H, V, a, b)
-    bands = np.flatnonzero(tops >= 0)
-    d = int(((H - tops[bands]) * (V - bands)).min())
+    d, coset_d = band_distances(H, tops, tops_perp)
     if d != forms.d:
         raise AssertionFailed(f"{where} band corners give d = {d}, not the closed form {forms.d}")
-    A, B = (H - 1) // 2 + a, (V - 1) // 2 + b  # floor(h + a), floor(v + b)
-    vx, cx, px = _axis_witness(field, xs, A)
-    # with a = b too, the y-axis factor is the x-axis one
-    vy, cy, py = (vx, cx, px) if square and a == b else _axis_witness(field, ys, B)
-    wit = _outer(field, vx, vy)
-    if int(np.count_nonzero(wit)) != forms.coset_d:
-        raise WitnessFailed(
-            f"{where} witness weight {int(np.count_nonzero(wit))} != formula {forms.coset_d}")
-    # The evaluation map is a bijection, so the witness is in C(Delta), and
-    # outside C(Delta*), exactly as its coefficient support is.
-    if not np.array_equal(_outer(field, px, py), wit):
-        raise WitnessFailed(f"{where} witness vector is not the evaluation of its polynomial")
-    support = np.zeros((H, V), dtype=bool)
-    support[:A + 1, :B + 1] = (cx != 0)[:, None] & (cy != 0)[None, :]
-    i = np.arange(H)[:, None]  # x^i y^j lies outside band j when i > top(j)
-    if (support & (i > tops)).any():
-        raise WitnessFailed(f"{where} witness vector is not a codeword")
-    if not (support & (i > tops_perp)).any():
-        raise WitnessFailed(f"{where} witness vector fell inside the mirror code")
+    if coset_d != forms.coset_d:
+        raise AssertionFailed(
+            f"{where} band corners give coset d = {coset_d}, not the closed form {forms.coset_d}")
 
     return GridCodeRecord(
         grid=grid, dp=dp, tops=tops, tops_perp=tops_perp,
         plain_dual=(H % field.p == 0) and (V % field.p == 0),
         d_formula=forms.d, coset_d_formula=forms.coset_d, locality=forms.locality,
-        impure=forms.impure, witness=wit, points=(xs, ys))
+        impure=forms.impure, points=(xs, ys))
 
 
 def build_grid_record(field: FieldSpec, H: int, V: int,

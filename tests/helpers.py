@@ -10,11 +10,16 @@ computation that a proof in `src/` replaced, kept as its oracle:
   root search, where `gf.quadratic_extension` runs one vector Horner pass.
 * `prime_powers_by_division` factors every integer, where
   `verifier.prime_powers` sieves.
+* `witness` evaluates the word that reaches the coset distance, and
+  `inv_derivs` and `moments` the axis twist factors and moments, where
+  `grid_codes` proves both distances from the band tops and takes the
+  moments in closed form once the axis points pass their check.  They
+  reduce whole blocks with `vprod` and `vsum`, and expand each witness
+  factor by its q-binomial closed form (`root_product`).
 * `vanishing_values_by_loop`, `root_product_by_loop`, `horner` and
   `moments_by_halving` multiply, expand, evaluate and sum one axis point or
-  one coefficient at a time, where `grid_codes` reduces whole blocks with
-  `vprod` and `vsum` and expands the witness polynomial by its q-binomial
-  closed form.
+  one coefficient at a time, where the block oracles above reduce whole
+  blocks.
 * `monomial_distance` is the footprint (H - i)(V - j) of one monomial, and
   `twist_vector` the grid twist as one vector.
 * `monomials` spells band tops out as the set of `Monomial`s they hold.
@@ -155,12 +160,130 @@ def monomial_distance(mono, H: int, V: int) -> int:
     return (H - i) * (V - j)
 
 
+# -- the witness and the axis moments, evaluated in blocks ---------------------
+
+
+def vlog(field, xs: np.ndarray) -> np.ndarray:
+    """log_alpha of each nonzero entry of xs."""
+    return field._log_np[xs]
+
+
+def vsum(field, xs: np.ndarray, axis: int) -> np.ndarray:
+    """The sums of xs along axis: mod p, XOR for p = 2, or each base-p
+    digit summed mod p for odd p with m > 1."""
+    if field.m == 1:
+        return xs.sum(axis) % field.p
+    if field.p == 2:
+        return np.bitwise_xor.reduce(xs, axis)
+    weights = field.p ** np.arange(field.m)
+    digits = xs[..., None] // weights % field.p
+    return digits.sum(axis % xs.ndim) % field.p @ weights
+
+
+def vprod(field, xs: np.ndarray, axis: int) -> np.ndarray:
+    """The products of xs along axis, by summing logs; 0 where a factor is 0."""
+    logs = vlog(field, xs).sum(axis) % (field.q - 1)
+    return np.where(xs.all(axis), field._exp_np[logs], 0)
+
+
+BLOCK_CELLS = 2**18  # cells per block of a reduction: 2 MiB of int64
+
+
+def by_blocks(block, rows: int, cols: int) -> np.ndarray:
+    """block(r) for consecutive slices r of range(rows), each of at most
+    BLOCK_CELLS // cols rows, concatenated."""
+    step = max(1, BLOCK_CELLS // cols)
+    return np.concatenate([block(slice(s, s + step)) for s in range(0, rows, step)])
+
+
+def outer(field, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The grid vector with entry xs[i] * ys[j] at position i*V + j."""
+    return field.vmul(xs[:, None], ys[None, :]).ravel()
+
+
+def vanishing_values(field, pts: np.ndarray, count: int) -> np.ndarray:
+    """prod_{i < count} (z - pts[i]) at every axis point z: 0 at the roots
+    pts[:count], and one product per later point."""
+    rest = pts[count:]
+    return np.concatenate((np.zeros(count, dtype=np.int64), by_blocks(
+        lambda r: vprod(field, field.vsub(rest[r, None], pts[:count]), 1), len(rest), count)))
+
+
+def root_product(field, pts: np.ndarray, count: int) -> np.ndarray:
+    """Coefficients, lowest degree first, of prod_{i < count} (Z - pts[i]) for
+    1 <= count < len(pts) axis points, by the q-binomial closed form.
+
+    On an axis of N points, beta of order N - 1, the product is
+    Z prod_{i=1..n} (Z - beta^i), n = count - 1.  Cauchy's q-binomial
+    theorem (Andrews, The Theory of Partitions, ch. 3), prod_{i<n} (1 +
+    beta^i t) = sum_j beta^(j(j-1)/2) [n j] t^j, at t = -beta/Z gives the
+    coefficient of Z^(n-j) as (-1)^j beta^(j(j+1)/2) [n j], with [n j] =
+    L(n) / (L(j) L(n-j)) and L(k) = prod_{i<=k} (1 - beta^i).  A witness
+    factor has count = floor(h + a) (floor(v + b)), and 2a < H - 1
+    (2b < V - 1) puts n <= N - 3 < ord beta, so no 1 - beta^i vanishes and
+    every coefficient is nonzero.
+    """
+    n, log_beta = count - 1, (field.q - 1) // (len(pts) - 1)
+    # L[k] = log prod_{i=1..k} (1 - beta^i), with 1 - pts[0] = 1 for k = 0
+    L = np.cumsum(vlog(field, field.vsub(np.int64(1), pts[:count])))
+    j = np.arange(count)
+    c = field.vpow(field.primitive,
+                   (L[n] - L[j] - L[n - j] + log_beta * (j * (j + 1) // 2)) % (field.q - 1))
+    return np.concatenate(([0], np.where(j % 2, field.vneg(c), c)[::-1]))
+
+
+def poly_values(field, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients, lowest degree first, at every
+    point: a block of the Vandermonde matrix of the points times coeffs."""
+    es = np.arange(len(coeffs))
+    return by_blocks(lambda r: vsum(field, field.vmul(field.vpow(pts[r, None], es), coeffs), 1),
+                     len(pts), len(es))
+
+
+def axis_witness(field, pts: np.ndarray, count: int):
+    """One axis factor of the witness: prod_{i < count} (z - pts[i]) at every
+    axis point, its coefficients, and the values those coefficients give."""
+    coeffs = root_product(field, pts, count)
+    return vanishing_values(field, pts, count), coeffs, poly_values(field, coeffs, pts)
+
+
+class Witness(NamedTuple):
+    vector: np.ndarray  # the word on the grid
+    support: np.ndarray  # H x V, True where x^i y^j has a nonzero coefficient
+    evaluated: np.ndarray  # the word from those coefficients
+
+
+def witness(rec) -> Witness:
+    """prod_{i<A} (x - x_i) * prod_{j<B} (y - y_j), A = floor(h + a) and
+    B = floor(v + b), on the record's grid: the word of least weight
+    outside the mirror code (`grid_codes.band_distances`)."""
+    field, (xs, ys), (H, V) = rec.grid.field, rec.points, (rec.grid.H, rec.grid.V)
+    A, B = (H - 1) // 2 + rec.dp.a, (V - 1) // 2 + rec.dp.b
+    vx, cx, px = axis_witness(field, xs, A)
+    vy, cy, py = axis_witness(field, ys, B)
+    support = np.zeros((H, V), dtype=bool)
+    support[:A + 1, :B + 1] = (cx != 0)[:, None] & (cy != 0)[None, :]
+    return Witness(outer(field, vx, vy), support, outer(field, px, py))
+
+
+def inv_derivs(field, pts: np.ndarray, N: int) -> np.ndarray:
+    """1 / g_N'(z) = (N z^(N-1) - 1)^(q-2) at every point z; 0 where g_N'(z) = 0."""
+    deriv = field.vsub(field.vscale(N % field.p, field.vpow(pts, N - 1)), np.int64(1))
+    return field.vpow(deriv, field.q - 2)
+
+
+def moments(field, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """m[e] = sum_s weights[s] * pts[s]^e for e < 2 len(pts) - 1."""
+    es = np.arange(2 * len(pts) - 1)
+    return by_blocks(lambda r: vsum(field, field.vmul(field.vpow(pts, es[r, None]), weights), 1),
+                     len(es), len(pts))
+
+
 def twist_vector(grid) -> np.ndarray:
-    """w_t = 1 / (g_H'(x_t) * g_V'(y_t)) for g_N(Z) = Z^N - Z, from the
-    grid_codes axis helpers as they are at call time."""
+    """w_t = 1 / (g_H'(x_t) * g_V'(y_t)) for g_N(Z) = Z^N - Z, from
+    grid_codes' axis points as they are at call time."""
     f = grid.field
-    return grid_codes._outer(f, *(
-        grid_codes._inv_derivs(f, grid_codes._axis_points(f, N), N) for N in (grid.H, grid.V)))
+    return outer(f, *(inv_derivs(f, grid_codes._axis_points(f, N), N) for N in (grid.H, grid.V)))
 
 
 def vanishing_values_by_loop(field, pts: np.ndarray, count: int) -> np.ndarray:

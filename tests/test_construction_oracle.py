@@ -1,21 +1,23 @@
 """Definition-level construction, kept as the oracle for build_code.
 
-build_code proves a record's dimension, twisted duality and witness from
-per-axis data and builds the generator matrices only when they are read.
-Two older constructions are kept here.  `oracle_record` is the
+build_code proves a record's dimension, twisted duality and distances
+from the band tops and one check per axis, and builds the generator
+matrices only when they are read.  Two older constructions are kept here.  `oracle_record` is the
 definition: every monomial evaluated point by point, the witness
 polynomial expanded and evaluated, the row-by-row RREF, and the duality
 checked by comparing the full Euclidean dual with the rescaled mirror
 code.  `matrix_proof` is the proof build_code ran before it worked on the
 axes: two n-column RREFs, one orthogonality product G diag(w) G*^T and
-two row-space reductions of the witness.  Records must agree with both
+two row-space reductions of the evaluated witness.  Records must agree with both
 entry for entry, and on corrupted inputs the matrix proof and build_code
 must raise the same error class.
 
 `moment_matrix_orthogonal` is the duality test build_code ran before it
 used the rank-one twist: H x (2H - 1) and V x (2V - 1) axis power tables
 and the full (2H - 1) x (2V - 1) moment matrix of the twist vector.  The
-axis-moment test must agree with it on valid and corrupted instances.
+axis-moment test must agree with it on valid and corrupted instances, and
+the evaluated moments and twist must equal the closed forms build_code
+takes.
 """
 
 import functools
@@ -39,6 +41,7 @@ from qlrc import (
     make_delta_params,
     make_field,
     make_grid_params,
+    min_weights_bruteforce,
     record_to_json,
     valid_a_values,
     valid_b_values,
@@ -47,15 +50,26 @@ from qlrc import (
 from qlrc import grid_codes
 from qlrc.cli import PRESETS
 from qlrc.errors import (
+    AssertionFailed,
     DualityViolated,
     InjectivityViolated,
     InternalCheckError,
-    WitnessFailed,
 )
 from qlrc.gf import split_prime_power
 from qlrc.linear_codes import _rref
 from qlrc.verifier import prime_powers
-from helpers import ExponentOutOfRange, Monomial, monomials, twist_vector, weight
+from helpers import (
+    ExponentOutOfRange,
+    Monomial,
+    inv_derivs,
+    moments,
+    monomials,
+    outer,
+    twist_vector,
+    vanishing_values,
+    weight,
+    witness,
+)
 from test_closed_form_oracle import ref_delta_perp_set, ref_delta_set
 
 # -- the definition-level construction ----------------------------------------
@@ -251,11 +265,11 @@ def oracle_record(grid, dp):
 def matrix_proof(grid, dp):
     """build_code's checks as generator-matrix computations.
 
-    The band tops, the axis points, the twist (through the axis
-    factors `_inv_derivs`) and the vanishing values come from the
+    The band tops, the axis points and the closed forms come from the
     grid_codes functions, looked up at call time, so a test that corrupts
-    one of them corrupts this proof and build_code alike.  Returns the
-    code, the mirror code and the witness; a failed check raises the error
+    one of them corrupts this proof and build_code alike.  The twist and
+    the witness are evaluated from those axis points.  Returns the code,
+    the mirror code and the witness; a failed check raises the error
     build_code raises for it.
     """
     H, V, field = grid.H, grid.V, grid.field
@@ -282,15 +296,14 @@ def matrix_proof(grid, dp):
     if not w.all() or field.matmul(code.generator, twisted.T).any():
         raise DualityViolated(f"{where} G diag(w) G*^T != 0")
 
-    wit = grid_codes._outer(
-        field, grid_codes._vanishing_values(field, xs, (H - 1) // 2 + a),
-        grid_codes._vanishing_values(field, ys, (V - 1) // 2 + b))
+    wit = outer(field, vanishing_values(field, xs, (H - 1) // 2 + a),
+                vanishing_values(field, ys, (V - 1) // 2 + b))
     if weight(wit) != grid_codes.closed_forms(H, V, a, b).coset_d:
-        raise WitnessFailed(f"{where} witness weight {weight(wit)}")
+        raise AssertionFailed(f"{where} witness weight {weight(wit)}")
     if not in_row_space(code, wit):
-        raise WitnessFailed(f"{where} witness vector is not a codeword")
+        raise AssertionFailed(f"{where} witness vector is not a codeword")
     if in_row_space(mirror, wit):
-        raise WitnessFailed(f"{where} witness vector fell inside the mirror code")
+        raise AssertionFailed(f"{where} witness vector fell inside the mirror code")
     return code, mirror, wit
 
 
@@ -333,7 +346,7 @@ def test_build_code_matches_definition(inst):
     assert np.array_equal(new.code.generator, old.code.generator)
     assert new.code.pivots == old.code.pivots
     assert np.array_equal(new.mirror_code.generator, old.mirror_code.generator)
-    assert np.array_equal(new.witness, old.witness)
+    assert np.array_equal(witness(new).vector, old.witness)
     assert np.array_equal(twist_vector(grid), twist_by_point(grid))
     assert new.plain_dual == old.plain_dual
     assert record_to_json(new) == record_to_json(old)
@@ -343,7 +356,7 @@ def test_build_code_matches_definition(inst):
     assert np.array_equal(new.code.generator, code.generator)
     assert new.code.pivots == code.pivots
     assert np.array_equal(new.mirror_code.generator, mirror.generator)
-    assert np.array_equal(new.witness, wit)
+    assert np.array_equal(witness(new).vector, wit)
 
 
 # -- corrupted inputs: build_code and the matrix proof fail alike -------------
@@ -372,34 +385,39 @@ def _outcome(prove, grid, dp):
     return None
 
 
+def _returning(result):
+    """A patch for a grid_codes function: it returns this result."""
+    return lambda original: lambda *args: result
+
+
 @st.composite
 def corruptions(draw):
     """An instance, one corruption of it and the error it must raise."""
     grid, dp = _grid_and_dp(*draw(st.sampled_from(INSTANCES)))
     field = grid.field
-    kind = draw(st.sampled_from(("twist", "vanishing", "axis", "mirror")))
-    if kind == "twist":
-        # one entry of one axis factor of the twist; when H = V both axes
-        # take the edit, which breaks the duality as well
-        N = draw(st.sampled_from((grid.H, grid.V)))
+    # an axis of q points holds every field element, so no point can leave it
+    off_axis = [N for N in (grid.H, grid.V) if N < field.q]
+    kind = draw(st.sampled_from(("root", "coset", "axis", "mirror", "band")[not off_axis:]))
+    if kind == "root":
+        # one axis point replaced by a field element off the axis: the points
+        # stay distinct, and the twist evaluated from them breaks the duality
+        N = draw(st.sampled_from(off_axis))
         s = draw(st.integers(0, N - 1))
-        unit = draw(st.integers(2, field.q - 1))  # encoding 1 is the field's one
+        value = draw(st.sampled_from(
+            np.setdiff1d(np.arange(field.q), grid_codes._axis_points(field, N)).tolist()))
 
-        def change(args, w):
-            if args[2] == N:
-                w[s] = field.mul(int(w[s]), unit)
+        def change(args, pts):
+            if args[1] == N:
+                pts[s] = value
 
-        return grid, dp, "_inv_derivs", _edited(change), DualityViolated
-    if kind == "vanishing":
-        N = draw(st.sampled_from((grid.H, grid.V)))
-        s = draw(st.integers(0, N - 1))
-        shift = draw(st.integers(1, field.q - 1))
+        return grid, dp, "_axis_points", _edited(change), DualityViolated
+    if kind == "coset":
+        shift = draw(st.sampled_from((1, -1)))
 
-        def change(args, values):
-            if len(args[1]) == N:
-                values[s] = (int(values[s]) + shift) % field.q
+        def patch(original):
+            return lambda *args: original(*args)._replace(coset_d=original(*args).coset_d + shift)
 
-        return grid, dp, "_vanishing_values", _edited(change), WitnessFailed
+        return grid, dp, "closed_forms", patch, AssertionFailed
     if kind == "axis":
         dst, src = draw(st.lists(st.integers(0, grid.H - 1), min_size=2, max_size=2,
                                  unique=True))
@@ -409,15 +427,16 @@ def corruptions(draw):
                 pts[dst] = pts[src]
 
         return grid, dp, "_axis_points", _edited(change), InjectivityViolated
-    tops_perp = _deeper_mirror_band(draw, grid, dp)
-
-    def patch(original):
-        def deeper(*args):
-            return original(*args)[0], tops_perp
-
-        return deeper
-
-    return grid, dp, "delta_tops", patch, DualityViolated
+    tops = grid_codes.delta_tops(grid.H, grid.V, dp.a, dp.b)
+    if kind == "mirror":
+        return grid, dp, "delta_tops", _returning((tops[0], _deeper_mirror_band(draw, grid, dp))), \
+            DualityViolated
+    # one middle top of Delta or of Delta* moved by one: Delta* leaves Delta
+    # or |Delta| + |Delta*| leaves n
+    tops = [t.copy() for t in tops]
+    j = draw(st.sampled_from(np.flatnonzero(tops[0] > tops[1]).tolist()))
+    tops[draw(st.integers(0, 1))][j] += draw(st.sampled_from((1, -1)))
+    return grid, dp, "delta_tops", _returning(tuple(tops)), DualityViolated
 
 
 def _deeper_mirror_band(draw, grid, dp):
@@ -505,7 +524,7 @@ def moment_cases(draw):
     grid, dp = _grid_and_dp(*draw(st.sampled_from(SMALL)), None, None)
     field, H, V = grid.field, grid.H, grid.V
     xs, ys = grid_codes._axis_points(field, H), grid_codes._axis_points(field, V)
-    wx, wy = grid_codes._inv_derivs(field, xs, H), grid_codes._inv_derivs(field, ys, V)
+    wx, wy = inv_derivs(field, xs, H), inv_derivs(field, ys, V)
     tops, tops_perp = grid_codes.delta_tops(H, V, dp.a, dp.b)
     kind = draw(st.sampled_from(("valid", "deeper band", "twist factor", "random bands")))
     if kind == "deeper band":
@@ -525,8 +544,8 @@ def moment_cases(draw):
 @given(moment_cases())
 def test_axis_moments_match_the_moment_matrix(case):
     field, xs, ys, wx, wy, tops, tops_perp, valid = case
-    M = moment_matrix(field, xs, ys, grid_codes._outer(field, wx, wy))
-    mx, my = grid_codes._moments(field, xs, wx), grid_codes._moments(field, ys, wy)
+    M = moment_matrix(field, xs, ys, outer(field, wx, wy))
+    mx, my = moments(field, xs, wx), moments(field, ys, wy)
     assert np.array_equal(field.vmul(mx[:, None], my[None, :]), M)
     verdict = grid_codes._twisted_orthogonal(mx, my, tops, tops_perp)
     assert verdict == moment_matrix_orthogonal(M, tops, tops_perp)
@@ -538,11 +557,11 @@ def test_every_nonzero_moment_is_checked():
     # the pair at f = 2V - 2, the last nonzero m_y[f], breaks orthogonality
     field = make_field(5)
     pts = grid_codes._axis_points(field, 5)
-    w = grid_codes._inv_derivs(field, pts, 5)
-    m = grid_codes._moments(field, pts, w)
+    w = inv_derivs(field, pts, 5)
+    m = moments(field, pts, w)
     tops = np.array([0, -1, -1, -1, 2])
     assert not grid_codes._twisted_orthogonal(m, m, tops, tops)
-    M = moment_matrix(field, pts, pts, grid_codes._outer(field, w, w))
+    M = moment_matrix(field, pts, pts, outer(field, w, w))
     assert not moment_matrix_orthogonal(M, tops, tops)
     tops[4] = 1  # the top pair now sums to 3 < H - 1
     assert grid_codes._twisted_orthogonal(m, m, tops, tops)
@@ -556,15 +575,90 @@ def _reduced_top(e, N):
     return int(e == N - 1)
 
 
-# 729: the moments of its longest axes are summed over several blocks
-@pytest.mark.parametrize("q", (5, 7, 8, 9, 13, 16, 25, 27, 729))
+# every axis of every field up to 256, prime and extension; 729: the moments
+# of its longest axes are summed over several blocks
+@pytest.mark.parametrize("q", prime_powers(256) + (729,))
 def test_axis_moments_have_the_closed_form(q):
+    # the evaluated twist is -1 at 0 and 1 / (N - 1) at every root, and the
+    # evaluated moments are the closed form build_code takes
     field = make_field(*split_prime_power(q))
     for N in [d + 1 for d in range(1, q) if (q - 1) % d == 0]:
         pts = grid_codes._axis_points(field, N)
-        m = grid_codes._moments(field, pts, grid_codes._inv_derivs(field, pts, N))
+        w = inv_derivs(field, pts, N)
+        assert w.tolist() == [field.neg(1)] + [field.inv((N - 1) % field.p)] * (N - 1)
+        m = moments(field, pts, w)
         assert m.tolist() == [_reduced_top(e, N) for e in range(2 * N - 1)]
         assert m.tolist() == [int(e in (N - 1, 2 * N - 2)) for e in range(2 * N - 1)]
+        assert np.array_equal(m, grid_codes._axis_moments(N))
+
+
+# -- the distances against the evaluated witness and brute force -------------
+
+
+def test_witness_reaches_the_proved_coset_distance():
+    """On every instance of SMALL, the evaluated witness weighs the coset
+    distance band_distances proves, is nonzero exactly off the roots of its
+    two factors, and has its coefficients in Delta and not all in Delta*."""
+    classes = set()
+    for q, H, V, a, b in SMALL:
+        grid, dp = _grid_and_dp(q, H, V, a, b, None, None)
+        rec = build_code(grid, dp)
+        wit = witness(rec)
+        A, B = (H - 1) // 2 + a, (V - 1) // 2 + b
+        assert grid_codes.band_distances(H, rec.tops, rec.tops_perp)[1] == (H - A) * (V - B)
+        assert weight(wit.vector) == (H - A) * (V - B)
+        assert np.array_equal(wit.vector.reshape(H, V) != 0,
+                              (np.arange(H) >= A)[:, None] & (np.arange(V) >= B)[None, :])
+        assert np.array_equal(wit.evaluated, wit.vector)
+        i = np.arange(H)[:, None]  # x^i y^j lies outside band j when i > top(j)
+        assert not (wit.support & (i > rec.tops)).any()
+        assert (wit.support & (i > rec.tops_perp)).any()
+        classes.add((H % 2, V % 2, b > 0, grid.field.p > 2 and grid.field.m > 1))
+    # both parities of H and V, b = 0 and b > 0, odd-p extension fields; an
+    # even V needs b >= 1
+    assert classes == {(h, v, bp, ext) for h in (0, 1) for v in (0, 1) for bp in (False, True)
+                       for ext in (False, True) if v or bp}
+
+
+_WORDS = 2**16  # q^k cap on the codes enumerated below
+
+
+@st.composite
+def band_top_pairs(draw):
+    """A small grid, the band tops of a downset Delta with at most _WORDS
+    codewords, and band tops of a Delta* inside it with fewer monomials:
+    a staircase pair from delta_tops, or a random one."""
+    q = draw(st.sampled_from((3, 4, 5, 7, 8, 9)))
+    H, V = (draw(st.sampled_from([N for N in _sides(q) if N <= 9])) for _ in range(2))
+    shapes = [(a, b) for a in valid_a_values(H) for b in valid_b_values(V)
+              if q ** closed_forms(H, V, a, b).size <= _WORDS]
+    if shapes and draw(st.booleans()):
+        return q, H, V, *grid_codes.delta_tops(H, V, *draw(st.sampled_from(shapes)))
+    room = len(np.base_repr(_WORDS - 1, q))  # the largest k with q^k <= _WORDS
+    sizes = []
+    for _ in range(V):  # band sizes, non-increasing, at most `room` in all
+        sizes.append(draw(st.integers(int(not sizes), min(sizes[-1] if sizes else H, room))))
+        room -= sizes[-1]
+    perp = [draw(st.integers(0, size)) for size in sizes]
+    if perp == sizes:
+        perp[draw(st.sampled_from(np.flatnonzero(sizes).tolist()))] -= 1
+    return q, H, V, np.array(sizes) - 1, np.array(perp) - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_top_pairs())
+def test_band_distances_match_brute_force(case):
+    """d always, and coset d wherever band_distances proves one, equal the
+    least weights min_weights_bruteforce finds by enumeration."""
+    q, H, V, tops, tops_perp = case
+    field = make_field(*split_prime_power(q))
+    xs, ys = grid_codes._axis_points(field, H), grid_codes._axis_points(field, V)
+    code, sub = (from_spanning_set(field, grid_codes._evaluation_rows(field, xs, ys, t))
+                 if (t >= 0).any() else zero_code(field, H * V) for t in (tops, tops_perp))
+    d, coset_d = grid_codes.band_distances(H, tops, tops_perp)
+    brute = min_weights_bruteforce(code, sub)
+    assert d == brute[0]
+    assert coset_d in (None, brute[1])
 
 
 # -- RREF: one array step per pivot against the row-by-row loop ----------------
@@ -655,4 +749,4 @@ def test_witness_polynomial_ex1(gf5, ex1_record):
     g = make_grid_params(5, 3, gf5)
     poly = witness_polynomial(g, make_delta_params(g, 0, 0))
     assert poly == {Monomial(1, 1): 3, Monomial(2, 1): 1}
-    assert weight(ex1_record.witness) == ex1_record.coset_d_formula
+    assert weight(witness(ex1_record).vector) == ex1_record.coset_d_formula

@@ -243,8 +243,8 @@ def test_prime_factors_match_trial_division(n):
 
 def digit_add(field, x: int, y: int, sign: int = 1) -> int:
     """x + sign * y, one base-p coefficient at a time."""
-    return field.encode([(a + sign * b) % field.p
-                         for a, b in zip(field.coeffs(x), field.coeffs(y))])
+    return _encode([(a + sign * b) % field.p
+                    for a, b in zip(field.coeffs(x), field.coeffs(y))], field.p)
 
 
 def _digit_sums(field, xs, ys, sign: int = 1) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""Block reductions against the loops they replaced.
+"""Block reductions against the loops they replaced, and the number of
+field operations a record takes.
 
-`FieldSpec.vsum` and `vprod` reduce a whole axis at once; the reference
-folds `vadd` and `vmul` over it one slice at a time.  `grid_codes` builds a
-record from them in a bounded number of array steps: the vanishing values
-are one `vprod` per block, the witness polynomial's coefficients come from
-the q-binomial closed form, and evaluation and moments are one `vsum` per
-block.  The loops they replaced live in `helpers` and must agree with them
-on every small instance.
+`helpers.vsum` and `vprod` reduce a whole axis at once; the reference
+folds `vadd` and `vmul` over it one slice at a time.  The witness and
+moment oracles in `helpers` are built from them: the vanishing values are
+one `vprod` per block, the witness polynomial's coefficients come from the
+q-binomial closed form, and evaluation and moments are one `vsum` per
+block.  The loops those replaced must agree with them on every small
+instance.  `grid_codes` itself proves a record from the band tops and one
+check per axis, in a fixed number of field operations.
 """
 
 from functools import reduce
@@ -21,7 +23,21 @@ from qlrc import grid_codes
 from qlrc.gf import FieldSpec, split_prime_power
 from qlrc.grid_codes import valid_a_values, valid_b_values
 from qlrc.verifier import prime_powers
-from helpers import horner, moments_by_halving, root_product_by_loop, vanishing_values_by_loop
+from helpers import (
+    horner,
+    inv_derivs,
+    moments,
+    moments_by_halving,
+    outer,
+    poly_values,
+    root_product,
+    root_product_by_loop,
+    vanishing_values,
+    vanishing_values_by_loop,
+    vprod,
+    vsum,
+    witness,
+)
 from test_construction_oracle import _expand_root_product
 
 FIELDS = {q: make_field(*split_prime_power(q)) for q in (2, 3, 4, 7, 8, 9, 25, 27)}
@@ -43,9 +59,9 @@ def test_axis_reductions_fold_the_vector_ops(case):
     field, xs, axis = case
     slices = list(np.moveaxis(xs, axis, 0))
     width = len(slices[0])
-    assert np.array_equal(field.vsum(xs, axis),
+    assert np.array_equal(vsum(field, xs, axis),
                           reduce(field.vadd, slices, np.zeros(width, dtype=np.int64)))
-    assert np.array_equal(field.vprod(xs, axis),
+    assert np.array_equal(vprod(field, xs, axis),
                           reduce(field.vmul, slices, np.ones(width, dtype=np.int64)))
 
 
@@ -60,7 +76,7 @@ def test_root_product_has_the_q_binomial_form(q):
     for N in _sides(q):
         pts = grid_codes._axis_points(field, N)
         for count in range(1, N - 1):
-            got = grid_codes._root_product(field, pts, count)
+            got = root_product(field, pts, count)
             assert got.tolist() == _expand_root_product(field, pts[:count]), (N, count)
             assert np.array_equal(got, root_product_by_loop(field, pts[:count]))
             assert got[1:].all()  # Z times a product with no zero coefficient
@@ -79,17 +95,15 @@ def test_build_code_matches_the_loops(q):
         xs, ys = rec.points
         wx = vanishing_values_by_loop(field, xs, A)
         wy = vanishing_values_by_loop(field, ys, B)
-        assert np.array_equal(grid_codes._vanishing_values(field, xs, A), wx)
-        assert np.array_equal(grid_codes._vanishing_values(field, ys, B), wy)
-        assert np.array_equal(rec.witness, grid_codes._outer(field, wx, wy))
+        assert np.array_equal(vanishing_values(field, xs, A), wx)
+        assert np.array_equal(vanishing_values(field, ys, B), wy)
+        assert np.array_equal(witness(rec).vector, outer(field, wx, wy))
         for pts, count in ((xs, A), (ys, B)):
-            coeffs = grid_codes._root_product(field, pts, count)
+            coeffs = root_product(field, pts, count)
             assert np.array_equal(coeffs, root_product_by_loop(field, pts[:count]))
-            assert np.array_equal(grid_codes._poly_values(field, coeffs, pts),
-                                  horner(field, coeffs, pts))
-            w = grid_codes._inv_derivs(field, pts, len(pts))
-            assert np.array_equal(grid_codes._moments(field, pts, w),
-                                  moments_by_halving(field, pts, w))
+            assert np.array_equal(poly_values(field, coeffs, pts), horner(field, coeffs, pts))
+            w = inv_derivs(field, pts, len(pts))
+            assert np.array_equal(moments(field, pts, w), moments_by_halving(field, pts, w))
 
 
 def _grid_and_dp(field, H, V, a, b):
@@ -97,8 +111,7 @@ def _grid_and_dp(field, H, V, a, b):
     return grid, make_delta_params(grid, a, b)
 
 
-_VECTOR_OPS = ("vadd", "vneg", "vsub", "vmul", "vscale", "vpow", "vlog", "vsum", "vprod",
-               "matmul")
+_VECTOR_OPS = ("vadd", "vneg", "vsub", "vmul", "vscale", "vpow", "matmul")
 
 
 def _vector_op_calls(monkeypatch, q, H, V, a, b) -> int:
@@ -125,35 +138,29 @@ def _vector_op_calls(monkeypatch, q, H, V, a, b) -> int:
     return calls[0]
 
 
-# Instances of one shape class take the same steps whatever the grid size: a
-# square grid computes its axis data once, and with a = b its witness factor too.
+# Instances of one shape class take the same steps whatever the grid size:
+# one vpow makes an axis's points and one checks them, and a square grid's
+# two axes are one axis.
 _SHAPE_CLASSES = {
-    "rectangular": ((13, 13, 7, 2, 1), (64, 64, 10, 2, 2), (256, 256, 18, 2, 2)),
-    "square": ((13, 13, 13, 2, 0), (64, 64, 64, 2, 1), (256, 256, 256, 2, 1)),
-    "square, a = b": ((13, 13, 13, 2, 2), (64, 64, 64, 2, 2), (256, 256, 256, 2, 2)),
+    "rectangular": ((13, 13, 7, 2, 1), (64, 64, 10, 2, 2), (256, 256, 18, 2, 2),
+                    (6679, 6679, 3, 2, 0)),
+    "square": ((13, 13, 13, 2, 0), (64, 64, 64, 2, 1), (256, 256, 256, 2, 1),
+               (13, 13, 13, 2, 2), (64, 64, 64, 2, 2), (256, 256, 256, 2, 2)),
 }
 
 
 def test_build_code_takes_a_bounded_number_of_vector_ops(monkeypatch):
     counts = {shape: [_vector_op_calls(monkeypatch, *inst) for inst in insts]
               for shape, insts in _SHAPE_CLASSES.items()}
-    for shape, per_size in counts.items():
-        assert len(set(per_size)) == 1, (shape, per_size)
-    steps = [per_size[0] for per_size in counts.values()]
-    assert steps[0] > steps[1] > steps[2], counts
+    assert counts == {"rectangular": [4] * 4, "square": [2] * 6}, counts
 
 
 def test_a_wrong_closed_form_exits_4(monkeypatch, capsys):
-    # one coefficient of the x-axis witness polynomial off by a factor
-    original = grid_codes._root_product
-
-    def wrong(field, pts, count):
-        coeffs = original(field, pts, count)
-        coeffs[-2] = field.mul(int(coeffs[-2]), field.primitive)
-        return coeffs
-
-    monkeypatch.setattr(grid_codes, "_root_product", wrong)
+    # the closed-form coset distance one above what ex1's band tops prove
+    forms = grid_codes.closed_forms
+    monkeypatch.setattr(grid_codes, "closed_forms",
+                        lambda *args: forms(*args)._replace(coset_d=forms(*args).coset_d + 1))
     assert cli.main(["construct", "--preset", "ex1"]) == 4
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: (q=5,H=5,V=3,a=0,b=0) witness vector is not the "
-                              "evaluation of its polynomial\n")
+    assert (out, err) == ("", "error: (q=5,H=5,V=3,a=0,b=0) band corners give coset d = 6, "
+                              "not the closed form 7\n")
