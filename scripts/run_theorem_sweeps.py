@@ -9,8 +9,9 @@ fails its per-row assertions, and exits 2 on invalid parameters.
 import argparse
 import sys
 import time
+from contextlib import closing
 
-from qlrc import InvalidParameter, SweepSpec, prime_powers, run_sweep
+from qlrc import InvalidParameter, Sweep, SweepSpec, prime_powers
 
 SWEEPS = [
     ("thm3", dict(q_limit=64, V_max=9)),
@@ -36,18 +37,20 @@ def main(argv=None):
                          budget=args.budget, jobs=args.jobs, collect=True)
         start = time.monotonic()
         try:
-            res = run_sweep(spec)
+            with closing(Sweep(spec)) as sweep:
+                for _ in sweep:
+                    pass
         except InvalidParameter as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         elapsed = time.monotonic() - start
-        status = "ok" if res.ok else "FAILED"
-        print(f"{mode:12s} rows={len(res.rows):5d} skipped={res.skipped:4d} "
-              f"failures={len(res.failures):3d} {elapsed:6.2f}s {status}")
-        for (q, H, V, a, b), message in res.failures:
+        status = "FAILED" if sweep.failures else "ok"
+        print(f"{mode:12s} rows={sweep.count:5d} skipped={sweep.skipped:4d} "
+              f"failures={len(sweep.failures):3d} {elapsed:6.2f}s {status}")
+        for (q, H, V, a, b), message in sweep.failures:
             print(f"  FAIL q={q} H={H} V={V} a={a} b={b}: {message}",
                   file=sys.stderr)
-        failed += len(res.failures)
+        failed += len(sweep.failures)
     return 4 if failed else 0
 
 

@@ -83,12 +83,10 @@ from .lrc import (
 )
 from .verifier import (
     Sweep,
-    SweepResult,
     SweepSpec,
     VerdictRow,
     check_theorem,
     prime_powers,
-    run_sweep,
 )
 
 __version__ = "0.1.0"

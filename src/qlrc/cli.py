@@ -11,11 +11,10 @@ import argparse
 import json
 import os
 import re
-import shutil
 import sys
 from contextlib import closing, contextmanager
 from fractions import Fraction
-from functools import partial
+from functools import cache
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -279,6 +278,8 @@ def _instance(args):
 def _cmd_construct(args) -> int:
     if args.mode == "formula" and args.budget is not None:
         raise InvalidParameter("--budget only applies to --mode bruteforce")
+    if args.budget is not None and args.budget < 1:
+        raise InvalidParameter(f"need --budget >= 1, got {args.budget}")
     with _instance(args) as rec:
         css = css_from_grid(rec, distance_mode=args.mode, budget=args.budget)
     if args.format == "json":
@@ -436,8 +437,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The qlrc parser, with every subcommand."""
+    """The qlrc parser, with every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qlrc",
         description="grid evaluation codes, CSS codes, locality, and bounds")
@@ -447,11 +449,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
 def _command_parser(name: str) -> argparse.ArgumentParser:
-    """_build_parser's subparser `name`, alone, reading the width once."""
-    width = shutil.get_terminal_size().columns - 2
-    parser = argparse.ArgumentParser(
-        prog=f"qlrc {name}", formatter_class=partial(argparse.HelpFormatter, width=width))
+    """_build_parser's subparser `name`, alone, built once per process.
+    Parsing leaves no state on it, and argparse reads the terminal width
+    each time it formats help, usage or an error."""
+    parser = argparse.ArgumentParser(prog=f"qlrc {name}")
     _COMMANDS[name].add_flags(parser)
     return parser
 

@@ -134,17 +134,6 @@ class VerdictRow:
                 f'"message": {json.dumps(self.message)}}}')
 
 
-@dataclass
-class SweepResult:
-    rows: list
-    failures: list
-    skipped: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _closed_forms(H: int, V: int, a: int, b: int) -> dict:
     """The VerdictRow fields that the closed forms give."""
     forms = closed_forms(H, V, a, b)
@@ -290,8 +279,9 @@ class Sweep:
     """The rows of a SweepSpec in (q, H, V, a, b) order, each yielded as soon
     as it is checked.
 
-    Creating a Sweep runs every check that can reject the spec: jobs, mode,
-    the q list, every q's field order and factorization, and QLRC_BUDGET.
+    Creating a Sweep runs every check that can reject the spec: jobs,
+    budget, mode, the q list, every q's field order and factorization, and
+    QLRC_BUDGET.
     So a bad spec raises before the first row exists.  While the rows are
     read, `count`, `skipped` and `failures` tally what has passed; they are
     final once the rows are exhausted.  close() stops the sweep early and
@@ -301,6 +291,8 @@ class Sweep:
     def __init__(self, spec: SweepSpec):
         if spec.jobs < 1:
             raise InvalidParameter(f"need jobs >= 1, got jobs={spec.jobs}")
+        if spec.budget is not None and spec.budget < 1:
+            raise InvalidParameter(f"need budget >= 1, got budget={spec.budget}")
         if spec.mode != "all" and spec.mode not in _THEOREMS:
             raise ParamRangeViolated(f"unknown sweep mode {spec.mode!r}")
         if not spec.q_values:
@@ -407,10 +399,3 @@ def _pooled(tasks, workers: int):
         finally:
             for future in window:
                 future.cancel()
-
-
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run all checks a SweepSpec asks for; rows ordered by (q,H,V,a,b)."""
-    sweep = Sweep(spec)
-    rows = list(sweep)
-    return SweepResult(rows=rows, failures=sweep.failures, skipped=sweep.skipped)

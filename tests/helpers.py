@@ -41,16 +41,19 @@ computation that a proof in `src/` replaced, kept as its oracle:
   primitive's table from it.
 * `row_to_json` is a sweep row as the dict `json.dumps` writes, where
   `VerdictRow.json_line` writes the text from the row's fields.
+* `run_sweep` collects a `Sweep`'s rows, failures and skip count into a
+  `SweepResult`.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import NamedTuple
 
 import numpy as np
 
-from qlrc import LiftResult, LinearCode, contains, euclidean_dual, from_spanning_set
-from qlrc import grid_codes, quadratic_extension
+from qlrc import LiftResult, LinearCode, Sweep, SweepSpec, contains, euclidean_dual
+from qlrc import from_spanning_set, grid_codes, quadratic_extension
 from qlrc.errors import InvalidParameter, NotDualContaining
 from qlrc.gf import _digits, split_prime_power
 from qlrc.linear_codes import _coset_min_weights, _rref
@@ -584,3 +587,20 @@ def row_to_json(row) -> dict:
         "ok": row.ok,
         "message": row.message,
     }
+
+
+class SweepResult(NamedTuple):
+    rows: list
+    failures: list
+    skipped: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Every row of a Sweep, in (q, H, V, a, b) order, with its tallies."""
+    with closing(Sweep(spec)) as sweep:
+        rows = list(sweep)
+    return SweepResult(rows, sweep.failures, sweep.skipped)

@@ -25,14 +25,13 @@ from qlrc import (
     min_distance_bruteforce,
     plotkin_profile,
     prime_powers,
-    run_sweep,
     thm3_slack_lower_bound,
     valid_a_values,
     valid_b_values,
 )
 from qlrc.css import oracle_distances
 from qlrc.linear_codes import contains, euclidean_dual
-from helpers import coset_min_weight_bruteforce
+from helpers import coset_min_weight_bruteforce, run_sweep
 
 
 def _cli_json(capsys, *argv):

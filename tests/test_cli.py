@@ -1,5 +1,6 @@
 """Command line interface, exercised through cli.main."""
 
+import argparse
 import dataclasses
 import importlib.util
 import io
@@ -99,6 +100,16 @@ def test_construct_budget_exceeded(capsys, monkeypatch):
     assert rc == 3
     assert err == ("error: (q=3,H=3,V=3,a=0,b=0) enumeration of 3^5 = 243 "
                    "codewords exceeds budget 10\n")
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "-5"])
+def test_construct_budget_below_one_exits_2(capsys, monkeypatch, budget):
+    # refused from the flags alone: no record is built, no word enumerated
+    monkeypatch.setattr(cli, "build_grid_record", None)
+    rc, out, err = run_cli(capsys, "construct", "--q", "5", "--H", "5", "--V", "3",
+                           "--a", "0", "--b", "0", "--mode", "bruteforce",
+                           "--budget", budget)
+    assert (rc, out, err) == (2, "", f"error: need --budget >= 1, got {budget}\n")
 
 
 def test_construct_budget_refusal_names_the_instance(capsys):
@@ -319,6 +330,34 @@ def test_formula_mode_builds_no_generator_matrix(capsys, request, argv):
         assert rows and all(row["oracle"] is None for row in rows)
 
 
+# one valid call of each subcommand
+_VALID_CALLS = {
+    "construct": "construct --preset rem3",
+    "bounds": "bounds --n 15 --k 1 --d 6 --q 5 --r 2",
+    "sweep": "sweep --q 3",
+    "verify-locality": "verify-locality --preset rem3",
+    "lemma": "lemma --m 2",
+}
+
+
+def test_main_builds_each_subcommand_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._command_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert tuple(_VALID_CALLS) == tuple(cli._COMMANDS)
+    for name, argv in _VALID_CALLS.items():
+        for expected in ([f"qlrc {name}"], []):
+            built.clear()
+            assert run_cli(capsys, *argv.split())[0] == 0
+            assert built == expected
+
+
 def test_argparse_error_is_exit_2(capsys):
     rc, _, _ = run_cli(capsys, "construct", "--preset", "nope")
     assert rc == 2
@@ -397,6 +436,8 @@ def test_sweep_error_names_its_instance(capsys, force_claim):
     ("sweep --q 5,1048583", None, "field order 1048583 exceeds the cap 2^20 = 1048576"),
     ("sweep --q 5", "abc", "QLRC_BUDGET must be an integer, got 'abc'"),
     ("sweep --q 5 --jobs 0", None, "need jobs >= 1, got jobs=0"),
+    ("sweep --q 5 --budget 0", None, "need budget >= 1, got budget=0"),
+    ("sweep --q 5 --budget -1", None, "need budget >= 1, got budget=-1"),
 ])
 def test_sweep_exit_2_prints_no_row(capsys, monkeypatch, argv, env, err):
     # the q = 5 rows would come first, so every check runs before any row

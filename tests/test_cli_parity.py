@@ -144,3 +144,33 @@ def test_main_matches_the_full_parser(capsys, monkeypatch, argv, columns):
     got = capsys.readouterr()
     assert (rc, got.out, got.err) == (expected_rc, expected.out, expected.err)
     assert expected.out or expected.err
+
+
+# (COLUMNS, argv) in call order: each call must see none of the one before
+SEQUENCE = [
+    ("80", ["construct", "--preset", "ex1", "--format", "json"]),
+    ("80", ["construct", "--q", "5", "--H", "5", "--V", "3", "--a", "0", "--b", "0",
+            "--format", "json"]),
+    ("80", ["sweep", "--q", "3", "--collect", "--format", "json"]),
+    ("80", ["sweep", "--q", "3"]),
+    ("80", ["construct", "--q", "abc"]),
+    ("80", ["construct", "--preset", "rem3"]),
+    ("60", ["construct", "--help"]),
+    ("200", ["construct", "--help"]),
+    ("60", ["construct", "--help"]),
+]
+
+
+def test_cached_parsers_carry_no_state_between_calls(capsys, monkeypatch):
+    results = []
+    for columns, argv in SEQUENCE:
+        monkeypatch.setenv("COLUMNS", columns)
+        expected_rc = reference_main(list(argv))
+        expected = capsys.readouterr()
+        rc = cli.main(list(argv))
+        got = capsys.readouterr()
+        assert (rc, got.out, got.err) == (expected_rc, expected.out, expected.err), argv
+        results.append((rc, got.out))
+    assert [rc for rc, _ in results] == [0, 0, 0, 0, 2, 0, 0, 0, 0]
+    assert results[3][1].startswith("mode ")
+    assert results[6] == results[8] != results[7]

@@ -1,4 +1,5 @@
-"""The package exports only what the package, its scripts or its README use.
+"""The package exports only what the package, its scripts or its README use,
+and each of its modules reads every name it imports.
 
 Code that only tests read belongs in `tests/helpers.py`, not in `src/`.
 """
@@ -88,3 +89,26 @@ def test_every_definition_is_read_outside_the_tests():
     unread = [f"{module}.{name}" for module, name in _defined() + methods
               if name not in referenced and not re.search(rf"\b{name}\b", readme)]
     assert unread == [], f"defined in src/qlrc, but read only by tests: {unread}"
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """The names a module's top-level imports bind, __future__ aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path == PACKAGE / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in _imported(tree) if name not in read]
+    assert unread == [], f"imported in src/qlrc, but never read: {unread}"

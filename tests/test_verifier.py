@@ -20,7 +20,6 @@ from qlrc import (
     cli,
     evaluate_all,
     prime_powers,
-    run_sweep,
     thm3_slack_lower_bound,
 )
 from qlrc.errors import (
@@ -29,7 +28,7 @@ from qlrc.errors import (
     InvalidParameter,
     ParamRangeViolated,
 )
-from helpers import prime_powers_by_division, row_to_json
+from helpers import prime_powers_by_division, row_to_json, run_sweep
 
 
 def test_prime_powers():
@@ -379,7 +378,12 @@ def test_oracle_rows_are_those_with_q_to_the_k_within_budget(monkeypatch, budget
     # stand-ins: only the choice of rows is under test, not the oracle
     monkeypatch.setattr(verifier, "build_grid_record", lambda *args: None)
     monkeypatch.setattr(verifier, "oracle_distances", lambda rec, budget: (0, 0))
-    rows = run_sweep(SweepSpec(mode="all", q_values=prime_powers(32), budget=budget)).rows
+    spec = SweepSpec(mode="all", q_values=prime_powers(32), budget=max(budget, 1))
+    rows = run_sweep(spec).rows
+    if budget < 1:
+        # a spec refuses it; 0 is the "no oracle" budget that check_theorem passes
+        rows = [verifier._run_one((r.mode, r.q, r.H, r.V, r.a, r.b, budget, False))
+                for r in rows]
     chosen = [r.oracle is not None for r in rows]
     assert chosen == [r.q ** r.k_classical <= budget for r in rows]
     assert any(chosen) == (budget > 1)
@@ -444,6 +448,12 @@ def test_theorem_sweep_script_reports_failures(monkeypatch, capsys, force_claim)
     out = capsys.readouterr()
     assert "failures=  3" in out.out and "FAILED" in out.out
     assert "  FAIL q=3 H=3 V=3 a=0 b=0: forced failure" in out.err.splitlines()
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_sweep_rejects_budget_below_one(budget):
+    with pytest.raises(InvalidParameter, match=f"^need budget >= 1, got budget={budget}$"):
+        Sweep(SweepSpec(mode="all", q_values=(5,), budget=budget))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
