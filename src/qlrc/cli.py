@@ -103,15 +103,37 @@ def _rat_str(x) -> str:
 _json_str = json.encoder.encode_basestring_ascii
 
 
+def _entries_text(obj: list, pad: str) -> str | None:
+    """A nonempty list of dicts as _json_text writes it with pad, each entry
+    from one template, when they share one key tuple of exact strs and hold
+    exact ints, None and lists of exact ints (a certificate); else None."""
+    keys, inner, cell, values = tuple(obj[0]), pad + "  ", "," + pad + "    ", []
+    if set(map(type, keys)) != {str}:
+        return None
+    for d in obj:
+        if tuple(d) != keys:
+            return None
+        for v in d.values():
+            if type(v) is int or v is None:
+                values.append("null" if v is None else "%d" % v)
+            elif type(v) is list and set(map(type, v)) <= {int}:
+                values.append("[" + cell[1:] + cell.join(map(str, v)) + inner + "]" if v else "[]")
+            else:
+                return None
+    entry = "{" + inner + ("," + inner).join(
+        [_json_str(k).replace("%", "%%") + ": %s" for k in keys]) + pad + "}"
+    return ("," + pad).join([entry] * len(obj)) % tuple(values)
+
+
 def _json_text(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, with pad starting every
     line after the first.  json runs its C encoder only when indent is
     None; with an indent it walks the tree in pure-Python generators, which
     took a sixth of a construct command.  So exact str, int, bool and None
-    leaves, str-keyed dicts, lists and tuples are written here, and a list
-    of equal-length rows of exact ints (a staircase) by one %d template.
-    Anything else goes through json; its text holds no raw newline, so
-    re-padding it is exact."""
+    leaves, str-keyed dicts, lists and tuples are written here, a staircase
+    (equal-length rows of exact ints) by one %d template and shared-key
+    dicts by _entries_text.  Anything else goes through json; its text
+    holds no raw newline, so re-padding it is exact."""
     t = type(obj)
     if t is str:
         return _json_str(obj)
@@ -134,7 +156,7 @@ def _json_text(obj, pad: str = "\n") -> str:
               and set(map(type, flat := tuple(chain.from_iterable(obj)))) == {int}):
             row = "[" + inner + "  " + (sep + "  ").join(["%d"] * len(obj[0])) + inner + "]"
             body = sep.join([row] * len(obj)) % flat
-        else:
+        elif types != {dict} or (body := _entries_text(obj, inner)) is None:
             body = sep.join([_json_text(v, inner) for v in obj])
         return "[" + inner + body + pad + "]"
     return json.dumps(obj, indent=2).replace("\n", pad)

@@ -1,25 +1,22 @@
 """CSS parameter bookkeeping, the brute-force distance check, and the
 quadratic-extension lift.
 
-A grid code record carries the pair (code, mirror subcode); the CSS code
-built on that pair has length n, dimension 2*dim(code) - n, and distance
-equal to the minimum weight of code \\ mirror.  No quantum states are
-represented; records hold parameters only.
+A grid code record names C(Delta) and its mirror subcode C(Delta*) by band
+tops; the CSS code built on the pair has length n, dimension
+2*dim(code) - n, and distance the minimum weight of code \\ mirror.  No
+quantum states are represented; records hold parameters only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AssertionFailed, InvalidParameter, NotDualContaining
 from .gf import FieldPair, quadratic_extension
-from .grid_codes import GridCodeRecord, closed_forms
-from .linear_codes import (
-    LinearCode,
-    contains,
-    euclidean_dual,
-    min_weights_bruteforce,
-)
+from .grid_codes import GridCodeRecord, _evaluation_rows, _exponents, closed_forms
+from .linear_codes import LinearCode, _check_budget, _min_weights, _rref, contains, euclidean_dual
 
 
 @dataclass(frozen=True)
@@ -74,8 +71,26 @@ def css_from_grid(rec: GridCodeRecord, distance_mode: str = "formula",
 
 def oracle_distances(rec: GridCodeRecord, budget: int | None = None) -> tuple[int, int]:
     """(d, coset_d) of the record's code from one brute-force enumeration,
-    checked against the closed forms; AssertionFailed when either differs."""
-    d, coset_d = min_weights_bruteforce(rec.code, rec.mirror_code, budget)
+    checked against the closed forms; AssertionFailed when either differs.
+
+    After the budget on q^|Delta|, one matrix is row-reduced: the evaluation
+    rows E of Delta, then a 0/1 selector S with one column per x^i y^j of
+    Delta outside Delta* (i > top*(j)).  E must reduce to |Delta| pivots
+    among its n columns, so c = m E has one message m; Delta* lies in
+    Delta, so c is in C(Delta*) exactly when m vanishes off Delta*, that
+    is, when m S = 0.  S is the coset syndrome, carried by row reduction.
+    """
+    field, n = rec.grid.field, rec.n
+    _check_budget(field.q, rec.k, budget)
+    i, j = _exponents(rec.tops)
+    outside = np.flatnonzero(i > rec.tops_perp[j])
+    if not outside.size:
+        raise InvalidParameter("subcode equals the code; the coset is empty")
+    rows = _evaluation_rows(field, *rec.points, rec.tops)
+    aug, pivots = _rref(field, np.hstack([rows, np.eye(len(i), dtype=np.int64)[:, outside]]))
+    if len(pivots) != len(i) or pivots[-1] >= n:
+        raise AssertionFailed("the evaluation rows of Delta are dependent")
+    d, coset_d = _min_weights(field, aug, n, pivots)
     if (d, coset_d) != (rec.d_formula, rec.coset_d_formula):
         raise AssertionFailed(
             f"oracle disagrees: d {d} vs {rec.d_formula}, "

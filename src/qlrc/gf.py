@@ -31,17 +31,16 @@ is, when gcd(f, g) = 1.
   h repeat with period ord(h), a divisor of q - 1.  The walk writes
   h^0 .. h^(q-2), so ord(h) = q - 1 exactly when 1 does not come back:
   the table proves the order.  Any ord(h) < q - 1 divides (q-1)/l for a
-  prime l | q - 1, so a walk may stop at the first h^((q-1)/l) = 1.  The
-  least encoding that can be primitive is walked first: X = p for m > 1
-  (GF(p)* has order p - 1), else 2 (1 in GF(2)), unless p = +-1 mod 8,
-  where 2 is a square (the second supplement to quadratic reciprocity)
-  and so has order dividing (p-1)/2.  If that walk stops or is skipped,
-  the first of q - 1, q - 2, ... with every h^((q-1)/l) != 1 is walked.
+  prime l | q - 1, so h is primitive exactly when every h^((q-1)/l) != 1:
+  pow(g, (p-1)/l, p) != 1 for m = 1, where the first g = 1, 2, ... to pass
+  is walked.  For m > 1, X = p, the least encoding that can be primitive
+  (GF(p)* has order p - 1), is walked first and stops at the first
+  X^((q-1)/l) = 1; then the first of q - 1, q - 2, ... to pass is walked.
 * The smallest primitive.  With ord(h) = q - 1, h^i has order
   (q-1)/gcd(i, q-1), so the primitive elements are exactly the h^i with
   gcd(i, q-1) = 1.  The least encoding among them is alpha = h^t, and
   alpha^i = h^(t i mod (q-1)), so alpha's table is one gather of h's
-  (none when the first walk passes: that h is alpha).
+  (none when m = 1 or the walk of X passes: that h is alpha).
 """
 
 from __future__ import annotations
@@ -441,8 +440,8 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
     irreducible monic polynomial whose non-leading coefficient vector has
     the smallest integer encoding, and the primitive element with the
     smallest integer encoding.  Ben-Or's test decides every candidate
-    modulus of a window at once; one generator h is walked, and the
-    primitive element's table is gathered from h's (module docstring).
+    modulus of a window at once; the least primitive root of a prime field,
+    or one generator h of an extension field, is walked (module docstring).
     Orders above the cap raise InvalidParameter before p is factored.
     """
     if isinstance(p, int) and p >= 2 and isinstance(m, int) and m >= 1:
@@ -473,22 +472,20 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
             raise NotPrimitive(f"element {g} has order {order}, need {q - 1}")
         return FieldSpec(p, m, modulus, g, powers)
 
-    # alpha is the least encoding that can be primitive (module docstring) if
-    # its walk passes every h^((q-1)/l) != 1, l a prime factor of q - 1; else
-    # the exponent test gives a generator h, and alpha is gathered from its table
     primes = _prime_factors(q - 1)
-    least = h = p if m > 1 else min(2, q - 1)
-    square = m == 1 and p % 8 in (1, 7)  # 2 is a square mod p, so not primitive
-    walked = None if square else _powers(p, m, x if m > 1 else np.full((1, 1), float(h)),
-                                         sorted((q - 1) // ell for ell in primes))
-    if walked is None:
+    h, stops = p, sorted((q - 1) // ell for ell in primes)
+    if m == 1:  # alpha is the first g with every g^((p-1)/l) != 1, walked without stops
+        h = next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in stops))
+        x, stops = np.full((1, 1), float(h)), ()
+    walked = _powers(p, m, x, stops)
+    if walked is None:  # X is not primitive: walk a generator, gather alpha's table
         h, mat = _generator(p, m, x, primes)
         walked = _powers(p, m, mat)
     order, powers = walked
     if order != q - 1:
         raise AssertionFailed(
             f"element {h} passed the primitivity test but has order {order}, need {q - 1}")
-    if h == least:
+    if m == 1 or h == p:
         return FieldSpec(p, m, modulus, h, powers)
     coprime = np.ones(q - 1, dtype=bool)
     for ell in primes:

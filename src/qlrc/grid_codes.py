@@ -45,8 +45,8 @@ in O(H + V) work, without forming a generator matrix or evaluating a word:
   (band_distances).  build_code requires both distances to equal the
   closed forms.
 
-The generator matrices of C(Delta) and C(Delta*) are built from the axis
-points and row-reduced only when `code` or `mirror_code` is first read.
+The generator matrix of C(Delta) is built from the axis points and
+row-reduced only when `code` is first read.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class DeltaParams:
 
 # Largest n * (H + V).  A record costs O(H + V); the cap bounds what costs
 # O(n) or more: the staircase of record_to_json (|Delta| entries) and the
-# generator matrices behind `code` and `mirror_code`.  Its value is kept so
-# that no instance changes its exit code.  On a 2-core VM,
+# evaluation rows behind `code` and the brute-force oracle.  Its value is
+# kept so that no instance changes its exit code.  On a 2-core VM,
 # (6679, 6679, 3, 2, 0) builds its record in about 0.25 ms, and a fresh
 # process that builds its field and record peaks at about 31 MiB.
 GRID_WORK_CAP = 2**27
@@ -253,8 +253,8 @@ def _axis_moments(N: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GridCodeRecord:
     """A proved grid code: build_code checked its axis points, dimension,
-    duality and both distances.  `code` and `mirror_code` are built from the axis points and
-    row-reduced the first time they are read."""
+    duality and both distances.  `code` is built from the axis points and
+    row-reduced the first time it is read."""
 
     grid: GridParams
     dp: DeltaParams
@@ -279,11 +279,6 @@ class GridCodeRecord:
     def code(self) -> LinearCode:
         field = self.grid.field
         return from_spanning_set(field, _evaluation_rows(field, *self.points, self.tops))
-
-    @cached_property
-    def mirror_code(self) -> LinearCode:
-        field = self.grid.field
-        return from_spanning_set(field, _evaluation_rows(field, *self.points, self.tops_perp))
 
 
 def _twisted_orthogonal(mx: np.ndarray, my: np.ndarray,

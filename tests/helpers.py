@@ -29,6 +29,9 @@ computation that a proof in `src/` replaced, kept as its oracle:
   oracles.  `message_block` lists messages by their base-q index.
 * `coset_min_weight_bruteforce` is the coset half of
   `linear_codes.min_weights_bruteforce`, with its subcode errors first.
+* `mirror_code` row-reduces the evaluation rows of Delta* into C(Delta*),
+  where `css.oracle_distances` tests coset membership by a selector on
+  the messages of C(Delta).
 * `reduce_stack` row-reduces a stack of blocks, where `lrc` ranks sets
   by pivot steps that keep no row space.
 * `is_irreducible_by_division` divides by every monic polynomial of degree
@@ -38,7 +41,9 @@ computation that a proof in `src/` replaced, kept as its oracle:
   g^((q-1)/l) != 1 in packed-digit integer arithmetic, and `cyclic_powers`
   walks one element's powers by int64 digit matrices (`mul_matrix`), where
   `gf` walks one generator on float digit rows and gathers the smallest
-  primitive's table from it.
+  primitive's table from it.  `least_primitive_by_walk` walks g = 1, 2,
+  ... in GF(p) until one has order p - 1, where `gf` walks only the first
+  g that passes the exponent test.
 * `row_to_json` is a sweep row as the dict `json.dumps` writes, where
   `VerdictRow.json_line` writes the text from the row's fields.
 * `run_sweep` collects a `Sweep`'s rows, failures and skip count into a
@@ -55,7 +60,7 @@ import numpy as np
 from qlrc import LiftResult, LinearCode, Sweep, SweepSpec, contains, euclidean_dual
 from qlrc import from_spanning_set, grid_codes, quadratic_extension
 from qlrc.errors import InvalidParameter, NotDualContaining
-from qlrc.gf import _digits, split_prime_power
+from qlrc.gf import _digits, _powers, split_prime_power
 from qlrc.linear_codes import _coset_min_weights, _rref
 
 
@@ -343,6 +348,14 @@ def coset_min_weight_bruteforce(code: LinearCode, sub: LinearCode,
     return _coset_min_weights(code, sub, budget)[1]
 
 
+def mirror_code(rec) -> LinearCode:
+    """C(Delta*), the mirror subcode of a grid record, row-reduced from the
+    evaluation rows of Delta*."""
+    field = rec.grid.field
+    return from_spanning_set(
+        field, grid_codes._evaluation_rows(field, *rec.points, rec.tops_perp))
+
+
 def reduce_stack(field, stack: np.ndarray) -> np.ndarray:
     """Row-reduce, in place, every k x s matrix of an (N, k, s) stack.
 
@@ -571,6 +584,16 @@ def first_primitive_by_exponents(p: int, m: int, modulus: tuple[int, ...]) -> in
 
     return next(g for g in range(2, q)
                 if all(power(pack(_digits(g, p, m)), e) != 1 for e in exponents))
+
+
+def least_primitive_by_walk(p: int) -> tuple[int, np.ndarray]:
+    """The least g in GF(p) whose powers, walked in full, have order p - 1,
+    and the encodings of g^0 .. g^(p-2)."""
+    for g in range(1, p):
+        order, powers = _powers(p, 1, np.full((1, 1), float(g)))
+        if order == p - 1:
+            return g, powers
+    raise AssertionError(f"no primitive element in GF({p})")  # pragma: no cover
 
 
 def row_to_json(row) -> dict:

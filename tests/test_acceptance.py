@@ -31,7 +31,7 @@ from qlrc import (
 )
 from qlrc.css import oracle_distances
 from qlrc.linear_codes import contains, euclidean_dual
-from helpers import coset_min_weight_bruteforce, run_sweep
+from helpers import coset_min_weight_bruteforce, mirror_code, run_sweep
 
 
 def _cli_json(capsys, *argv):
@@ -135,7 +135,7 @@ def _assert_oracles_match_formulas(instances, budget):
         rec = build_grid_record(make_field(*_split(q)), H, V, a, b)
         d = min_distance_bruteforce(rec.code, budget=budget)
         assert d == rec.d_formula, (q, H, V, a, b, d, rec.d_formula)
-        coset = coset_min_weight_bruteforce(rec.code, rec.mirror_code,
+        coset = coset_min_weight_bruteforce(rec.code, mirror_code(rec),
                                             budget=budget)
         assert coset == rec.coset_d_formula, (q, H, V, a, b, coset)
 

@@ -200,3 +200,79 @@ def test_css_record_json(ex1_record):
                          "distance_mode", "source"}
     assert data["locality"] == [2, 2]
     assert data["source"]["type"] == "grid"
+
+
+# -- the brute-force oracle: one row reduction of the evaluation rows --------
+
+
+@pytest.mark.parametrize("row", [1, -1], ids=["inside-mirror", "outside-mirror"])
+def test_dependent_evaluation_rows_exit_4_naming_the_instance(monkeypatch, capsys, row):
+    # row 1 repeats row 0 inside Delta*, so a pivot goes missing; the last
+    # row lies outside Delta*, so repeating row 0 there puts a pivot on the
+    # selector
+    from qlrc import cli, css
+
+    evaluation_rows = css._evaluation_rows
+
+    def repeated(*args):
+        rows = evaluation_rows(*args)
+        rows[row] = rows[0]
+        return rows
+
+    monkeypatch.setattr(css, "_evaluation_rows", repeated)
+    assert cli.main(["construct", "--preset", "ex1", "--mode", "bruteforce"]) == 4
+    assert capsys.readouterr() == (
+        "", "error: (q=5,H=5,V=3,a=0,b=0) the evaluation rows of Delta are dependent\n")
+    assert cli.main(["sweep", "--q", "3"]) == 4
+    assert capsys.readouterr().err == (
+        "error: (q=3,H=3,V=3,a=0,b=0) the evaluation rows of Delta are dependent\n")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--q", "4", "--H", "4", "--V", "4", "--a", "1", "--b", "1", "--budget", "1000"],
+     "error: (q=4,H=4,V=4,a=1,b=1) enumeration of 4^10 = 1048576 codewords exceeds budget 1000\n"),
+    (["--q", "8", "--H", "8", "--V", "8", "--a", "1", "--b", "1", "--budget", "100"],
+     "error: (q=8,H=8,V=8,a=1,b=1) enumeration of 8^34 = 5070602400912917605986812821504 "
+     "codewords exceeds budget 100\n"),
+])
+def test_budget_refusal_builds_no_evaluation_row(monkeypatch, capsys, argv, text):
+    from qlrc import cli, css
+
+    def refuse(*args):
+        raise AssertionError("an evaluation row was built past the budget")
+
+    monkeypatch.setattr(css, "_evaluation_rows", refuse)
+    assert cli.main(["construct", *argv, "--mode", "bruteforce"]) == 3
+    assert capsys.readouterr() == ("", text)
+
+
+def test_bruteforce_construct_row_reduces_once_before_the_search(monkeypatch, capsys):
+    # construct --mode bruteforce row-reduces the evaluation rows of Delta and
+    # their selector once, and never builds rec.code or the mirror code
+    from qlrc import cli, css
+
+    calls, at_search, records = [], [], []
+    rref, information_sets, build = (linear_codes._rref, linear_codes._information_sets,
+                                     cli.build_grid_record)
+
+    def counted(field, mat):
+        calls.append(mat.shape)
+        return rref(field, mat)
+
+    def search(*args):
+        at_search.append(len(calls))
+        return information_sets(*args)
+
+    def recorded(*args):
+        records.append(build(*args))
+        return records[-1]
+
+    monkeypatch.setattr(linear_codes, "_rref", counted)
+    monkeypatch.setattr(css, "_rref", counted)
+    monkeypatch.setattr(linear_codes, "_information_sets", search)
+    monkeypatch.setattr(cli, "build_grid_record", recorded)
+    assert cli.main(["construct", "--preset", "ex1", "--mode", "bruteforce"]) == 0
+    assert "d and coset d agree with the closed forms" in capsys.readouterr().out
+    assert at_search == [1]
+    assert calls[0] == (8, 15 + 1)  # |Delta| rows, n code columns and one selector column
+    assert len(records) == 1 and "code" not in vars(records[0])

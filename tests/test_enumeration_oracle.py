@@ -10,6 +10,7 @@ counts nonzero entries and tests coset membership by the syndrome of the
 whole word.  All must give the same minima on every code.
 """
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -20,17 +21,23 @@ from hypothesis import strategies as st
 
 from qlrc import (
     build_grid_record,
+    closed_forms,
     euclidean_dual,
     from_spanning_set,
     make_field,
     min_distance_bruteforce,
     min_weights_bruteforce,
+    valid_a_values,
+    valid_b_values,
     zero_code,
 )
 from qlrc import linear_codes
+from qlrc.cli import PRESETS
+from qlrc.css import oracle_distances
 from qlrc.gf import split_prime_power
+from qlrc.verifier import prime_powers
 from qlrc.linear_codes import contains
-from helpers import (coset_min_weight_bruteforce, full_code, message_block,
+from helpers import (coset_min_weight_bruteforce, full_code, message_block, mirror_code,
                      split_coset_min_weight, split_min_distance)
 
 # -- the definition-level enumeration -----------------------------------------
@@ -222,7 +229,7 @@ def test_chunks_bound_the_traced_peak():
     assert (rec.n, rec.k) == (28, 15)
     tracemalloc.start()
     try:
-        pair = min_weights_bruteforce(rec.code, rec.mirror_code, budget=7 ** 15)
+        pair = min_weights_bruteforce(rec.code, mirror_code(rec), budget=7 ** 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,7 +254,57 @@ def test_grid_instances_match_block_loop(inst):
     """Includes GF(4) [16,10], the (4,4,4,1,1) instance."""
     q, H, V, a, b = inst
     rec = build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
-    pair = min_weights_blocks(rec.code, rec.mirror_code)
-    assert min_weights_bruteforce(rec.code, rec.mirror_code) == pair
+    pair = min_weights_blocks(rec.code, mirror_code(rec))
+    assert min_weights_bruteforce(rec.code, mirror_code(rec)) == pair
     assert min_distance_bruteforce(rec.code) == pair[0]
-    assert coset_min_weight_bruteforce(rec.code, rec.mirror_code) == pair[1]
+    assert coset_min_weight_bruteforce(rec.code, mirror_code(rec)) == pair[1]
+
+
+# -- the grid oracle against the library oracle -------------------------------
+
+# every valid (q <= 16, H, V, a, b) with q^|Delta| <= 2^16
+_SMALL_GRIDS = (
+    (3, 3, 3, 0, 0), (5, 3, 3, 0, 0), (7, 3, 3, 0, 0), (9, 3, 3, 0, 0),
+)
+
+
+def _assert_grid_oracle_matches_library(rec):
+    """css.oracle_distances, which row-reduces the evaluation rows of Delta
+    with a selector on the monomials outside Delta*, against
+    min_weights_bruteforce on the row-reduced code and mirror code."""
+    pair = oracle_distances(rec, budget=rec.grid.q ** rec.k)
+    assert pair == min_weights_bruteforce(rec.code, mirror_code(rec), rec.grid.q ** rec.k)
+    assert pair == (rec.d_formula, rec.coset_d_formula)
+
+
+@pytest.mark.parametrize("inst", _CRITERION_5 + ("ex1", "rem3"), ids=lambda inst: (
+    inst if isinstance(inst, str) else ",".join(map(str, inst))))
+def test_grid_oracle_matches_library_oracle(inst):
+    alpha = None
+    if isinstance(inst, str):
+        conf = PRESETS[inst]
+        inst, alpha = tuple(conf[key] for key in "qHVab"), conf["alpha"]
+    field = make_field(*split_prime_power(inst[0]), primitive=alpha)
+    _assert_grid_oracle_matches_library(build_grid_record(field, *inst[1:]))
+
+
+def test_small_grids_are_every_instance_within_2_to_16():
+    small = [(q, H, V, a, b) for q in prime_powers(16)
+             for H in range(3, q + 1) if (q - 1) % (H - 1) == 0
+             for V in range(3, q + 1) if (q - 1) % (V - 1) == 0
+             for a in valid_a_values(H) for b in valid_b_values(V)
+             if q ** closed_forms(H, V, a, b).size <= 2 ** 16]
+    assert tuple(small) == _SMALL_GRIDS
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SMALL_GRIDS), st.data())
+def test_grid_oracle_matches_library_oracle_on_any_primitive(inst, data):
+    # the axis points, and so the evaluation rows, follow the primitive element
+    q, H, V, a, b = inst
+    p, m = split_prime_power(q)
+    base = make_field(p, m)
+    alpha = data.draw(st.sampled_from(
+        [int(base._exp_np[t]) for t in range(1, q - 1) if math.gcd(t, q - 1) == 1]))
+    field = make_field(p, m, modulus=base.modulus, primitive=alpha)
+    _assert_grid_oracle_matches_library(build_grid_record(field, H, V, a, b))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (cyclic_powers, default_modulus_by_division, first_primitive_by_exponents,
-                     is_irreducible_by_division, poly_mod, poly_trim)
+                     is_irreducible_by_division, least_primitive_by_walk, poly_mod, poly_trim)
 from qlrc import gf, make_field, split_prime_power
 from qlrc.errors import NotPrimitive, ReducibleModulus
 from qlrc.gf import _digits, _encode, _prime_factors
@@ -190,6 +190,18 @@ def test_prime_fields_up_to_2_to_16_match_the_old_primitive():
         assert (f.modulus, f.primitive) == ((0, 1), g)
         idx = np.arange(0, p - 1, max(1, (p - 1) // 7))
         assert f._exp_np[idx].tolist() == [pow(g, int(i), p) for i in idx]
+
+
+def test_prime_fields_below_2000_walk_their_least_primitive_root():
+    # the exponent test picks the least g whose full walk has order p - 1,
+    # and the field's table is that walk
+    primes = [q for q in prime_powers(1999, start=2) if split_prime_power(q)[1] == 1]
+    assert len(primes) == 303
+    for p in primes:
+        f = make_field(p)
+        g, powers = least_primitive_by_walk(p)
+        assert (f.modulus, f.primitive) == ((0, 1), g), p
+        assert exp_table(f) == powers.tolist(), p
 
 
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (7, 2)])

@@ -28,8 +28,18 @@ def _same(obj):
 _ROWS = st.integers(0, 3).flatmap(lambda w: st.lists(
     st.lists(st.integers() | st.booleans(), min_size=w, max_size=w)
     | st.tuples(*[st.integers()] * w), max_size=6))
+# dicts that share one key tuple, with int, None and int-list values (a
+# certificate), and draws that must fall back: a bool or str value, a tuple,
+# a key order of their own
+_CELLS = (st.integers() | st.none() | st.lists(st.integers(), max_size=4)
+          | st.lists(st.integers() | st.booleans(), max_size=2) | st.booleans() | st.text()
+          | st.tuples(st.integers()))
+_ENTRIES = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.lists(_CELLS, min_size=len(keys), max_size=len(keys)).map(
+        lambda values: dict(zip(keys, values)))
+        | st.permutations(keys).map(lambda order: dict.fromkeys(order, 0)), max_size=5))
 _LEAVES = (st.none() | st.booleans() | st.integers() | st.text()
-           | st.floats(allow_nan=False) | _ROWS)
+           | st.floats(allow_nan=False) | _ROWS | _ENTRIES)
 _TREES = st.recursive(_LEAVES, lambda children: (
     st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
     | st.dictionaries(st.text(max_size=4), children, max_size=5)), max_leaves=30)
@@ -66,6 +76,16 @@ class Word(str):
     {1: "a"}, {True: 1, None: 2}, {None: [1]}, {"a": 1, 2: [3, 4]}, {1.5: 0}, {False: {}},
     {Word("w"): 1}, Word("w"), [Small.ONE], Small.ONE, 1.5, [float("inf"), -0.0],
     {"a": float("nan")},
+    # shared-key entries: the entry template, and entries that must fall back from it
+    [{"coordinate": 0, "repair_set": [1, 2], "punctured_distance": 2}] * 3,
+    [{"coordinate": 0, "repair_set": [1], "punctured_distance": None},
+     {"coordinate": 1, "repair_set": [], "punctured_distance": 2}],
+    [{"a": 1, "b": True}, {"a": 2, "b": 3}], [{"a": [1, False]}], [{"a": (1, 2)}],
+    [{"a": 1, "b": 2}, {"b": 3, "a": 4}], [{"a": 1}, {"a": 2, "b": 3}], [{"a": 1}, {"b": 1}],
+    [{"a": 1}, [1]], [{}, {}], [{"a": 1}, {}], [{1: 2}, {1: 3}], [{"a": Small.ONE}],
+    [{"%d": 1, "%s%%": [2], '"\\': None}] * 2, [{"a": [2**70, -1]}, {"a": -(2**70)}],
+    {"certificate": [{"c": 0, "r": [1, 2]}, {"c": 1, "r": []}]},
+    [[{"c": 0, "r": [1]}], [{"c": None, "r": []}, {"c": 2, "r": [3, 4]}]],
 ])
 def test_json_text_matches_on_edge_cases(obj):
     _same(obj)

@@ -26,7 +26,8 @@ from qlrc.errors import (
     LengthMismatch,
     NotSubcode,
 )
-from helpers import codeword, coset_min_weight_bruteforce, full_code, hermitian_dual, weight
+from helpers import (codeword, coset_min_weight_bruteforce, full_code, hermitian_dual,
+                     mirror_code, weight)
 from test_field_oracle import digit_add
 
 
@@ -98,16 +99,16 @@ def test_contains_and_row_space(ex1_record, rem3_record):
     assert not contains(c1, euclidean_dual(c1))
     c3 = rem3_record.code
     assert contains(c3, euclidean_dual(c3))
-    assert contains(c1, ex1_record.mirror_code)
+    assert contains(c1, mirror_code(ex1_record))
     assert in_row_space(c1, c1.generator[0])
-    assert in_row_space(c1, c1.generator) and in_row_space(c1, ex1_record.mirror_code.generator)
+    assert in_row_space(c1, c1.generator) and in_row_space(c1, mirror_code(ex1_record).generator)
     outside = np.vstack([c1.generator, euclidean_dual(c1).generator])
     assert not in_row_space(c1, outside)
     assert in_row_space(c1, np.zeros((0, c1.n), dtype=np.int64))
     with pytest.raises(LengthMismatch, match="^vector length 3 != code length 15$"):
         in_row_space(c1, outside[:, :3])
-    assert not in_row_space(ex1_record.mirror_code, c1.generator[0]) or \
-        ex1_record.mirror_code.k == c1.k
+    assert not in_row_space(mirror_code(ex1_record), c1.generator[0]) or \
+        mirror_code(ex1_record).k == c1.k
 
 
 def test_hermitian_self_dual_gf4(gf4):
@@ -132,10 +133,10 @@ def test_min_distance_budget(ex1_record):
 
 
 def test_coset_min_weight_values(ex1_record, rem3_record):
-    assert coset_min_weight_bruteforce(ex1_record.code, ex1_record.mirror_code) == 6
-    assert coset_min_weight_bruteforce(rem3_record.code, rem3_record.mirror_code) == 4
-    assert min_weights_bruteforce(ex1_record.code, ex1_record.mirror_code) == (3, 6)
-    assert min_weights_bruteforce(rem3_record.code, rem3_record.mirror_code) == (3, 4)
+    assert coset_min_weight_bruteforce(ex1_record.code, mirror_code(ex1_record)) == 6
+    assert coset_min_weight_bruteforce(rem3_record.code, mirror_code(rem3_record)) == 4
+    assert min_weights_bruteforce(ex1_record.code, mirror_code(ex1_record)) == (3, 6)
+    assert min_weights_bruteforce(rem3_record.code, mirror_code(rem3_record)) == (3, 4)
 
 
 def test_coset_against_zero_subcode_is_min_distance(rem3_record):
@@ -155,7 +156,7 @@ def test_coset_errors(gf3, rem3_record):
                            match="^subcode equals the code; the coset is empty$"):
             oracle(code, code)
         with pytest.raises(BudgetExceeded, match="exceeds budget 10$"):
-            oracle(code, rem3_record.mirror_code, budget=10)
+            oracle(code, mirror_code(rem3_record), budget=10)
 
 
 def test_one_pass_raises_in_the_order_of_the_two_oracles(gf3, rem3_record):

@@ -292,7 +292,7 @@ def test_collected_failure_row_keeps_the_closed_forms(monkeypatch):
 def test_disagreeing_oracle_exits_4_naming_both_distances(monkeypatch, capsys):
     from qlrc import css
 
-    monkeypatch.setattr(css, "min_weights_bruteforce", lambda code, sub, budget=None: (2, 4))
+    monkeypatch.setattr(css, "_min_weights", lambda field, aug, n, pivots: (2, 4))
     text = "error: (q=3,H=3,V=3,a=0,b=0) oracle disagrees: d 2 vs 3, coset 4 vs 4\n"
     assert cli.main(["construct", "--preset", "rem3", "--mode", "bruteforce"]) == 4
     assert capsys.readouterr().err == text
