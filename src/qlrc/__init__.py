@@ -46,15 +46,10 @@ from .gf import (
     split_prime_power,
 )
 from .grid_codes import (
-    DeltaParams,
     GridCodeRecord,
-    GridParams,
-    build_code,
     build_grid_record,
     closed_forms,
     delta_tops,
-    make_delta_params,
-    make_grid_params,
     record_to_json,
     valid_a_values,
     valid_b_values,

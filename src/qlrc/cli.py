@@ -24,7 +24,7 @@ from .bounds import BoundInput, evaluate_all
 from .css import css_from_grid, css_record_to_json
 from .errors import BudgetError, InternalCheckError, InvalidParameter, QlrcError
 from .gf import check_field_order, make_field, split_prime_power
-from .grid_codes import build_grid_record, instance_label, record_to_json
+from .grid_codes import build_grid_record, named_error, record_to_json
 from .linear_codes import contains
 from .lrc import (certify_dual_words, certify_grid_lines, certify_locality, coset_words,
                   heavy_row_check, lemma_family)
@@ -292,9 +292,7 @@ def _instance(args):
     try:
         yield build_grid_record(field, *instance[1:])
     except QlrcError as exc:
-        if str(exc).startswith("(q="):
-            raise
-        raise type(exc)(f"{instance_label(*instance)} {exc}") from exc
+        raise named_error(exc, *instance) from exc
 
 
 def _cmd_construct(args) -> int:
@@ -307,16 +305,16 @@ def _cmd_construct(args) -> int:
     if args.format == "json":
         _print_json({"grid": record_to_json(rec), "css": css_record_to_json(css)})
         return 0
-    field = rec.grid.field
+    field, forms = rec.field, rec.forms
     pairs = [
         ("field", f"GF({field.q}), p={field.p}, m={field.m}, "
                   f"modulus={list(field.modulus)}, alpha={field.primitive}"),
-        ("grid", f"H={rec.grid.H} V={rec.grid.V} a={rec.dp.a} b={rec.dp.b}"),
-        ("classical", f"[{rec.n}, {rec.k}, {rec.d_formula}]_{field.q}"),
-        ("coset d", str(rec.coset_d_formula)),
+        ("grid", f"H={rec.H} V={rec.V} a={rec.a} b={rec.b}"),
+        ("classical", f"[{rec.n}, {rec.k}, {forms.d}]_{field.q}"),
+        ("coset d", str(forms.coset_d)),
         ("css", f"[[{css.n}, {css.k}, {css.d}]]_{css.q}"),
-        ("locality", f"({rec.locality[0]}, {rec.locality[1]})"),
-        ("impure", str(rec.impure).lower()),
+        ("locality", f"({forms.locality[0]}, {forms.locality[1]})"),
+        ("impure", str(forms.impure).lower()),
         ("pure", str(css.pure).lower()),
         ("plain dual", str(rec.plain_dual).lower()),
         ("mode", css.distance_mode),
@@ -379,8 +377,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify_locality(args) -> int:
     with _instance(args) as rec:
-        r = args.loc_r if args.loc_r is not None else rec.locality[0]
-        delta = args.loc_delta if args.loc_delta is not None else rec.locality[1]
+        r = args.loc_r if args.loc_r is not None else rec.forms.locality[0]
+        delta = args.loc_delta if args.loc_delta is not None else rec.forms.locality[1]
         if args.strategy == "grid_lines":
             cert = certify_grid_lines(rec, r, delta)
         else:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AssertionFailed, InvalidParameter, NotDualContaining
 from .gf import FieldPair, quadratic_extension
-from .grid_codes import GridCodeRecord, _evaluation_rows, _exponents, closed_forms
+from .grid_codes import GridCodeRecord, _evaluation_rows, _exponents
 from .linear_codes import LinearCode, _check_budget, _min_weights, _rref, contains, euclidean_dual
 
 
@@ -35,35 +35,28 @@ def css_from_grid(rec: GridCodeRecord, distance_mode: str = "formula",
                   budget: int | None = None) -> CssRecord:
     if distance_mode not in ("formula", "bruteforce"):
         raise InvalidParameter(f"unknown distance mode {distance_mode!r}")
-    n = rec.n
-    k = 2 * rec.k - n
-    k_formula = closed_forms(rec.grid.H, rec.grid.V, rec.dp.a, rec.dp.b).quantum_k
-    if k != k_formula:
-        raise AssertionFailed(
-            f"quantum dimension mismatch: 2*dim - n = {k}, formula = {k_formula}")
-
     source = {
         "type": "grid",
-        "H": rec.grid.H,
-        "V": rec.grid.V,
-        "a": rec.dp.a,
-        "b": rec.dp.b,
+        "H": rec.H,
+        "V": rec.V,
+        "a": rec.a,
+        "b": rec.b,
         "plain_dual": rec.plain_dual,
     }
     if distance_mode == "formula":
-        d = rec.coset_d_formula
-        d_classical = rec.d_formula
+        d = rec.forms.coset_d
+        d_classical = rec.forms.d
     else:
         d_classical, d = oracle_distances(rec, budget)
         source["oracle_agreement"] = {"d": True, "coset_d": True}
 
     return CssRecord(
-        n=n,
-        k=k,
+        n=rec.n,
+        k=2 * rec.k - rec.n,
         d=d,
-        q=rec.grid.q,
+        q=rec.q,
         pure=(d_classical == d),
-        locality=rec.locality,
+        locality=rec.forms.locality,
         distance_mode=distance_mode,
         source=source,
     )
@@ -80,7 +73,7 @@ def oracle_distances(rec: GridCodeRecord, budget: int | None = None) -> tuple[in
     Delta, so c is in C(Delta*) exactly when m vanishes off Delta*, that
     is, when m S = 0.  S is the coset syndrome, carried by row reduction.
     """
-    field, n = rec.grid.field, rec.n
+    field, n = rec.field, rec.n
     _check_budget(field.q, rec.k, budget)
     i, j = _exponents(rec.tops)
     outside = np.flatnonzero(i > rec.tops_perp[j])
@@ -91,10 +84,10 @@ def oracle_distances(rec: GridCodeRecord, budget: int | None = None) -> tuple[in
     if len(pivots) != len(i) or pivots[-1] >= n:
         raise AssertionFailed("the evaluation rows of Delta are dependent")
     d, coset_d = _min_weights(field, aug, n, pivots)
-    if (d, coset_d) != (rec.d_formula, rec.coset_d_formula):
+    if (d, coset_d) != (rec.forms.d, rec.forms.coset_d):
         raise AssertionFailed(
-            f"oracle disagrees: d {d} vs {rec.d_formula}, "
-            f"coset {coset_d} vs {rec.coset_d_formula}")
+            f"oracle disagrees: d {d} vs {rec.forms.d}, "
+            f"coset {coset_d} vs {rec.forms.coset_d}")
     return d, coset_d
 
 

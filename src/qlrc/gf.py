@@ -439,9 +439,10 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
     When modulus/primitive are omitted the defaults are deterministic: the
     irreducible monic polynomial whose non-leading coefficient vector has
     the smallest integer encoding, and the primitive element with the
-    smallest integer encoding.  Ben-Or's test decides every candidate
-    modulus of a window at once; the least primitive root of a prime field,
-    or one generator h of an extension field, is walked (module docstring).
+    smallest integer encoding.  A prime field takes only the modulus X.
+    Ben-Or's test decides every candidate modulus of a window at once; the
+    least primitive root of a prime field, or one generator h of an
+    extension field, is walked (module docstring).
     Orders above the cap raise InvalidParameter before p is factored.
     """
     if isinstance(p, int) and p >= 2 and isinstance(m, int) and m >= 1:
@@ -452,12 +453,16 @@ def make_field(p: int, m: int = 1, modulus=None, primitive=None) -> FieldSpec:
         raise InvalidParameter(f"extension degree must be a positive integer, got {m}")
     q = p**m
 
-    if modulus is None or m == 1:
-        modulus, x = _default_modulus(p, m)
-    else:
+    if modulus is not None:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise InvalidParameter(f"modulus must be monic of degree {m}, got {modulus}")
+        if m == 1 and modulus[0]:  # an element of GF(p) is encoded as its residue mod X
+            raise InvalidParameter(
+                f"GF({p}) is defined modulo X = (0, 1), got the modulus {modulus}")
+    if modulus is None or m == 1:
+        modulus, x = _default_modulus(p, m)
+    else:
         x = _times_x(np.array([modulus[:m]]), p)
         if not _irreducible(x, p)[0]:
             raise ReducibleModulus(f"{modulus} is reducible over GF({p})")

@@ -10,14 +10,17 @@ the inverse derivative values of the grid vanishing polynomials
 X^H - X and Y^V - Y; the rescaling is constant exactly when p | H and
 p | V, in which case the dual and the mirror coincide as codes.
 
-build_code proves these facts from the band tops and one check per axis,
-in O(H + V) work, without forming a generator matrix or evaluating a word:
+A record is fixed by the field and (H, V, a, b), and build_grid_record is
+the one way to make it.  It checks that these name a valid instance, then
+proves these facts from the band tops and one check per axis, in O(H + V)
+work, without forming a generator matrix or evaluating a word:
 
 * Injectivity.  Evaluating every x^i y^j (i < H, j < V) on the grid is
   the Kronecker product of the two axis Vandermonde matrices, invertible
   when each axis has distinct points.  So dim C(Delta) = |Delta|, and a
   codeword lies in C(Delta) exactly when its coefficients lie in Delta.
-* Duality.  build_code checks that the N points of each axis are
+  build_grid_record requires |Delta| to equal the closed form.
+* Duality.  build_grid_record checks that the N points of each axis are
   distinct, the first is 0 and every other z has z^(N-1) = 1.  N - 1
   distinct roots of Z^(N-1) - 1 in GF(q)* make N - 1 divide q - 1, so N - 1
   is a unit mod p, and g_N'(z) = N z^(N-1) - 1 is N - 1 at every root and
@@ -42,8 +45,8 @@ in O(H + V) work, without forming a generator matrix or evaluating a word:
   and y not among the y_t.
 * Coset distance.  The least weight of C(Delta) outside C(Delta*) is
   bounded the same way over the bands where Delta reaches past Delta*
-  (band_distances).  build_code requires both distances to equal the
-  closed forms.
+  (band_distances).  build_grid_record requires both distances to equal
+  the closed forms.
 
 The generator matrix of C(Delta) is built from the axis points and
 row-reduced only when `code` is first read.
@@ -63,27 +66,10 @@ from .errors import (
     DualityViolated,
     InjectivityViolated,
     ParamRangeViolated,
+    QlrcError,
 )
 from .gf import FieldSpec, field_to_json
 from .linear_codes import LinearCode, from_spanning_set
-
-
-@dataclass(frozen=True)
-class GridParams:
-    H: int
-    V: int
-    q: int
-    field: FieldSpec
-
-    @property
-    def n(self) -> int:
-        return self.H * self.V
-
-
-@dataclass(frozen=True)
-class DeltaParams:
-    a: int
-    b: int
 
 
 # Largest n * (H + V).  A record costs O(H + V); the cap bounds what costs
@@ -95,22 +81,19 @@ class DeltaParams:
 GRID_WORK_CAP = 2**27
 
 
-def make_grid_params(H: int, V: int, field: FieldSpec) -> GridParams:
+def _check_grid(q: int, H: int, V: int) -> None:
+    """H and V are ints, both at least 3, q is at least 3, and H - 1 and
+    V - 1 divide q - 1."""
     if not (isinstance(H, int) and isinstance(V, int)):
         raise ParamRangeViolated("H and V must be integers")
     if H < 3 or V < 3:
         raise ParamRangeViolated(f"need H >= 3 and V >= 3, got H={H}, V={V}")
-    q = field.q
     if q < 3:
         raise ParamRangeViolated(f"need q >= 3, got q={q}")
     if (q - 1) % (H - 1) != 0:
         raise DivisibilityViolated(f"H-1 = {H - 1} does not divide q-1 = {q - 1}")
     if (q - 1) % (V - 1) != 0:
         raise DivisibilityViolated(f"V-1 = {V - 1} does not divide q-1 = {q - 1}")
-    if H * V * (H + V) > GRID_WORK_CAP:
-        raise ParamRangeViolated(
-            f"n*(H+V) = {H * V * (H + V)} exceeds the cap {GRID_WORK_CAP}")
-    return GridParams(H, V, q, field)
 
 
 def _half(x: int) -> str:
@@ -126,11 +109,6 @@ def _check_ab(H: int, V: int, a: int, b: int) -> None:
         raise ParamRangeViolated(f"need {(H - 1) % 2} <= a < {_half(H - 1)}, got a={a}")
     if not ((V - 1) % 2 <= b and 2 * b < V - 1):
         raise ParamRangeViolated(f"need {(V - 1) % 2} <= b < {_half(V - 1)}, got b={b}")
-
-
-def make_delta_params(grid: GridParams, a: int, b: int) -> DeltaParams:
-    _check_ab(grid.H, grid.V, a, b)
-    return DeltaParams(a, b)
 
 
 def valid_a_values(H: int) -> list[int]:
@@ -252,33 +230,44 @@ def _axis_moments(N: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridCodeRecord:
-    """A proved grid code: build_code checked its axis points, dimension,
-    duality and both distances.  `code` is built from the axis points and
+    """A proved grid code on the instance (field, H, V, a, b):
+    build_grid_record checked the instance, the axis points, the dimension,
+    the duality and both distances, and `forms` holds the closed forms they
+    were checked against.  `code` is built from the axis points and
     row-reduced the first time it is read."""
 
-    grid: GridParams
-    dp: DeltaParams
+    field: FieldSpec
+    H: int
+    V: int
+    a: int
+    b: int
     tops: np.ndarray  # band tops of Delta (delta_tops)
     tops_perp: np.ndarray  # band tops of Delta*
-    plain_dual: bool
-    d_formula: int
-    coset_d_formula: int
-    locality: tuple[int, int]
-    impure: bool
     points: tuple[np.ndarray, np.ndarray]  # the x- and y-axis points
+    forms: ClosedForms
+
+    @property
+    def q(self) -> int:
+        return self.field.q
 
     @property
     def n(self) -> int:
-        return self.grid.n
+        return self.H * self.V
 
     @property
     def k(self) -> int:
         return int((self.tops + 1).sum())
 
+    @property
+    def plain_dual(self) -> bool:
+        """The twist is constant, so C(Delta)^perp is the mirror code itself,
+        exactly when p divides H and V."""
+        return self.H % self.field.p == 0 and self.V % self.field.p == 0
+
     @cached_property
     def code(self) -> LinearCode:
-        field = self.grid.field
-        return from_spanning_set(field, _evaluation_rows(field, *self.points, self.tops))
+        return from_spanning_set(self.field,
+                                 _evaluation_rows(self.field, *self.points, self.tops))
 
 
 def _twisted_orthogonal(mx: np.ndarray, my: np.ndarray,
@@ -306,6 +295,15 @@ def instance_label(q: int, H: int, V: int, a: int, b: int) -> str:
     return f"(q={q},H={H},V={V},a={a},b={b})"
 
 
+def named_error(exc: QlrcError, q: int, H: int, V: int, a: int, b: int) -> QlrcError:
+    """A copy of exc whose message starts with the instance label, added
+    only when the message does not already start with one."""
+    message = str(exc)
+    if not message.startswith("(q="):
+        message = f"{instance_label(q, H, V, a, b)} {message}"
+    return type(exc)(message)
+
+
 def _require_distinct(where: str, axis: str, pts: np.ndarray) -> None:
     ordered = np.sort(pts)
     if (ordered[1:] == ordered[:-1]).any():
@@ -323,10 +321,16 @@ def _check_axis(where: str, axis: str, field: FieldSpec, pts: np.ndarray) -> Non
             f"{where} the {axis}-axis points are not 0 and the roots of Z^{len(pts) - 1} - 1")
 
 
-def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
-    H, V, field = grid.H, grid.V, grid.field
-    a, b = dp.a, dp.b
-    where = instance_label(grid.q, H, V, a, b)
+def build_grid_record(field: FieldSpec, H: int, V: int,
+                      a: int, b: int) -> GridCodeRecord:
+    """The proved record of (field, H, V, a, b).  Invalid parameters raise
+    InvalidParameter; a failed proof raises an InternalCheckError that
+    names the instance."""
+    _check_grid(field.q, H, V)
+    if H * V * (H + V) > GRID_WORK_CAP:
+        raise ParamRangeViolated(
+            f"n*(H+V) = {H * V * (H + V)} exceeds the cap {GRID_WORK_CAP}")
+    where = instance_label(field.q, H, V, a, b)
     tops, tops_perp = delta_tops(H, V, a, b)
     # a square grid's two axes are one axis: its points are made and checked once
     square = H == V
@@ -342,15 +346,19 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
     # two dimensions equal.
     if not (tops_perp <= tops).all():
         raise DualityViolated(f"{where} Delta* is not contained in Delta")
-    size = int((tops + 1).sum() + (tops_perp + 1).sum())
-    if size != grid.n:
-        raise DualityViolated(f"{where} |Delta| + |Delta*| = {size} != n = {grid.n}")
+    k = int((tops + 1).sum())
+    size = k + int((tops_perp + 1).sum())
+    if size != H * V:
+        raise DualityViolated(f"{where} |Delta| + |Delta*| = {size} != n = {H * V}")
     mx = _axis_moments(H)
     if not _twisted_orthogonal(mx, mx if square else _axis_moments(V), tops, tops_perp):
         raise DualityViolated(
             f"{where} the code is not orthogonal to the rescaled mirror code")
 
     forms = closed_forms(H, V, a, b)
+    if k != forms.size:
+        raise AssertionFailed(
+            f"{where} band tops give |Delta| = {k}, not the closed form {forms.size}")
     d, coset_d = band_distances(H, tops, tops_perp)
     if d != forms.d:
         raise AssertionFailed(f"{where} band corners give d = {d}, not the closed form {forms.d}")
@@ -358,33 +366,22 @@ def build_code(grid: GridParams, dp: DeltaParams) -> GridCodeRecord:
         raise AssertionFailed(
             f"{where} band corners give coset d = {coset_d}, not the closed form {forms.coset_d}")
 
-    return GridCodeRecord(
-        grid=grid, dp=dp, tops=tops, tops_perp=tops_perp,
-        plain_dual=(H % field.p == 0) and (V % field.p == 0),
-        d_formula=forms.d, coset_d_formula=forms.coset_d, locality=forms.locality,
-        impure=forms.impure, points=(xs, ys))
-
-
-def build_grid_record(field: FieldSpec, H: int, V: int,
-                      a: int, b: int) -> GridCodeRecord:
-    """One-call construction from a field and the four grid parameters."""
-    grid = make_grid_params(H, V, field)
-    return build_code(grid, make_delta_params(grid, a, b))
+    return GridCodeRecord(field, H, V, a, b, tops, tops_perp, (xs, ys), forms)
 
 
 def record_to_json(rec: GridCodeRecord) -> dict:
     return {
-        "H": rec.grid.H,
-        "V": rec.grid.V,
-        "q": rec.grid.q,
-        "a": rec.dp.a,
-        "b": rec.dp.b,
-        "field": field_to_json(rec.grid.field),
+        "H": rec.H,
+        "V": rec.V,
+        "q": rec.q,
+        "a": rec.a,
+        "b": rec.b,
+        "field": field_to_json(rec.field),
         "delta": np.column_stack(_exponents(rec.tops)).tolist(),
         "n": rec.n,
         "k": rec.k,
-        "d_formula": rec.d_formula,
-        "coset_d_formula": rec.coset_d_formula,
-        "locality": list(rec.locality),
-        "impure": rec.impure,
+        "d_formula": rec.forms.d,
+        "coset_d_formula": rec.forms.coset_d,
+        "locality": list(rec.forms.locality),
+        "impure": rec.forms.impure,
     }

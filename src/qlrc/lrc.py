@@ -285,11 +285,11 @@ def certify_grid_lines(rec: GridCodeRecord, r: int, delta: int) -> LocalityCerti
     y points or a column rank other than J + 1 raise InjectivityViolated."""
     _validate_rd(r, delta)
     size_cap = r + delta - 1
-    H, V = rec.grid.H, rec.grid.V
+    H, V = rec.H, rec.V
     if V > size_cap:
         raise NotLocallyRecoverable(
             f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
-    where = instance_label(rec.grid.q, H, V, rec.dp.a, rec.dp.b)
+    where = instance_label(rec.q, H, V, rec.a, rec.b)
     _require_distinct(where, "y", rec.points[1])
     bands = np.flatnonzero(rec.tops >= 0)
     J = int(bands[-1])

@@ -49,9 +49,12 @@ from .errors import (
 )
 from .gf import FIELD_ORDER_CAP, check_field_order, make_field, split_prime_power
 from .grid_codes import (
+    _check_ab,
+    _check_grid,
     build_grid_record,
     closed_forms,
     instance_label,
+    named_error,
     valid_a_values,
     valid_b_values,
 )
@@ -253,7 +256,7 @@ def _run_one(task) -> VerdictRow:
         if collect:  # the FAIL line names the instance
             return VerdictRow(mode=mode, q=q, H=H, V=V, a=a, b=b,
                               **_closed_forms(H, V, a, b), ok=False, message=str(exc))
-        raise type(exc)(f"{instance_label(q, H, V, a, b)} {exc}") from exc
+        raise named_error(exc, q, H, V, a, b) from exc
 
 
 def check_theorem(mode: str, q: int, H: int, V: int, a: int, b: int = 0) -> VerdictRow:
@@ -266,10 +269,11 @@ def check_theorem(mode: str, q: int, H: int, V: int, a: int, b: int = 0) -> Verd
         raise ParamRangeViolated(f"unknown theorem {mode!r}")
     split_prime_power(q)  # raises on invalid q
     label = instance_label(q, H, V, a, b)
-    if not (H >= 3 and V >= 3 and q >= 3
-            and (q - 1) % (H - 1) == 0 and (q - 1) % (V - 1) == 0
-            and a in valid_a_values(H) and b in valid_b_values(V)):
-        raise HypothesisViolated(f"{label} is not a valid grid instance")
+    try:
+        _check_grid(q, H, V)
+        _check_ab(H, V, a, b)
+    except InvalidParameter as exc:
+        raise HypothesisViolated(f"{label} is not a valid grid instance") from exc
     if not _THEOREMS[mode].hypothesis(q, H, V, a, b):
         raise HypothesisViolated(f"{label} is outside the {mode} hypothesis")
     return _run_one((mode, q, H, V, a, b, 0, False))  # budget 0: no oracle

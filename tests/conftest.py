@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from qlrc import build_code, make_delta_params, make_field, make_grid_params
+from qlrc import build_grid_record, make_field
 from qlrc import grid_codes, linear_codes, verifier
 from qlrc.errors import AssertionFailed
 
@@ -42,29 +42,24 @@ def gf9():
     return make_field(3, 2)
 
 
-def _record(field, H, V, a, b):
-    grid = make_grid_params(H, V, field)
-    return build_code(grid, make_delta_params(grid, a, b))
-
-
 @pytest.fixture(scope="session")
 def ex1_record(gf5):
-    return _record(gf5, 5, 3, 0, 0)
+    return build_grid_record(gf5, 5, 3, 0, 0)
 
 
 @pytest.fixture(scope="session")
 def rem3_record(gf3):
-    return _record(gf3, 3, 3, 0, 0)
+    return build_grid_record(gf3, 3, 3, 0, 0)
 
 
 @pytest.fixture(scope="session")
 def ex1e_record(gf8):
-    return _record(gf8, 8, 8, 1, 1)
+    return build_grid_record(gf8, 8, 8, 1, 1)
 
 
 @pytest.fixture(scope="session")
 def grid55_record(gf5):
-    return _record(gf5, 5, 5, 0, 0)
+    return build_grid_record(gf5, 5, 5, 0, 0)
 
 
 @pytest.fixture(scope="session")

@@ -265,8 +265,8 @@ def witness(rec) -> Witness:
     """prod_{i<A} (x - x_i) * prod_{j<B} (y - y_j), A = floor(h + a) and
     B = floor(v + b), on the record's grid: the word of least weight
     outside the mirror code (`grid_codes.band_distances`)."""
-    field, (xs, ys), (H, V) = rec.grid.field, rec.points, (rec.grid.H, rec.grid.V)
-    A, B = (H - 1) // 2 + rec.dp.a, (V - 1) // 2 + rec.dp.b
+    field, (xs, ys), (H, V) = rec.field, rec.points, (rec.H, rec.V)
+    A, B = (H - 1) // 2 + rec.a, (V - 1) // 2 + rec.b
     vx, cx, px = axis_witness(field, xs, A)
     vy, cy, py = axis_witness(field, ys, B)
     support = np.zeros((H, V), dtype=bool)
@@ -287,11 +287,10 @@ def moments(field, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
                      len(es), len(pts))
 
 
-def twist_vector(grid) -> np.ndarray:
+def twist_vector(field, H: int, V: int) -> np.ndarray:
     """w_t = 1 / (g_H'(x_t) * g_V'(y_t)) for g_N(Z) = Z^N - Z, from
     grid_codes' axis points as they are at call time."""
-    f = grid.field
-    return outer(f, *(inv_derivs(f, grid_codes._axis_points(f, N), N) for N in (grid.H, grid.V)))
+    return outer(field, *(inv_derivs(field, grid_codes._axis_points(field, N), N) for N in (H, V)))
 
 
 def vanishing_values_by_loop(field, pts: np.ndarray, count: int) -> np.ndarray:
@@ -351,7 +350,7 @@ def coset_min_weight_bruteforce(code: LinearCode, sub: LinearCode,
 def mirror_code(rec) -> LinearCode:
     """C(Delta*), the mirror subcode of a grid record, row-reduced from the
     evaluation rows of Delta*."""
-    field = rec.grid.field
+    field = rec.field
     return from_spanning_set(
         field, grid_codes._evaluation_rows(field, *rec.points, rec.tops_perp))
 

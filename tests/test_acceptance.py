@@ -85,7 +85,7 @@ def test_criterion_3_ex1e_formula():
     start = time.monotonic()
     field = make_field(2, 3, modulus=(1, 1, 0, 1))
     rec = build_grid_record(field, 8, 8, 1, 1)
-    assert (rec.n, rec.k, rec.d_formula) == (64, 34, 6)
+    assert (rec.n, rec.k, rec.forms.d) == (64, 34, 6)
     css = css_from_grid(rec)
     assert (css.n, css.k, css.d, css.q) == (64, 4, 16, 8)
     assert css.locality == (5, 4)
@@ -134,10 +134,10 @@ def _assert_oracles_match_formulas(instances, budget):
     for q, H, V, a, b in instances:
         rec = build_grid_record(make_field(*_split(q)), H, V, a, b)
         d = min_distance_bruteforce(rec.code, budget=budget)
-        assert d == rec.d_formula, (q, H, V, a, b, d, rec.d_formula)
+        assert d == rec.forms.d, (q, H, V, a, b, d, rec.forms.d)
         coset = coset_min_weight_bruteforce(rec.code, mirror_code(rec),
                                             budget=budget)
-        assert coset == rec.coset_d_formula, (q, H, V, a, b, coset)
+        assert coset == rec.forms.coset_d, (q, H, V, a, b, coset)
 
 
 def test_criterion_5_oracle_formula_equivalence():
@@ -185,9 +185,9 @@ def test_oracle_reach_past_2_24():
         rec = build_grid_record(make_field(*_split(q)), H, V, a, b)
         assert q ** rec.k > 2 ** 24
         ks.append(rec.k)
-        assert oracle_distances(rec, budget=q ** rec.k) == (rec.d_formula, rec.coset_d_formula)
+        assert oracle_distances(rec, budget=q ** rec.k) == (rec.forms.d, rec.forms.coset_d)
         if (q, H, V, a, b) == (5, 5, 5, 0, 0):
-            assert rec.coset_d_formula == 9
+            assert rec.forms.coset_d == 9
     assert (min(ks), max(ks)) == (8, 17)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"oracle reach past 2^24 took {elapsed:.1f}s"

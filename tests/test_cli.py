@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlrc import BoundInput, cli, lrc, sphere_packing_like
+from qlrc import BoundInput, cli, grid_codes, lrc, sphere_packing_like
 from qlrc.gf import field_from_json
 
 
@@ -119,6 +119,118 @@ def test_construct_budget_refusal_names_the_instance(capsys):
     assert (rc, out) == (3, "")
     assert err == ("error: (q=4,H=4,V=4,a=1,b=1) enumeration of 4^10 = 1048576 "
                    "codewords exceeds budget 1000\n")
+
+
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Replace fn at every qlrc module that holds it under some name."""
+    for name, module in list(sys.modules.items()):
+        if name == "qlrc" or name.startswith("qlrc."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _bump_distances(dd, dc):
+    """A patch: band_distances with d raised by dd and coset d by dc."""
+    def patch(monkeypatch):
+        original = grid_codes.band_distances
+
+        def bumped(*args):
+            d, coset_d = original(*args)
+            return d + dd, coset_d + dc
+
+        _patch_everywhere(monkeypatch, original, bumped)
+    return patch
+
+
+def _bump_size(monkeypatch):
+    """closed_forms with |Delta| one larger, and the quantum dimension
+    2|Delta| - n with it."""
+    original = grid_codes.closed_forms
+
+    def bumped(*args):
+        forms = original(*args)
+        return forms._replace(size=forms.size + 1, quantum_k=forms.quantum_k + 2)
+
+    _patch_everywhere(monkeypatch, original, bumped)
+
+
+# Every construct error from the grid checks on, with its exit code and its
+# whole stderr; the proof failures are made by a patch.
+_CONSTRUCT_ERRORS = {
+    "H below 3": ("--q 5 --H 2 --V 3 --a 0 --b 0", None, 2,
+                  "(q=5,H=2,V=3,a=0,b=0) need H >= 3 and V >= 3, got H=2, V=3"),
+    "q = 2": ("--q 2 --H 3 --V 3 --a 0 --b 0", None, 2,
+              "(q=2,H=3,V=3,a=0,b=0) need q >= 3, got q=2"),
+    "H-1 divides no q-1": ("--q 5 --H 4 --V 3 --a 0 --b 0", None, 2,
+                           "(q=5,H=4,V=3,a=0,b=0) H-1 = 3 does not divide q-1 = 4"),
+    "V-1 divides no q-1": ("--q 5 --H 5 --V 4 --a 0 --b 1", None, 2,
+                           "(q=5,H=5,V=4,a=0,b=1) V-1 = 3 does not divide q-1 = 4"),
+    "work cap": ("--q 6689 --H 6689 --V 3 --a 0 --b 0", None, 2,
+                 "(q=6689,H=6689,V=3,a=0,b=0) n*(H+V) = 134288364 exceeds the cap 134217728"),
+    "a too large": ("--q 5 --H 5 --V 3 --a 2 --b 0", None, 2,
+                    "(q=5,H=5,V=3,a=2,b=0) need 0 <= a < 2, got a=2"),
+    "b too large": ("--q 5 --H 5 --V 3 --a 0 --b 1", None, 2,
+                    "(q=5,H=5,V=3,a=0,b=1) need 0 <= b < 1, got b=1"),
+    "d proof": ("--q 5 --H 5 --V 3 --a 0 --b 0", _bump_distances(1, 0), 4,
+                "(q=5,H=5,V=3,a=0,b=0) band corners give d = 4, not the closed form 3"),
+    "coset d proof": ("--q 5 --H 5 --V 3 --a 0 --b 0", _bump_distances(0, 1), 4,
+                      "(q=5,H=5,V=3,a=0,b=0) band corners give coset d = 7, "
+                      "not the closed form 6"),
+    "dimension proof": ("--q 5 --H 5 --V 3 --a 0 --b 0", _bump_size, 4,
+                        "(q=5,H=5,V=3,a=0,b=0) band tops give |Delta| = 8, "
+                        "not the closed form 9"),
+}
+
+
+@pytest.mark.parametrize("case", _CONSTRUCT_ERRORS.values(), ids=_CONSTRUCT_ERRORS)
+def test_construct_error_paths_keep_their_exit_and_stderr(capsys, monkeypatch, case):
+    flags, patch, code, message = case
+    if patch is not None:
+        patch(monkeypatch)
+    for fmt in ("table", "json"):
+        rc, out, err = run_cli(capsys, "construct", *flags.split(), "--format", fmt)
+        assert (rc, out, err) == (code, "", f"error: {message}\n")
+
+
+def test_construct_takes_the_closed_forms_once(capsys, monkeypatch):
+    calls = []
+    original = grid_codes.closed_forms
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    _patch_everywhere(monkeypatch, original, counted)
+    rc, _, err = run_cli(capsys, "construct", "--preset", "ex1")
+    assert (rc, err) == (0, "")
+    assert calls == [(5, 3, 0, 0)]
+
+
+def test_sweep_names_a_record_error_once(capsys, monkeypatch):
+    # (3,3,3,0,0) runs its oracle, so sweep builds its record
+    _bump_distances(1, 0)(monkeypatch)
+    message = "(q=3,H=3,V=3,a=0,b=0) band corners give d = 4, not the closed form 3"
+    rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--format", "json")
+    assert (rc, out, err) == (4, "", f"error: {message}\n")
+    rc, out, err = run_cli(capsys, "sweep", "--q", "3", "--format", "json", "--collect")
+    assert rc == 4
+    assert err == f"rows=1 failures=1 skipped=0\nFAIL (3, 3, 3, 0, 0): {message}\n"
+
+
+@pytest.mark.parametrize("modulus, message", [
+    ("x2+1", "modulus must be monic of degree 1, got (1, 0, 1)"),
+    ("2x", "modulus must be monic of degree 1, got (0, 2)"),
+    ("x+1", "GF(5) is defined modulo X = (0, 1), got the modulus (1, 1)"),
+], ids=["degree 2", "not monic", "X + 1"])
+def test_prime_field_refuses_a_modulus_other_than_x(capsys, modulus, message):
+    rc, out, err = run_cli(capsys, "construct", "--q", "5", "--H", "5", "--V", "3",
+                           "--a", "0", "--b", "0", "--modulus", modulus)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    rc, out, err = run_cli(capsys, "construct", "--q", "5", "--H", "5", "--V", "3",
+                           "--a", "0", "--b", "0", "--modulus", "x")
+    assert (rc, err) == (0, "")
+    assert "modulus=[0, 1]" in out
 
 
 def _child_env():

@@ -1,23 +1,23 @@
-"""Definition-level construction, kept as the oracle for build_code.
+"""Definition-level construction, kept as the oracle for build_grid_record.
 
-build_code proves a record's dimension, twisted duality and distances
+build_grid_record proves a record's dimension, twisted duality and distances
 from the band tops and one check per axis, and builds the generator
 matrices only when they are read.  Two older constructions are kept here.  `oracle_record` is the
 definition: every monomial evaluated point by point, the witness
 polynomial expanded and evaluated, the row-by-row RREF, and the duality
 checked by comparing the full Euclidean dual with the rescaled mirror
-code.  `matrix_proof` is the proof build_code ran before it worked on the
+code.  `matrix_proof` is the proof build_grid_record ran before it worked on the
 axes: two n-column RREFs, one orthogonality product G diag(w) G*^T and
 two row-space reductions of the evaluated witness.  Records must agree with both
-entry for entry, and on corrupted inputs the matrix proof and build_code
-must raise the same error class.
+entry for entry, and on corrupted inputs the matrix proof and
+build_grid_record must raise the same error class.
 
-`moment_matrix_orthogonal` is the duality test build_code ran before it
+`moment_matrix_orthogonal` is the duality test build_grid_record ran before it
 used the rank-one twist: H x (2H - 1) and V x (2V - 1) axis power tables
 and the full (2H - 1) x (2V - 1) moment matrix of the twist vector.  The
 axis-moment test must agree with it on valid and corrupted instances, and
-the evaluated moments and twist must equal the closed forms build_code
-takes.
+the evaluated moments and twist must equal the closed forms
+build_grid_record takes.
 """
 
 import functools
@@ -29,18 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlrc import (
-    DeltaParams,
-    GridParams,
     LinearCode,
-    build_code,
+    build_grid_record,
     closed_forms,
     contains,
     euclidean_dual,
     from_spanning_set,
     in_row_space,
-    make_delta_params,
     make_field,
-    make_grid_params,
     min_weights_bruteforce,
     record_to_json,
     valid_a_values,
@@ -55,7 +51,7 @@ from qlrc.errors import (
     InjectivityViolated,
     InternalCheckError,
 )
-from qlrc.gf import split_prime_power
+from qlrc.gf import FieldSpec, split_prime_power
 from qlrc.linear_codes import _rref
 from qlrc.verifier import prime_powers
 from helpers import (
@@ -84,10 +80,10 @@ def _axis_points(field, count):
     return pts
 
 
-def build_grid(grid):
+def build_grid(field, H, V):
     """Grid points as (x, y) encodings, position (i, j) -> i*V + j."""
-    xs = _axis_points(grid.field, grid.H)
-    ys = _axis_points(grid.field, grid.V)
+    xs = _axis_points(field, H)
+    ys = _axis_points(field, V)
     return [(x, y) for x in xs for y in ys]
 
 
@@ -110,17 +106,15 @@ def evaluate(field, poly, points, H, V):
     return values
 
 
-def twist_by_point(grid):
+def twist_by_point(field, H, V):
     """w_t = 1 / (g_H'(x_t) * g_V'(y_t)) for g_N(Z) = Z^N - Z."""
-    field = grid.field
-
     def deriv(N, z):
         lead = field.mul(N % field.p, field.pow(z, N - 1))
         return field.sub(lead, 1)
 
-    out = np.zeros(grid.n, dtype=np.int64)
-    for t, (x, y) in enumerate(build_grid(grid)):
-        out[t] = field.inv(field.mul(deriv(grid.H, x), deriv(grid.V, y)))
+    out = np.zeros(H * V, dtype=np.int64)
+    for t, (x, y) in enumerate(build_grid(field, H, V)):
+        out[t] = field.inv(field.mul(deriv(H, x), deriv(V, y)))
     return out
 
 
@@ -136,13 +130,10 @@ def _expand_root_product(field, roots):
     return coeffs
 
 
-def witness_polynomial(grid, dp):
+def witness_polynomial(field, H, V, a, b):
     """F(X, Y) = prod_{i < floor(h+a)} (X - x_i) * prod_{j < floor(v+b)} (Y - y_j)."""
-    field = grid.field
-    fa = (grid.H - 1) // 2 + dp.a
-    fb = (grid.V - 1) // 2 + dp.b
-    xs = _axis_points(field, grid.H)[:fa]
-    ys = _axis_points(field, grid.V)[:fb]
+    xs = _axis_points(field, H)[:(H - 1) // 2 + a]
+    ys = _axis_points(field, V)[:(V - 1) // 2 + b]
     cx = _expand_root_product(field, xs)
     cy = _expand_root_product(field, ys)
     poly = {}
@@ -207,36 +198,38 @@ class OracleRecord(NamedTuple):
     """The fields of a GridCodeRecord, with k taken from the RREF rank and
     the band tops read off the monomial tuple delta."""
 
-    grid: GridParams
-    dp: DeltaParams
+    field: FieldSpec
+    H: int
+    V: int
+    a: int
+    b: int
     delta: tuple
     tops: np.ndarray
     code: LinearCode
     mirror_code: LinearCode
     plain_dual: bool
-    d_formula: int
-    coset_d_formula: int
-    locality: tuple
-    impure: bool
+    forms: grid_codes.ClosedForms
     witness: np.ndarray
 
     @property
+    def q(self):
+        return self.field.q
+
+    @property
     def n(self):
-        return self.grid.n
+        return self.H * self.V
 
     @property
     def k(self):
         return self.code.k
 
 
-def oracle_record(grid, dp):
+def oracle_record(field, H, V, a, b):
     """The record by definition; every self-check is an assertion."""
-    H, V, field = grid.H, grid.V, grid.field
-    a, b = dp.a, dp.b
     delta, perp = (tuple(sorted(map(Monomial._make, ref(H, V, a, b)), key=lambda m: (m.j, m.i)))
                    for ref in (ref_delta_set, ref_delta_perp_set))
     tops = np.array([max((m.i for m in delta if m.j == j), default=-1) for j in range(V)])
-    points = build_grid(grid)
+    points = build_grid(field, H, V)
 
     def ev_rows(monos):
         return [evaluate(field, {m: 1}, points, H, V) for m in monos]
@@ -246,36 +239,33 @@ def oracle_record(grid, dp):
     mirror = _span(field, ev_rows(perp))
     assert mirror.k == len(perp)
     assert contains(code, mirror)
-    w = twist_by_point(grid)
+    w = twist_by_point(field, H, V)
     twisted = _span(field, [field.vmul(w, mirror.generator[i])
                             for i in range(mirror.k)])
     assert _dual(code) == twisted
-    wit = evaluate(field, witness_polynomial(grid, dp), points, H, V)
+    wit = evaluate(field, witness_polynomial(field, H, V, a, b), points, H, V)
     forms = closed_forms(H, V, a, b)
     assert weight(wit) == forms.coset_d
     assert in_row_space(code, wit)
     assert not in_row_space(mirror, wit)
     return OracleRecord(
-        grid=grid, dp=dp, delta=delta, tops=tops, code=code,
+        field=field, H=H, V=V, a=a, b=b, delta=delta, tops=tops, code=code,
         mirror_code=mirror,
         plain_dual=(H % field.p == 0) and (V % field.p == 0),
-        d_formula=forms.d, coset_d_formula=forms.coset_d,
-        locality=forms.locality, impure=forms.impure, witness=wit)
+        forms=forms, witness=wit)
 
 
-def matrix_proof(grid, dp):
-    """build_code's checks as generator-matrix computations.
+def matrix_proof(field, H, V, a, b):
+    """build_grid_record's checks as generator-matrix computations.
 
     The band tops, the axis points and the closed forms come from the
     grid_codes functions, looked up at call time, so a test that corrupts
-    one of them corrupts this proof and build_code alike.  The twist and
-    the witness are evaluated from those axis points.  Returns the code,
-    the mirror code and the witness; a failed check raises the error
-    build_code raises for it.
+    one of them corrupts this proof and build_grid_record alike.  The
+    twist and the witness are evaluated from those axis points.  Returns
+    the code, the mirror code and the witness; a failed check raises the
+    error build_grid_record raises for it.
     """
-    H, V, field = grid.H, grid.V, grid.field
-    a, b = dp.a, dp.b
-    where = grid_codes.instance_label(grid.q, H, V, a, b)
+    where = grid_codes.instance_label(field.q, H, V, a, b)
     tops, tops_perp = grid_codes.delta_tops(H, V, a, b)
     delta, perp = monomials(tops), monomials(tops_perp)
     xs = grid_codes._axis_points(field, H)
@@ -290,9 +280,9 @@ def matrix_proof(grid, dp):
 
     if not perp <= delta:
         raise DualityViolated(f"{where} Delta* is not contained in Delta")
-    if len(delta) + len(perp) != grid.n:
+    if len(delta) + len(perp) != H * V:
         raise DualityViolated(f"{where} |Delta| + |Delta*| != n")
-    w = twist_vector(grid)
+    w = twist_vector(field, H, V)
     twisted = field.vmul(w[None, :], mirror.generator)
     if not w.all() or field.matmul(code.generator, twisted.T).any():
         raise DualityViolated(f"{where} G diag(w) G*^T != 0")
@@ -332,35 +322,34 @@ _IDS = ("ex1", "ex1e", "rem3") + tuple(",".join(map(str, inst[:5])) for inst in 
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_and_dp(q, H, V, a, b, modulus, alpha):
-    field = make_field(*split_prime_power(q), modulus=modulus, primitive=alpha)
-    grid = make_grid_params(H, V, field)
-    return grid, make_delta_params(grid, a, b)
+def _instance(q, H, V, a, b, modulus, alpha):
+    """(field, H, V, a, b), with the field built once per entry."""
+    return make_field(*split_prime_power(q), modulus=modulus, primitive=alpha), H, V, a, b
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=_IDS)
 def test_build_code_matches_definition(inst):
-    grid, dp = _grid_and_dp(*inst)
-    new = build_code(grid, dp)
+    inst = _instance(*inst)
+    new = build_grid_record(*inst)
     assert "code" not in vars(new)
-    old = oracle_record(grid, dp)
+    old = oracle_record(*inst)
     assert np.array_equal(new.code.generator, old.code.generator)
     assert new.code.pivots == old.code.pivots
     assert np.array_equal(mirror_code(new).generator, old.mirror_code.generator)
     assert np.array_equal(witness(new).vector, old.witness)
-    assert np.array_equal(twist_vector(grid), twist_by_point(grid))
+    assert np.array_equal(twist_vector(*inst[:3]), twist_by_point(*inst[:3]))
     assert new.plain_dual == old.plain_dual
     assert record_to_json(new) == record_to_json(old)
     assert record_to_json(new)["delta"] == [list(m) for m in old.delta]
 
-    code, mirror, wit = matrix_proof(grid, dp)
+    code, mirror, wit = matrix_proof(*inst)
     assert np.array_equal(new.code.generator, code.generator)
     assert new.code.pivots == code.pivots
     assert np.array_equal(mirror_code(new).generator, mirror.generator)
     assert np.array_equal(witness(new).vector, wit)
 
 
-# -- corrupted inputs: build_code and the matrix proof fail alike -------------
+# -- corrupted inputs: build_grid_record and the matrix proof fail alike ------
 
 
 def _edited(edit):
@@ -376,12 +365,13 @@ def _edited(edit):
     return patch
 
 
-def _outcome(prove, grid, dp):
-    """None if `prove` passes, else the class of the error it raised."""
+def _outcome(prove, inst):
+    """None if `prove` passes on inst = (field, H, V, a, b), else the class
+    of the error it raised."""
     try:
-        prove(grid, dp)
+        prove(*inst)
     except InternalCheckError as exc:
-        assert str(exc).startswith(grid_codes.instance_label(grid.q, grid.H, grid.V, dp.a, dp.b))
+        assert str(exc).startswith(grid_codes.instance_label(inst[0].q, *inst[1:]))
         return type(exc)
     return None
 
@@ -394,10 +384,10 @@ def _returning(result):
 @st.composite
 def corruptions(draw):
     """An instance, one corruption of it and the error it must raise."""
-    grid, dp = _grid_and_dp(*draw(st.sampled_from(INSTANCES)))
-    field = grid.field
+    inst = _instance(*draw(st.sampled_from(INSTANCES)))
+    field, H, V, a, b = inst
     # an axis of q points holds every field element, so no point can leave it
-    off_axis = [N for N in (grid.H, grid.V) if N < field.q]
+    off_axis = [N for N in (H, V) if N < field.q]
     kind = draw(st.sampled_from(("root", "coset", "axis", "mirror", "band")[not off_axis:]))
     if kind == "root":
         # one axis point replaced by a field element off the axis: the points
@@ -411,72 +401,71 @@ def corruptions(draw):
             if args[1] == N:
                 pts[s] = value
 
-        return grid, dp, "_axis_points", _edited(change), DualityViolated
+        return inst, "_axis_points", _edited(change), DualityViolated
     if kind == "coset":
         shift = draw(st.sampled_from((1, -1)))
 
         def patch(original):
             return lambda *args: original(*args)._replace(coset_d=original(*args).coset_d + shift)
 
-        return grid, dp, "closed_forms", patch, AssertionFailed
+        return inst, "closed_forms", patch, AssertionFailed
     if kind == "axis":
-        dst, src = draw(st.lists(st.integers(0, grid.H - 1), min_size=2, max_size=2,
-                                 unique=True))
+        dst, src = draw(st.lists(st.integers(0, H - 1), min_size=2, max_size=2, unique=True))
 
         def change(args, pts):
-            if args[1] == grid.H:
+            if args[1] == H:
                 pts[dst] = pts[src]
 
-        return grid, dp, "_axis_points", _edited(change), InjectivityViolated
-    tops = grid_codes.delta_tops(grid.H, grid.V, dp.a, dp.b)
+        return inst, "_axis_points", _edited(change), InjectivityViolated
+    tops = grid_codes.delta_tops(H, V, a, b)
     if kind == "mirror":
-        return grid, dp, "delta_tops", _returning((tops[0], _deeper_mirror_band(draw, grid, dp))), \
+        return inst, "delta_tops", _returning((tops[0], _deeper_mirror_band(draw, H, V, a, b))), \
             DualityViolated
     # one middle top of Delta or of Delta* moved by one: Delta* leaves Delta
     # or |Delta| + |Delta*| leaves n
     tops = [t.copy() for t in tops]
     j = draw(st.sampled_from(np.flatnonzero(tops[0] > tops[1]).tolist()))
     tops[draw(st.integers(0, 1))][j] += draw(st.sampled_from((1, -1)))
-    return grid, dp, "delta_tops", _returning(tuple(tops)), DualityViolated
+    return inst, "delta_tops", _returning(tuple(tops)), DualityViolated
 
 
-def _deeper_mirror_band(draw, grid, dp):
+def _deeper_mirror_band(draw, H, V, a, b):
     """The band tops of Delta* with one nonempty band one monomial deeper,
     paid for by the top of the last full band: Delta* stays inside Delta,
     keeps its size and its prefix bands, and only the orthogonality can
     fail."""
-    tops = grid_codes.delta_tops(grid.H, grid.V, dp.a, dp.b)[1].copy()
-    j = draw(st.sampled_from(np.flatnonzero((tops >= 0) & (tops < grid.H - 1)).tolist()))
+    tops = grid_codes.delta_tops(H, V, a, b)[1].copy()
+    j = draw(st.sampled_from(np.flatnonzero((tops >= 0) & (tops < H - 1)).tolist()))
     tops[j] += 1
-    tops[np.flatnonzero(tops == grid.H - 1)[-1]] -= 1
+    tops[np.flatnonzero(tops == H - 1)[-1]] -= 1
     return tops
 
 
 @settings(max_examples=120, deadline=None)
 @given(corruptions())
 def test_corruptions_fail_both_proofs_alike(case):
-    grid, dp, name, patch, error = case
+    inst, name, patch, error = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid_codes, name, patch(getattr(grid_codes, name)))
-        assert _outcome(build_code, grid, dp) is error
-        assert _outcome(matrix_proof, grid, dp) is error
+        assert _outcome(build_grid_record, inst) is error
+        assert _outcome(matrix_proof, inst) is error
 
 
 def test_repeated_y_point_fails_the_matrix_proof_on_duality(monkeypatch):
     # Delta holds no y^(V-1), so its rows keep full rank on V-1 distinct y
-    # values; build_code names the repeated points, the matrix proof only
-    # sees the broken duality.
-    grid, dp = _grid_and_dp(*INSTANCES[0])
+    # values; build_grid_record names the repeated points, the matrix proof
+    # only sees the broken duality.
+    inst = _instance(*INSTANCES[0])
 
     def repeat_last_y(args, pts):
-        if args[1] == grid.V:
+        if args[1] == inst[2]:
             pts[-1] = pts[-2]
 
     monkeypatch.setattr(grid_codes, "_axis_points",
                         _edited(repeat_last_y)(grid_codes._axis_points))
     with pytest.raises(InjectivityViolated, match="y-axis points repeat"):
-        build_code(grid, dp)
-    assert _outcome(matrix_proof, grid, dp) is DualityViolated
+        build_grid_record(*inst)
+    assert _outcome(matrix_proof, inst) is DualityViolated
 
 
 # -- the axis moments against the full moment matrix ---------------------------
@@ -522,14 +511,13 @@ def moment_cases(draw):
     twist factor scaled by a unit other than 1, or with both tops replaced
     by random ones.  The verdict expected of the first
     three is True, False and False; of the last, None (unknown)."""
-    grid, dp = _grid_and_dp(*draw(st.sampled_from(SMALL)), None, None)
-    field, H, V = grid.field, grid.H, grid.V
+    field, H, V, a, b = _instance(*draw(st.sampled_from(SMALL)), None, None)
     xs, ys = grid_codes._axis_points(field, H), grid_codes._axis_points(field, V)
     wx, wy = inv_derivs(field, xs, H), inv_derivs(field, ys, V)
-    tops, tops_perp = grid_codes.delta_tops(H, V, dp.a, dp.b)
+    tops, tops_perp = grid_codes.delta_tops(H, V, a, b)
     kind = draw(st.sampled_from(("valid", "deeper band", "twist factor", "random bands")))
     if kind == "deeper band":
-        tops_perp = _deeper_mirror_band(draw, grid, dp)
+        tops_perp = _deeper_mirror_band(draw, H, V, a, b)
     if kind == "twist factor":
         w = draw(st.sampled_from((wx, wy)))
         s = draw(st.integers(0, len(w) - 1))
@@ -581,7 +569,7 @@ def _reduced_top(e, N):
 @pytest.mark.parametrize("q", prime_powers(256) + (729,))
 def test_axis_moments_have_the_closed_form(q):
     # the evaluated twist is -1 at 0 and 1 / (N - 1) at every root, and the
-    # evaluated moments are the closed form build_code takes
+    # evaluated moments are the closed form build_grid_record takes
     field = make_field(*split_prime_power(q))
     for N in [d + 1 for d in range(1, q) if (q - 1) % d == 0]:
         pts = grid_codes._axis_points(field, N)
@@ -602,8 +590,7 @@ def test_witness_reaches_the_proved_coset_distance():
     two factors, and has its coefficients in Delta and not all in Delta*."""
     classes = set()
     for q, H, V, a, b in SMALL:
-        grid, dp = _grid_and_dp(q, H, V, a, b, None, None)
-        rec = build_code(grid, dp)
+        rec = build_grid_record(*_instance(q, H, V, a, b, None, None))
         wit = witness(rec)
         A, B = (H - 1) // 2 + a, (V - 1) // 2 + b
         assert grid_codes.band_distances(H, rec.tops, rec.tops_perp)[1] == (H - A) * (V - B)
@@ -614,7 +601,7 @@ def test_witness_reaches_the_proved_coset_distance():
         i = np.arange(H)[:, None]  # x^i y^j lies outside band j when i > top(j)
         assert not (wit.support & (i > rec.tops)).any()
         assert (wit.support & (i > rec.tops_perp)).any()
-        classes.add((H % 2, V % 2, b > 0, grid.field.p > 2 and grid.field.m > 1))
+        classes.add((H % 2, V % 2, b > 0, rec.field.p > 2 and rec.field.m > 1))
     # both parities of H and V, b = 0 and b > 0, odd-p extension fields; an
     # even V needs b >= 1
     assert classes == {(h, v, bp, ext) for h in (0, 1) for v in (0, 1) for bp in (False, True)
@@ -722,22 +709,18 @@ def test_euclidean_dual_matches_row_loop(case):
 
 
 def test_build_grid_points(gf5, gf3, gf8):
-    g = make_grid_params(5, 3, gf5)
-    pts = build_grid(g)
+    pts = build_grid(gf5, 5, 3)
     assert [p[0] for p in pts[::3]] == [0, 2, 4, 3, 1]
     assert [p[1] for p in pts[:3]] == [0, 4, 1]
     assert pts[1 * 3 + 2] == (2, 1)  # index i*V + j
 
-    g3 = make_grid_params(3, 3, gf3)
-    assert [p[0] for p in build_grid(g3)[::3]] == [0, 2, 1]
+    assert [p[0] for p in build_grid(gf3, 3, 3)[::3]] == [0, 2, 1]
 
-    g8 = make_grid_params(8, 8, gf8)
-    assert [p[0] for p in build_grid(g8)[::8]] == [0, 2, 4, 3, 6, 7, 5, 1]
+    assert [p[0] for p in build_grid(gf8, 8, 8)[::8]] == [0, 2, 4, 3, 6, 7, 5, 1]
 
 
 def test_evaluate_known_polynomials(gf5):
-    g = make_grid_params(5, 3, gf5)
-    pts = build_grid(g)
+    pts = build_grid(gf5, 5, 3)
     # X^4 - 1 vanishes off the x = 0 line
     vec = evaluate(gf5, {Monomial(4, 0): 1, Monomial(0, 0): 4}, pts, 5, 3)
     assert weight(vec) == 3
@@ -747,7 +730,6 @@ def test_evaluate_known_polynomials(gf5):
 
 
 def test_witness_polynomial_ex1(gf5, ex1_record):
-    g = make_grid_params(5, 3, gf5)
-    poly = witness_polynomial(g, make_delta_params(g, 0, 0))
+    poly = witness_polynomial(gf5, 5, 3, 0, 0)
     assert poly == {Monomial(1, 1): 3, Monomial(2, 1): 1}
-    assert weight(witness(ex1_record).vector) == ex1_record.coset_d_formula
+    assert weight(witness(ex1_record).vector) == ex1_record.forms.coset_d

@@ -54,10 +54,7 @@ def test_ex1e_css_formula(ex1e_record):
 
 
 def test_pure_instance(gf4):
-    from qlrc import build_code, make_delta_params, make_grid_params
-
-    g = make_grid_params(4, 4, gf4)
-    rec = build_code(g, make_delta_params(g, 1, 1))
+    rec = build_grid_record(gf4, 4, 4, 1, 1)
     css = css_from_grid(rec, "bruteforce")
     assert css.pure
     assert css.k == 4
@@ -87,7 +84,7 @@ def test_quantum_dimension_is_center_rectangle(shape):
 def test_pure_iff_not_impure(ex1_record, rem3_record, ex1e_record):
     for rec in (ex1_record, rem3_record, ex1e_record):
         css = css_from_grid(rec, "formula")
-        assert css.pure == (not rec.impure)
+        assert css.pure == (not rec.forms.impure)
 
 
 def test_hermitian_lift_rem3(rem3_record):

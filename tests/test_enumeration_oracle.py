@@ -233,7 +233,7 @@ def test_chunks_bound_the_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pair == (rec.d_formula, rec.coset_d_formula) == (5, 8)
+    assert pair == (rec.forms.d, rec.forms.coset_d) == (5, 8)
     assert peak < 8 * 8 * linear_codes._CELLS, peak
 
 
@@ -272,9 +272,9 @@ def _assert_grid_oracle_matches_library(rec):
     """css.oracle_distances, which row-reduces the evaluation rows of Delta
     with a selector on the monomials outside Delta*, against
     min_weights_bruteforce on the row-reduced code and mirror code."""
-    pair = oracle_distances(rec, budget=rec.grid.q ** rec.k)
-    assert pair == min_weights_bruteforce(rec.code, mirror_code(rec), rec.grid.q ** rec.k)
-    assert pair == (rec.d_formula, rec.coset_d_formula)
+    pair = oracle_distances(rec, budget=rec.q ** rec.k)
+    assert pair == min_weights_bruteforce(rec.code, mirror_code(rec), rec.q ** rec.k)
+    assert pair == (rec.forms.d, rec.forms.coset_d)
 
 
 @pytest.mark.parametrize("inst", _CRITERION_5 + ("ex1", "rem3"), ids=lambda inst: (

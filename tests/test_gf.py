@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from functools import cache
@@ -139,6 +140,20 @@ def test_construction_errors():
         make_field(7, primitive=2)
     with pytest.raises(InvalidParameter):
         make_field(3, 2, modulus=(1, 1))  # wrong degree
+
+
+def test_prime_field_takes_only_the_modulus_x():
+    # GF(p) encodes each element as its residue, which is reduction mod X
+    assert make_field(5, modulus=(0, 1)).modulus == (0, 1)
+    assert make_field(5, modulus=(5, 6)).modulus == (0, 1)  # X, read mod 5
+    for modulus in ((1, 0, 1), (0, 2)):
+        with pytest.raises(InvalidParameter, match=re.escape(
+                f"modulus must be monic of degree 1, got {modulus}")):
+            make_field(5, modulus=modulus)
+    for c in (1, 4):
+        with pytest.raises(InvalidParameter, match=re.escape(
+                f"GF(5) is defined modulo X = (0, 1), got the modulus ({c}, 1)")):
+            make_field(5, modulus=(c, 1))
 
 
 @pytest.mark.parametrize("p,m,q", [(2, 21, "2^21"), (1048583, 1, "1048583"), (1025, 2, "1025^2"),

@@ -15,14 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlrc import (
-    build_code,
     build_grid_record,
     cli,
     closed_forms,
     delta_tops,
-    make_delta_params,
     make_field,
-    make_grid_params,
     min_distance_bruteforce,
     record_to_json,
     valid_a_values,
@@ -53,33 +50,31 @@ _SHAPES = [(H, V, a, b)
 
 def test_grid_param_errors(gf5, gf2):
     with pytest.raises(DivisibilityViolated):
-        make_grid_params(4, 3, gf5)
+        build_grid_record(gf5, 4, 3, 0, 0)
     with pytest.raises(ParamRangeViolated):
-        make_grid_params(2, 3, gf5)
+        build_grid_record(gf5, 2, 3, 0, 0)
     with pytest.raises(ParamRangeViolated):
-        make_grid_params(3, 3, gf2)  # q must be at least 3
+        build_grid_record(gf2, 3, 3, 0, 0)  # q must be at least 3
 
 
 def test_grid_work_cap_boundary():
     # n * (H + V) = 3q(q + 3): 133,887,234 for q = 6679, 134,288,364 for 6689
-    assert make_grid_params(6679, 3, make_field(6679)).n == 3 * 6679
+    assert build_grid_record(make_field(6679), 6679, 3, 2, 0).n == 3 * 6679
     with pytest.raises(ParamRangeViolated, match=re.escape(
             "n*(H+V) = 134288364 exceeds the cap 134217728")):
-        make_grid_params(6689, 3, make_field(6689))
+        build_grid_record(make_field(6689), 6689, 3, 2, 0)
 
 
 def test_ab_validation(gf5, gf4):
-    g = make_grid_params(5, 3, gf5)
-    make_delta_params(g, 1, 0)
+    build_grid_record(gf5, 5, 3, 1, 0)
     with pytest.raises(ParamRangeViolated):
-        make_delta_params(g, 2, 0)  # a < h = 2
+        build_grid_record(gf5, 5, 3, 2, 0)  # a < h = 2
     with pytest.raises(ParamRangeViolated):
-        make_delta_params(g, 0, 1)  # b < v = 1
+        build_grid_record(gf5, 5, 3, 0, 1)  # b < v = 1
     with pytest.raises(ParamRangeViolated):
-        make_delta_params(g, -1, 0)
-    g4 = make_grid_params(4, 4, gf4)
+        build_grid_record(gf5, 5, 3, -1, 0)
     with pytest.raises(ParamRangeViolated):
-        make_delta_params(g4, 0, 1)  # even H-1 forces a >= 1
+        build_grid_record(gf4, 4, 4, 0, 1)  # even H-1 forces a >= 1
 
 
 def test_valid_ranges():
@@ -193,8 +188,7 @@ def test_exponents_are_the_band_monomials_in_band_order(tops):
 
 
 def test_twist_vector_ex1(gf5):
-    g = make_grid_params(5, 3, gf5)
-    assert list(twist_vector(g)) == [1, 2, 2] * 5
+    assert list(twist_vector(gf5, 5, 3)) == [1, 2, 2] * 5
 
 
 def test_plain_dual_flags(ex1_record, rem3_record, ex1e_record, grid55_record):
@@ -208,29 +202,28 @@ def test_ex1_record_numbers(ex1_record):
     rec = ex1_record
     assert (rec.n, rec.k) == (15, 8)
     assert mirror_code(rec).k == 7
-    assert rec.d_formula == 3
-    assert rec.coset_d_formula == 6
-    assert rec.locality == (2, 2)
-    assert rec.impure
+    assert rec.forms.d == 3
+    assert rec.forms.coset_d == 6
+    assert rec.forms.locality == (2, 2)
+    assert rec.forms.impure
     assert len(monomials(rec.tops)) == 8
 
 
 def test_ex1e_record_numbers(ex1e_record):
     rec = ex1e_record
     assert (rec.n, rec.k) == (64, 34)
-    assert rec.d_formula == 6
-    assert rec.coset_d_formula == 16
-    assert rec.locality == (5, 4)
-    assert rec.impure
+    assert rec.forms.d == 6
+    assert rec.forms.coset_d == 16
+    assert rec.forms.locality == (5, 4)
+    assert rec.forms.impure
 
 
 def test_gf4_instance_is_pure(gf4):
-    g = make_grid_params(4, 4, gf4)
-    rec = build_code(g, make_delta_params(g, 1, 1))
+    rec = build_grid_record(gf4, 4, 4, 1, 1)
     assert (rec.n, rec.k) == (16, 10)
-    assert rec.d_formula == 4
-    assert rec.coset_d_formula == 4
-    assert not rec.impure
+    assert rec.forms.d == 4
+    assert rec.forms.coset_d == 4
+    assert not rec.forms.impure
     assert min_distance_bruteforce(rec.code) == 4
 
 
@@ -265,9 +258,8 @@ def test_mirror_code_is_subcode(ex1_record, ex1e_record):
 
 def test_build_code_respects_field_choice():
     f9 = make_field(3, 2, primitive=4)
-    g = make_grid_params(3, 3, f9)
-    rec = build_code(g, make_delta_params(g, 0, 0))
-    assert rec.grid.q == 9
+    rec = build_grid_record(f9, 3, 3, 0, 0)
+    assert rec.q == 9
     assert (rec.n, rec.k) == (9, 5)
 
 
@@ -279,7 +271,7 @@ def test_build_code_proves_without_generator_matrices(monkeypatch, no_generator_
     q, H, V, a, b = inst
 
     def refuse(*args):
-        raise AssertionError("build_code formed a field matrix product")
+        raise AssertionError("build_grid_record formed a field matrix product")
 
     monkeypatch.setattr(FieldSpec, "matmul", refuse)
     rec = build_grid_record(make_field(*split_prime_power(q)), H, V, a, b)
@@ -350,7 +342,7 @@ def test_thin_grid_record_peaks_below_100_mib():
 
 
 # -- the construction's self-checks fire on corrupted inputs ------------------
-# Each corruption runs ex1 = (q=5,H=5,V=3,a=0,b=0) through build_code and
+# Each corruption runs ex1 = (q=5,H=5,V=3,a=0,b=0) through build_grid_record and
 # through the construct command, which must exit 4 and name the instance.
 
 _EX1 = "(q=5,H=5,V=3,a=0,b=0)"

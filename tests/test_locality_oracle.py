@@ -148,12 +148,12 @@ def oracle_grid_lines(rec, r, delta):
     """Each grid column certified by enumerating its restricted code."""
     _validate_rd(r, delta)
     size_cap = r + delta - 1
-    V = rec.grid.V
+    V = rec.V
     if V > size_cap:
         raise NotLocallyRecoverable(
             f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
     entries = []
-    for col in range(rec.grid.H):
+    for col in range(rec.H):
         cols = tuple(col * V + j for j in range(V))
         ok, dist = _passes(rec.code, cols, delta)
         if not ok:
@@ -174,12 +174,12 @@ def oracle_grid_ranks(rec, r, delta):
     """
     _validate_rd(r, delta)
     size_cap = r + delta - 1
-    H, V = rec.grid.H, rec.grid.V
+    H, V = rec.H, rec.V
     if V > size_cap:
         raise NotLocallyRecoverable(
             f"grid columns have {V} points, exceeding r+delta-1 = {size_cap}")
-    where = instance_label(rec.grid.q, H, V, rec.dp.a, rec.dp.b)
-    field, code = rec.grid.field, rec.code
+    where = instance_label(rec.q, H, V, rec.a, rec.b)
+    field, code = rec.field, rec.code
     ys = rec.points[1]
     vandermonde = field.vpow(ys[None, :, None], np.arange(V))
     if reduce_stack(field, vandermonde)[0] != V:
@@ -578,16 +578,16 @@ _GRID_INSTANCES = _grid_instances()
                          ids=lambda inst: ",".join(map(str, inst)))
 def test_grid_lines_match_column_enumeration(inst, with_band_hole):
     rec = _record(*inst)
-    r, delta = rec.locality
+    r, delta = rec.forms.locality
     J = max(mono.j for mono in monomials(rec.tops))
     # the closed-form locality, and one delta past the column distance V - J
-    for r, delta in ((r, delta), (max(1, J), rec.grid.V - J + 1)):
+    for r, delta in ((r, delta), (max(1, J), rec.V - J + 1)):
         expected = outcome(lambda: oracle_grid_lines(rec, r, delta))
         got = outcome(lambda: certify_grid_lines(rec, r, delta))
         assert got == expected
         assert outcome(lambda: oracle_grid_ranks(rec, r, delta)) == expected
     broken = with_band_hole(rec)
-    r, delta = rec.locality
+    r, delta = rec.forms.locality
     assert (outcome(lambda: certify_grid_lines(broken, r, delta))
             == outcome(lambda: oracle_grid_ranks(broken, r, delta)))
 
@@ -599,8 +599,7 @@ def column_corruptions(draw):
     rec = _record(*draw(st.sampled_from(_GRID_INSTANCES)))
     J = max(mono.j for mono in monomials(rec.tops))
     if draw(st.booleans()):
-        dst, src = draw(st.lists(st.integers(0, rec.grid.V - 1), min_size=2, max_size=2,
-                                 unique=True))
+        dst, src = draw(st.lists(st.integers(0, rec.V - 1), min_size=2, max_size=2, unique=True))
         xs, ys = rec.points
         ys = ys.copy()
         ys[dst] = ys[src]
@@ -613,8 +612,8 @@ def column_corruptions(draw):
 @settings(max_examples=150, deadline=None)
 @given(column_corruptions())
 def test_corruptions_fail_both_column_proofs_alike(broken):
-    r, delta = broken.locality
-    where = instance_label(broken.grid.q, broken.grid.H, broken.grid.V, broken.dp.a, broken.dp.b)
+    r, delta = broken.forms.locality
+    where = instance_label(broken.q, broken.H, broken.V, broken.a, broken.b)
     for certify in (certify_grid_lines, oracle_grid_ranks):
         with pytest.raises(InjectivityViolated, match="^" + re.escape(where)):
             certify(broken, r, delta)

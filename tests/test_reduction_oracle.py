@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlrc import build_code, cli, make_delta_params, make_field, make_grid_params
+from qlrc import build_grid_record, cli, make_field
 from qlrc import grid_codes
 from qlrc.gf import FieldSpec, split_prime_power
 from qlrc.grid_codes import valid_a_values, valid_b_values
@@ -90,7 +90,7 @@ SMALL = tuple((q, H, V, a, b) for q in prime_powers(16) for H in _sides(q) for V
 def test_build_code_matches_the_loops(q):
     field = make_field(*split_prime_power(q))
     for _, H, V, a, b in (inst for inst in SMALL if inst[0] == q):
-        rec = build_code(*_grid_and_dp(field, H, V, a, b))
+        rec = build_grid_record(field, H, V, a, b)
         A, B = (H - 1) // 2 + a, (V - 1) // 2 + b
         xs, ys = rec.points
         wx = vanishing_values_by_loop(field, xs, A)
@@ -106,18 +106,13 @@ def test_build_code_matches_the_loops(q):
             assert np.array_equal(moments(field, pts, w), moments_by_halving(field, pts, w))
 
 
-def _grid_and_dp(field, H, V, a, b):
-    grid = make_grid_params(H, V, field)
-    return grid, make_delta_params(grid, a, b)
-
-
 _VECTOR_OPS = ("vadd", "vneg", "vsub", "vmul", "vscale", "vpow", "matmul")
 
 
 def _vector_op_calls(monkeypatch, q, H, V, a, b) -> int:
-    """The FieldSpec vector operations build_code calls, not counting those
-    one operation calls inside another."""
-    grid, dp = _grid_and_dp(make_field(*split_prime_power(q)), H, V, a, b)
+    """The FieldSpec vector operations build_grid_record calls, not counting
+    those one operation calls inside another."""
+    field = make_field(*split_prime_power(q))
     calls, depth = [0], [0]
 
     def counted(op):
@@ -133,7 +128,7 @@ def _vector_op_calls(monkeypatch, q, H, V, a, b) -> int:
 
     for name in _VECTOR_OPS:
         monkeypatch.setattr(FieldSpec, name, counted(getattr(FieldSpec, name)))
-    build_code(grid, dp)
+    build_grid_record(field, H, V, a, b)
     monkeypatch.undo()
     return calls[0]
 

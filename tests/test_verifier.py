@@ -84,6 +84,23 @@ def test_check_thm3_hypothesis_errors():
         check_theorem("thm3", 5, 5, 3, 2)  # a out of range
 
 
+@pytest.mark.parametrize("H, V, a, b", [
+    (5.0, 3, 0, 0),  # non-int H
+    (5, 3.0, 0, 0),  # non-int V
+    (5, 3, 0.0, 0),  # non-int a
+    (4, 3, 0, 0),  # H - 1 does not divide q - 1
+    (5, 3, 2, 0),  # a out of range
+    (5, 3, -1, 0),  # a below its range
+    (2, 3, 0, 0),  # H below 3
+], ids=["float H", "float V", "float a", "H divides no q-1", "a too large", "a negative",
+        "H below 3"])
+def test_check_theorem_refuses_an_invalid_grid_instance(H, V, a, b):
+    label = f"(q=5,H={H},V={V},a={a},b={b})"
+    with pytest.raises(HypothesisViolated) as info:
+        check_theorem("thm3", 5, H, V, a, b)
+    assert str(info.value) == f"{label} is not a valid grid instance"
+
+
 def test_check_thm4_values():
     row = check_theorem("thm4", 7, 7, 3, 1)
     assert (row.n, row.k, row.d) == (21, 3, 6)
